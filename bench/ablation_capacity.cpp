@@ -12,7 +12,6 @@
 #include "core/multicopy_allocator.hpp"
 #include "core/ring_model.hpp"
 #include "core/single_file.hpp"
-#include "net/cost_cache.hpp"
 #include "runtime/sweep.hpp"
 #include "util/table.hpp"
 
@@ -25,7 +24,8 @@ int main(int argc, char** argv) {
   util::Table sweep({"cap s_0", "x_0*", "x_others*", "capped cost",
                      "uncapped cost", "penalty %"},
                     4);
-  const core::SingleFileModel uncapped(core::make_paper_ring_problem());
+  const core::SingleFileProblem ring = core::make_paper_ring_problem();
+  const core::SingleFileModel uncapped(ring);
   core::AllocatorOptions options;
   options.alpha = 0.2;
   options.epsilon = 1e-7;
@@ -37,9 +37,8 @@ int main(int argc, char** argv) {
   // Every cap is an independent constrained problem: pack them into one
   // SoA batch through batch_sweep (order and output independent of
   // --jobs AND batch width; lanes are bit-identical to serial runs). The
-  // per-cap models share the ring's APSP through the cost cache.
+  // per-cap models copy the ring problem built above (one APSP).
   const std::vector<double> caps{0.25, 0.2, 0.15, 0.1, 0.05, 0.01};
-  net::CostMatrixCache cache;
   struct Submission {
     core::SingleFileModel model;
     std::vector<double> start;
@@ -49,8 +48,7 @@ int main(int argc, char** argv) {
           caps.size(), core::BatchAllocator::kDefaultWidth,
           bench::sweep_options("ablation_capacity"),
           [&](std::size_t index, std::uint64_t /*seed*/) {
-            core::SingleFileProblem problem =
-                core::make_paper_ring_problem(cache);
+            core::SingleFileProblem problem = ring;
             problem.storage_capacity = {caps[index], 1.0, 1.0, 1.0};
             core::SingleFileModel model(std::move(problem));
             std::vector<double> start = core::uniform_allocation(model);

@@ -30,7 +30,6 @@
 #include "bench_common.hpp"
 #include "catalog/catalog_solver.hpp"
 #include "catalog/catalog_spec.hpp"
-#include "net/cost_cache.hpp"
 #include "net/cost_provider.hpp"
 #include "net/hierarchy.hpp"
 #include "util/table.hpp"
@@ -119,27 +118,32 @@ int main(int argc, char** argv) {
   synth.zipf_s = static_cast<double>(zipf_milli) / 1000.0;
   synth.locality = static_cast<double>(locality_pct) / 100.0;
 
-  // Structured network, built once across the whole ladder. --nodes is a
-  // TARGET there: the generators land on the nearest size at or above it
-  // (fat-tree: smallest k with 1+k+k²+k³ >= target; geo-tiers: enough
-  // racks under 4 regions × 4 DCs). The object/origin RNG streams do not
-  // depend on the network, only on (options, seed).
-  std::unique_ptr<net::TieredNetwork> network;
-  std::shared_ptr<const net::CostProvider> comm_provider;
+  // The network side, shared by every rung of the ladder. Structured
+  // networks are built here: --nodes is a TARGET there, and the generators
+  // land on the nearest size at or above it (fat-tree: smallest k with
+  // 1+k+k²+k³ >= target; geo-tiers: enough racks under 4 regions × 4 DCs).
+  // The metric network depends only on (nodes, seed), so the first rung's
+  // spec builds it and later rungs reuse that spec's provider. The
+  // object/origin RNG streams do not depend on the network, only on
+  // (options, seed).
+  std::shared_ptr<const net::CostProvider> comm;
   if (tiered) {
     const auto target = static_cast<std::size_t>(nodes);
-    network = std::make_unique<net::TieredNetwork>(
-        topology == "fat-tree"
-            ? net::make_fat_tree(fat_tree_fanout(target))
-            : net::make_geo_tiers(geo_racks(target), 4, 4));
-    synth.nodes = network->topology.node_count();
+    const net::TieredNetwork network =
+        topology == "fat-tree" ? net::make_fat_tree(fat_tree_fanout(target))
+                               : net::make_geo_tiers(geo_racks(target), 4, 4);
+    synth.nodes = network.topology.node_count();
     const std::size_t cache_rows = std::max<std::uint64_t>(1, row_cache);
     if (provider == "rows") {
-      comm_provider = std::make_shared<net::RowCostProvider>(
-          network->topology, cache_rows);
+      comm = std::make_shared<net::RowCostProvider>(network.topology,
+                                                    cache_rows);
     } else if (provider == "implicit") {
-      comm_provider = std::make_shared<net::HierarchicalCostProvider>(
-          network->spec, cache_rows);
+      comm = std::make_shared<net::HierarchicalCostProvider>(network.spec,
+                                                             cache_rows);
+    } else {
+      comm = std::make_shared<net::DenseCostProvider>(
+          std::make_shared<const net::CostMatrix>(
+              net::all_pairs_shortest_paths(network.topology)));
     }
   }
 
@@ -170,21 +174,14 @@ int main(int argc, char** argv) {
                      "external traffic", "mean fragments"},
                     12);
 
-  // One cache across the ladder: the topology depends only on
-  // (nodes, seed), so every rung past the first reuses the APSP matrix.
-  net::CostMatrixCache cache;
   const std::uint64_t master_seed = bench::seed(1);
   for (const std::size_t k : ladder) {
     synth.objects = k;
     const catalog::CatalogSpec spec =
-        comm_provider != nullptr
-            ? catalog::make_synthetic_catalog(synth, master_seed,
-                                              comm_provider)
-            : tiered
-                  ? catalog::make_synthetic_catalog(
-                        synth, master_seed, *cache.get(network->topology))
-                  : catalog::make_synthetic_catalog(synth, master_seed,
-                                                    cache);
+        comm != nullptr
+            ? catalog::make_synthetic_catalog(synth, master_seed, comm)
+            : catalog::make_synthetic_catalog(synth, master_seed);
+    comm = spec.comm;
 
     catalog::CatalogOptions options;
     if (inner_iters > 0) {

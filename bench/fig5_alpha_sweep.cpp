@@ -8,15 +8,13 @@
 // The 45 α points are independent allocator runs on the same model, so
 // they go through runtime::batch_sweep + core::BatchAllocator: the whole
 // sweep steps in SoA lockstep (bit-identical to the serial allocator),
-// `--jobs N` distributes whole batches, and each task's model is built
-// through a shared net::CostMatrixCache — 1 APSP miss, 44 hits (visible
-// under --metrics as cost_cache_hit/cost_cache_miss).
+// `--jobs N` distributes whole batches, and every task's model copies one
+// problem built before the sweep (one APSP for the whole sweep).
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "core/batch_allocator.hpp"
 #include "core/single_file.hpp"
-#include "net/cost_cache.hpp"
 #include "runtime/sweep.hpp"
 #include "util/table.hpp"
 
@@ -37,7 +35,7 @@ int main(int argc, char** argv) {
     core::SingleFileModel model;
     core::AllocatorOptions options;
   };
-  net::CostMatrixCache cache;
+  const core::SingleFileProblem ring = core::make_paper_ring_problem();
   const std::vector<core::BatchRunResult> results = runtime::batch_sweep(
       alphas.size(), core::BatchAllocator::kDefaultWidth,
       bench::sweep_options("fig5_alpha_sweep"),
@@ -46,9 +44,7 @@ int main(int argc, char** argv) {
         options.alpha = alphas[i];
         options.epsilon = 1e-3;
         options.max_iterations = 20000;
-        return Submission{
-            core::SingleFileModel(core::make_paper_ring_problem(cache)),
-            options};
+        return Submission{core::SingleFileModel(ring), options};
       },
       [&](std::size_t /*first*/, std::vector<Submission> items) {
         core::BatchAllocator batch;

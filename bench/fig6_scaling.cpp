@@ -33,7 +33,6 @@
 #include "core/allocator.hpp"
 #include "core/batch_allocator.hpp"
 #include "core/single_file.hpp"
-#include "net/cost_cache.hpp"
 #include "net/cost_provider.hpp"
 #include "net/generators.hpp"
 #include "net/hierarchy.hpp"
@@ -107,8 +106,7 @@ NetworkCase build_network(const std::string& topology, std::size_t target) {
 
 fap::core::SingleFileModel build_model(const NetworkCase& network,
                                        const std::string& provider,
-                                       std::size_t row_cache,
-                                       fap::net::CostMatrixCache& cache) {
+                                       std::size_t row_cache) {
   using namespace fap;
   const std::size_t n = network.topology.node_count();
   const core::Workload workload = core::Workload::uniform(n, 1.0);
@@ -124,7 +122,7 @@ fap::core::SingleFileModel build_model(const NetworkCase& network,
         workload, /*mu=*/1.5, /*k=*/1.0));
   }
   return core::SingleFileModel(core::make_problem(
-      network.topology, workload, /*mu=*/1.5, /*k=*/1.0, cache));
+      network.topology, workload, /*mu=*/1.5, /*k=*/1.0));
 }
 
 ScalingPoint measure_scaling_point(const fap::core::SingleFileModel& model,
@@ -242,14 +240,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  net::CostMatrixCache cache;
   const std::size_t cache_rows = std::max<std::uint64_t>(1, row_cache);
   const std::vector<ScalingPoint> points = runtime::sweep(
       targets.size(), bench::sweep_options("fig6_scaling"),
       [&](std::size_t index, std::uint64_t /*seed*/) {
         const NetworkCase network = build_network(topology, targets[index]);
         const core::SingleFileModel model =
-            build_model(network, provider, cache_rows, cache);
+            build_model(network, provider, cache_rows);
         return measure_scaling_point(model, alpha_points);
       });
 

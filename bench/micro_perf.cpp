@@ -20,7 +20,6 @@
 #include "fs/fragment_map.hpp"
 #include "fs/popularity.hpp"
 #include "fs/weighted_assignment.hpp"
-#include "net/cost_cache.hpp"
 #include "net/cost_provider.hpp"
 #include "net/generators.hpp"
 #include "net/hierarchy.hpp"
@@ -314,20 +313,6 @@ void BM_AllPairsShortestPathsParallel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AllPairsShortestPathsParallel)->Arg(300)->Arg(1000);
-
-// The cost-matrix cache hit path: content-hash an n = 100 topology and
-// return the shared matrix. Compare against BM_AllPairsShortestPaths/100
-// — the miss cost the hit replaces for every sweep task after the first.
-void BM_CostMatrixCache(benchmark::State& state) {
-  util::Rng rng(7);
-  const net::Topology topology = net::make_random_metric(100, 4, rng);
-  net::CostMatrixCache cache;
-  benchmark::DoNotOptimize(cache.get(topology));  // prime: the one miss
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.get(topology));
-  }
-}
-BENCHMARK(BM_CostMatrixCache);
 
 // The row-provider miss path: every request asks for a new source row
 // (stride 7919 is coprime to n, so the walk cycles through all sources

@@ -21,15 +21,13 @@ CatalogSolver::CatalogSolver(const CatalogSpec& spec, CatalogOptions options)
 
   // Cbar_i = Σ_j w_j c_ji: the shared part of every object's access-cost
   // vector. Same accumulation pattern as SingleFileModel (j outer over
-  // contiguous rows); the provider branch streams the identical rows in
-  // the identical order, so dense- and provider-backed specs assemble the
-  // same bytes.
+  // contiguous rows); every provider returns the identical rows, so every
+  // provider assembles the same bytes.
   const std::size_t n = spec_.node_count();
-  dense_ = spec_.comm.node_count() == n ? &spec_.comm : nullptr;
   base_cost_.assign(n, 0.0);
   for (std::size_t j = 0; j < n; ++j) {
     const double weight = spec_.origin_weight[j];
-    const net::CostRow row = comm_row(j);
+    const net::CostRow row = spec_.comm->row(j);
     for (std::size_t i = 0; i < n; ++i) {
       base_cost_[i] += weight * row[i];
     }
@@ -53,22 +51,13 @@ CatalogSolver::CatalogSolver(const CatalogSpec& spec, CatalogOptions options)
   }
 }
 
-net::CostRow CatalogSolver::comm_row(std::size_t j) const {
-  if (dense_ != nullptr) {
-    // Zero-copy view; spec_ outlives the solver by the ctor contract, so
-    // no keepalive is needed.
-    return net::CostRow(dense_->row(j), dense_->node_count(), nullptr);
-  }
-  return spec_.comm_provider->row(j);
-}
-
 void CatalogSolver::assemble_access(std::size_t o,
                                     const std::vector<double>& prices,
                                     double* out) const {
   const double beta = spec_.locality;
   const double base_share = 1.0 - beta;
   const double v = spec_.volume[o];
-  const net::CostRow row = comm_row(spec_.home[o]);
+  const net::CostRow row = spec_.comm->row(spec_.home[o]);
   const std::size_t n = spec_.node_count();
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = (base_share * base_cost_[i] + beta * row[i]) + v * prices[i];
@@ -347,7 +336,7 @@ CatalogResult CatalogSolver::solve() const {
     }
     const double rate = spec_.rate[o];
     const std::uint32_t home = spec_.home[o];
-    const net::CostRow row = comm_row(home);
+    const net::CostRow row = spec_.comm->row(home);
     double hit = 0.0;
     double comm_cost = 0.0;
     for (const Placement& placement : alloc.placements) {

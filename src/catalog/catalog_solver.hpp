@@ -164,17 +164,8 @@ class CatalogSolver {
                        double* out) const;
   std::size_t start_node(std::size_t o, const double* access) const;
 
-  /// Source row j of c_ij from whichever communication side the spec
-  /// carries: a zero-copy view into the dense matrix (fast path) or a
-  /// provider row handle. Both return the same bytes by the provider
-  /// contract, so every consumer below is provider-agnostic.
-  net::CostRow comm_row(std::size_t j) const;
-
   const CatalogSpec& spec_;
   CatalogOptions options_;
-  /// &spec_.comm when the spec carries a dense matrix, else nullptr and
-  /// rows stream from spec_.comm_provider.
-  const net::CostMatrix* dense_ = nullptr;
   std::vector<double> base_cost_;  ///< Σ_j w_j c_ji
 };
 

@@ -17,13 +17,9 @@ void CatalogSpec::validate() const {
   const std::size_t count = object_count();
   FAP_EXPECTS(n >= 1, "catalog needs at least one node");
   FAP_EXPECTS(count >= 1, "catalog needs at least one object");
-  if (comm_provider != nullptr && comm.node_count() == 0) {
-    FAP_EXPECTS(comm_provider->node_count() == n,
-                "cost provider size must match node count");
-  } else {
-    FAP_EXPECTS(comm.node_count() == n,
-                "cost matrix size must match node count");
-  }
+  FAP_EXPECTS(comm != nullptr, "catalog needs a cost provider");
+  FAP_EXPECTS(comm->node_count() == n,
+              "cost provider size must match node count");
   FAP_EXPECTS(node_capacity.size() == n,
               "one capacity budget per node");
   FAP_EXPECTS(origin_weight.size() == n, "one origin weight per node");
@@ -76,10 +72,9 @@ void CatalogSpec::validate() const {
 
 namespace {
 
-CatalogSpec build_synthetic(
-    const SyntheticCatalogOptions& options, std::uint64_t seed,
-    net::CostMatrix comm,
-    std::shared_ptr<const net::CostProvider> provider = nullptr) {
+CatalogSpec build_synthetic(const SyntheticCatalogOptions& options,
+                            std::uint64_t seed,
+                            std::shared_ptr<const net::CostProvider> comm) {
   FAP_EXPECTS(options.objects >= 1, "need at least one object");
   FAP_EXPECTS(options.nodes >= 1, "need at least one node");
   FAP_EXPECTS(options.headroom >= 0.0, "headroom must be non-negative");
@@ -90,7 +85,6 @@ CatalogSpec build_synthetic(
   const std::size_t n = options.nodes;
   CatalogSpec spec;
   spec.comm = std::move(comm);
-  spec.comm_provider = std::move(provider);
   spec.mu.assign(n, 1.0);
   spec.k = options.k;
   spec.locality = options.locality;
@@ -158,23 +152,17 @@ net::Topology synthetic_topology(const SyntheticCatalogOptions& options,
 
 CatalogSpec make_synthetic_catalog(const SyntheticCatalogOptions& options,
                                    std::uint64_t seed) {
-  return build_synthetic(
+  return make_synthetic_catalog(
       options, seed,
       net::all_pairs_shortest_paths(synthetic_topology(options, seed)));
 }
 
 CatalogSpec make_synthetic_catalog(const SyntheticCatalogOptions& options,
-                                   std::uint64_t seed,
-                                   net::CostMatrixCache& cache) {
-  return build_synthetic(options, seed,
-                         *cache.get(synthetic_topology(options, seed)));
-}
-
-CatalogSpec make_synthetic_catalog(const SyntheticCatalogOptions& options,
                                    std::uint64_t seed, net::CostMatrix comm) {
-  FAP_EXPECTS(comm.node_count() == options.nodes,
-              "cost matrix size must match options.nodes");
-  return build_synthetic(options, seed, std::move(comm));
+  return make_synthetic_catalog(
+      options, seed,
+      std::make_shared<net::DenseCostProvider>(
+          std::make_shared<const net::CostMatrix>(std::move(comm))));
 }
 
 CatalogSpec make_synthetic_catalog(
@@ -183,7 +171,7 @@ CatalogSpec make_synthetic_catalog(
   FAP_EXPECTS(comm != nullptr, "provider overload needs a provider");
   FAP_EXPECTS(comm->node_count() == options.nodes,
               "cost provider size must match options.nodes");
-  return build_synthetic(options, seed, net::CostMatrix(0), std::move(comm));
+  return build_synthetic(options, seed, std::move(comm));
 }
 
 }  // namespace fap::catalog

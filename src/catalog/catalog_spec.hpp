@@ -3,7 +3,7 @@
 // The paper allocates ONE file; a production system serves a catalog of
 // K objects (K up to ~1e6) whose fragments compete for finite storage at
 // every node. CatalogSpec is the joint problem: the shared network side
-// (cost matrix, per-node service rates and capacity budgets B_i) plus a
+// (cost provider, per-node service rates and capacity budgets B_i) plus a
 // structure-of-arrays object side (per-object access rate λ_o, volume
 // v_o, home node h_o). Objects interact ONLY through the per-node
 // capacity constraints
@@ -29,7 +29,6 @@
 #include <memory>
 #include <vector>
 
-#include "net/cost_cache.hpp"
 #include "net/cost_provider.hpp"
 #include "net/shortest_paths.hpp"
 #include "queueing/delay.hpp"
@@ -38,13 +37,12 @@ namespace fap::catalog {
 
 struct CatalogSpec {
   // --- shared network side.
-  net::CostMatrix comm{0};            ///< c_ij: least-cost access i -> j
-  /// Row-based alternative to `comm` for large N: when set (and `comm` is
-  /// empty) the solver streams provider rows instead of indexing a dense
-  /// matrix — same bytes out (providers return bit-equal rows by
-  /// contract), O(n + cached rows) memory instead of n². A populated
-  /// `comm` always wins (the dense fast path stays the small-N default).
-  std::shared_ptr<const net::CostProvider> comm_provider;
+  /// c_ij (least-cost access i -> j), read one source row at a time. A
+  /// DenseCostProvider is the small-N default; row-based and implicit
+  /// providers keep large N at O(n + cached rows) memory instead of n².
+  /// Providers return bit-equal rows by contract, so the solved result
+  /// does not depend on which one is used.
+  std::shared_ptr<const net::CostProvider> comm;
   std::vector<double> node_capacity;  ///< B_i, in volume units
   std::vector<double> mu;             ///< per-node service rates
   double k = 1.0;                     ///< delay-vs-communication scaling
@@ -64,8 +62,9 @@ struct CatalogSpec {
   std::size_t node_count() const noexcept { return mu.size(); }
   std::size_t object_count() const noexcept { return rate.size(); }
 
-  /// Throws PreconditionError unless the spec is well-formed: matching
-  /// sizes, positive rates/volumes/μ, locality in [0, 1], origin weights
+  /// Throws PreconditionError unless the spec is well-formed: a cost
+  /// provider spanning every node, matching sizes, positive
+  /// rates/volumes/μ, locality in [0, 1], origin weights
   /// a distribution, total capacity holding the total volume, and — for
   /// pure (non-linearized) delay models — every object's full rate below
   /// every node's service capacity.
@@ -94,29 +93,24 @@ struct SyntheticCatalogOptions {
 /// mix drawn from Rng(seed), Zipf rates, and per-object volume/home drawn
 /// from Rng(runtime::task_seed(seed, o)) — each object's data is a pure
 /// function of (seed, o), the same splitting contract as runtime::sweep,
-/// so regenerating any subset of objects is order-independent.
+/// so regenerating any subset of objects is order-independent. The
+/// network depends only on (options.nodes, seed), so callers that vary
+/// only options.objects can reuse spec.comm through the provider overload.
 CatalogSpec make_synthetic_catalog(const SyntheticCatalogOptions& options,
                                    std::uint64_t seed);
-
-/// Cache-aware variant: identical result (the cache returns the matrix
-/// all_pairs_shortest_paths would compute), but repeated calls with the
-/// same (nodes, seed) — e.g. the bench's K-ladder — pay the APSP once.
-CatalogSpec make_synthetic_catalog(const SyntheticCatalogOptions& options,
-                                   std::uint64_t seed,
-                                   net::CostMatrixCache& cache);
 
 /// Explicit-network variant: same synthetic object/origin data (the RNG
 /// streams do not depend on the network), but the communication side is
 /// the caller's matrix — e.g. the APSP of a structured fat-tree /
-/// geo-tiers topology instead of the default random metric. The matrix
-/// must be options.nodes × options.nodes.
+/// geo-tiers topology instead of the default random metric — wrapped in
+/// a DenseCostProvider. The matrix must be options.nodes × options.nodes.
 CatalogSpec make_synthetic_catalog(const SyntheticCatalogOptions& options,
                                    std::uint64_t seed, net::CostMatrix comm);
 
-/// Provider-backed variant for large N: no dense matrix is built — the
-/// solver streams rows from `comm` (which must span options.nodes nodes).
-/// With a provider and matrix describing the same network, the solved
-/// results are byte-identical.
+/// Provider variant: the spec shares `comm` (which must span
+/// options.nodes nodes) — a row-based or implicit provider keeps large N
+/// free of any dense matrix. With a provider and matrix describing the
+/// same network, the solved results are byte-identical.
 CatalogSpec make_synthetic_catalog(
     const SyntheticCatalogOptions& options, std::uint64_t seed,
     std::shared_ptr<const net::CostProvider> comm);

@@ -62,24 +62,6 @@ SingleFileProblem make_problem(const net::Topology& topology,
   return problem;
 }
 
-SingleFileProblem make_problem(const net::Topology& topology,
-                               const Workload& workload, double mu, double k,
-                               net::CostMatrixCache& cache,
-                               queueing::DelayModel delay) {
-  FAP_EXPECTS(workload.lambda.size() == topology.node_count(),
-              "workload size must match node count");
-  SingleFileProblem problem{
-      *cache.get(topology),
-      workload.lambda,
-      std::vector<double>(topology.node_count(), mu),
-      k,
-      delay,
-      {},
-      {},
-      {}};
-  return problem;
-}
-
 SingleFileProblem make_problem(std::shared_ptr<const net::CostProvider> comm,
                                const Workload& workload, double mu, double k,
                                queueing::DelayModel delay) {
@@ -102,12 +84,6 @@ SingleFileProblem make_problem(std::shared_ptr<const net::CostProvider> comm,
 SingleFileProblem make_paper_ring_problem() {
   const net::Topology ring = net::make_ring(4, 1.0);
   return make_problem(ring, Workload::uniform(4, 1.0), /*mu=*/1.5, /*k=*/1.0);
-}
-
-SingleFileProblem make_paper_ring_problem(net::CostMatrixCache& cache) {
-  const net::Topology ring = net::make_ring(4, 1.0);
-  return make_problem(ring, Workload::uniform(4, 1.0), /*mu=*/1.5, /*k=*/1.0,
-                      cache);
 }
 
 SingleFileModel::SingleFileModel(SingleFileProblem problem)

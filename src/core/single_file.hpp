@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/cost_model.hpp"
-#include "net/cost_cache.hpp"
 #include "net/cost_provider.hpp"
 #include "net/shortest_paths.hpp"
 #include "net/topology.hpp"
@@ -91,19 +90,9 @@ SingleFileProblem make_problem(const net::Topology& topology,
                                const Workload& workload, double mu, double k,
                                queueing::DelayModel delay = {});
 
-/// Cache-aware variant: identical result (the cache returns the matrix
-/// all_pairs_shortest_paths would compute — byte-identical by contract),
-/// but repeated calls with content-equal topologies pay the APSP once.
-/// This is the overload sweeps should use: each task rebuilds its model
-/// independently, and the shared cache collapses the common APSP work.
-SingleFileProblem make_problem(const net::Topology& topology,
-                               const Workload& workload, double mu, double k,
-                               net::CostMatrixCache& cache,
-                               queueing::DelayModel delay = {});
-
 /// Provider-backed variant for large N: no dense matrix is ever built —
 /// the model streams provider rows during C_i assembly, byte-identical to
-/// the dense overloads on the same network (providers return bit-equal
+/// the dense overload on the same network (providers return bit-equal
 /// rows by contract) with memory O(n + cached rows).
 SingleFileProblem make_problem(std::shared_ptr<const net::CostProvider> comm,
                                const Workload& workload, double mu, double k,
@@ -112,9 +101,6 @@ SingleFileProblem make_problem(std::shared_ptr<const net::CostProvider> comm,
 /// The paper's four-node-ring experimental setup (Section 6): unit link
 /// costs, μ = 1.5, k = 1, λ = 1 split evenly, ε = 0.001.
 SingleFileProblem make_paper_ring_problem();
-
-/// Cache-aware variant of make_paper_ring_problem.
-SingleFileProblem make_paper_ring_problem(net::CostMatrixCache& cache);
 
 /// Bounds on the derivatives of C used by the Theorem-2 step-size bound
 /// (appendix items (a)-(d)).

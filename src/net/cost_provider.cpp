@@ -10,13 +10,9 @@ namespace fap::net {
 // DenseCostProvider
 
 DenseCostProvider::DenseCostProvider(std::shared_ptr<const CostMatrix> matrix)
-    : owned_(std::move(matrix)) {
-  FAP_EXPECTS(owned_ != nullptr, "dense provider needs a matrix");
-  matrix_ = owned_.get();
+    : matrix_(std::move(matrix)) {
+  FAP_EXPECTS(matrix_ != nullptr, "dense provider needs a matrix");
 }
-
-DenseCostProvider::DenseCostProvider(const CostMatrix& matrix)
-    : matrix_(&matrix) {}
 
 std::size_t DenseCostProvider::node_count() const noexcept {
   return matrix_->node_count();
@@ -24,9 +20,7 @@ std::size_t DenseCostProvider::node_count() const noexcept {
 
 CostRow DenseCostProvider::row(NodeId i) const {
   FAP_EXPECTS(i < matrix_->node_count(), "row source out of range");
-  // owned_ is null for the view ctor: the handle then carries no
-  // keepalive, matching that ctor's caller-managed-lifetime contract.
-  return CostRow(matrix_->row(i), matrix_->node_count(), owned_);
+  return CostRow(matrix_->row(i), matrix_->node_count(), matrix_);
 }
 
 double DenseCostProvider::cost(NodeId i, NodeId j) const {

@@ -8,8 +8,9 @@
 // CostProvider abstracts exactly that access pattern behind three
 // implementations:
 //
-//   DenseCostProvider         wraps an existing CostMatrix; row() is a
-//                             zero-copy pointer into it. Small-N default.
+//   DenseCostProvider         shares ownership of a CostMatrix; row() is
+//                             a zero-copy pointer into it ("every row
+//                             resident"). Small-N default.
 //   RowCostProvider           runs the CSR 4-ary-heap Dijkstra per
 //                             requested source row (net::
 //                             SingleSourceDijkstra — the SAME kernel the
@@ -35,8 +36,9 @@
 // the row is evicted from a provider's cache.
 //
 // Thread safety: all providers are safe for concurrent row()/cost() calls.
-// The cached providers use the repo's single-flight slot pattern (see
-// CostMatrixCache): concurrent misses on one row compute it exactly once.
+// The cached providers share detail::RowCache, the repo's one
+// single-flight cache: concurrent misses on one row compute it exactly
+// once.
 #pragma once
 
 #include <atomic>
@@ -100,17 +102,13 @@ class DenseCostProvider final : public CostProvider {
  public:
   /// Shares ownership of the matrix.
   explicit DenseCostProvider(std::shared_ptr<const CostMatrix> matrix);
-  /// Non-owning view; `matrix` must outlive the provider (used when the
-  /// matrix already lives in a longer-lived spec).
-  explicit DenseCostProvider(const CostMatrix& matrix);
 
   std::size_t node_count() const noexcept override;
   CostRow row(NodeId i) const override;
   double cost(NodeId i, NodeId j) const override;
 
  private:
-  std::shared_ptr<const CostMatrix> owned_;   // null for the view ctor
-  const CostMatrix* matrix_ = nullptr;
+  std::shared_ptr<const CostMatrix> matrix_;
 };
 
 namespace detail {

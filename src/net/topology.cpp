@@ -1,39 +1,13 @@
 #include "net/topology.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "util/contracts.hpp"
 
 namespace fap::net {
 
-namespace {
-
-// Two independent 64-bit mixes make up the 128-bit fingerprint lanes.
-// Lane lo: FNV-1a over the value's bytes as one 64-bit word. Lane hi:
-// boost-style hash_combine with the 64-bit golden ratio. Neither is
-// cryptographic; the point is that a SIMULTANEOUS collision in two
-// unrelated mixes does not occur by accident, and the one cache keyed by
-// this (CostMatrixCache) still content-verifies on hit.
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void mix(TopologyFingerprint& fp, std::uint64_t value) {
-  std::uint64_t lo = fp.lo;
-  for (int byte = 0; byte < 8; ++byte) {
-    lo ^= (value >> (8 * byte)) & 0xffu;
-    lo *= kFnvPrime;
-  }
-  fp.lo = lo;
-  fp.hi ^= value + 0x9e3779b97f4a7c15ull + (fp.hi << 6) + (fp.hi >> 2);
-}
-
-}  // namespace
-
 Topology::Topology(std::size_t node_count) : adjacency_(node_count) {
   FAP_EXPECTS(node_count >= 1, "topology needs at least one node");
-  fingerprint_.lo = kFnvOffset;
-  mix(fingerprint_, static_cast<std::uint64_t>(node_count));
 }
 
 void Topology::add_edge(NodeId u, NodeId v, double cost) {
@@ -44,9 +18,6 @@ void Topology::add_edge(NodeId u, NodeId v, double cost) {
   edges_.push_back(Edge{u, v, cost});
   adjacency_[u].push_back(Neighbor{v, cost});
   adjacency_[v].push_back(Neighbor{u, cost});
-  mix(fingerprint_, static_cast<std::uint64_t>(u));
-  mix(fingerprint_, static_cast<std::uint64_t>(v));
-  mix(fingerprint_, std::bit_cast<std::uint64_t>(cost));
 }
 
 bool Topology::has_edge(NodeId u, NodeId v) const {

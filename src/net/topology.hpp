@@ -7,29 +7,11 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace fap::net {
 
 using NodeId = std::size_t;
-
-/// 128-bit incremental content fingerprint of a topology: a pure function
-/// of (node_count, edge insertion sequence). Two topologies built by the
-/// same construction produce the same fingerprint, so it can key caches in
-/// O(1) instead of hashing/copying the full edge list. The two lanes are
-/// mixed independently (FNV-1a and a hash_combine-style golden-ratio mix),
-/// so an accidental 128-bit collision between distinct topologies is not a
-/// realistic event — but callers that require correctness (not just
-/// performance) on collision must still content-verify, as
-/// CostMatrixCache does.
-struct TopologyFingerprint {
-  std::uint64_t lo = 0;
-  std::uint64_t hi = 0;
-
-  friend bool operator==(const TopologyFingerprint&,
-                         const TopologyFingerprint&) = default;
-};
 
 /// One undirected weighted link.
 struct Edge {
@@ -69,16 +51,9 @@ class Topology {
   /// True when every node can reach every other node.
   bool connected() const;
 
-  /// Content fingerprint, maintained incrementally by the constructor and
-  /// add_edge (O(1) per mutation, O(1) to read). Equal construction
-  /// sequences — same node count, same edges in the same order with
-  /// bit-equal costs — yield equal fingerprints.
-  TopologyFingerprint fingerprint() const noexcept { return fingerprint_; }
-
  private:
   std::vector<std::vector<Neighbor>> adjacency_;
   std::vector<Edge> edges_;
-  TopologyFingerprint fingerprint_;
 };
 
 }  // namespace fap::net

@@ -64,8 +64,8 @@ std::string to_json_line(const MetricsRecord& record);
 /// task*: run_sweep clears the accumulator before each task body and
 /// drains it into the task's MetricsRecord::values afterwards (a no-op
 /// without an attached sink). Repeated calls with the same name sum, so
-/// instrumented lower layers (e.g. the cost-matrix cache) can count
-/// events without coordinating: `add_task_metric("cost_cache_hit", 1)`.
+/// instrumented lower layers (e.g. batch_sweep) can count events without
+/// coordinating: `add_task_metric("batch_size", items)`.
 /// Calls outside a sweep task accumulate harmlessly into thread-local
 /// state that the next task on the thread discards.
 void add_task_metric(const std::string& name, double value);

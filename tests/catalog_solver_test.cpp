@@ -300,8 +300,9 @@ TEST(CatalogSolver, WarmStartedResolveIsFeasibleAndNoSlower) {
 // is exactly 1 and external traffic exactly 0.
 TEST(CatalogSolver, FullyLocalCatalogHitsAtHome) {
   CatalogSpec spec;
-  spec.comm =
-      fap::net::all_pairs_shortest_paths(fap::net::make_complete(2, 1.0));
+  spec.comm = std::make_shared<fap::net::DenseCostProvider>(
+      std::make_shared<const fap::net::CostMatrix>(
+          fap::net::all_pairs_shortest_paths(fap::net::make_complete(2, 1.0))));
   spec.node_capacity = {10.0, 10.0};
   spec.mu = {50.0, 50.0};
   spec.k = 1.0;
@@ -323,8 +324,7 @@ TEST(CatalogSolver, FullyLocalCatalogHitsAtHome) {
   EXPECT_TRUE(BitsEqual(result.node_load[1], 2.0));
 }
 
-// The synthetic generator is a pure function of (options, seed), and the
-// cache-aware overload returns the identical spec.
+// The synthetic generator is a pure function of (options, seed).
 TEST(CatalogSpecTest, SyntheticCatalogIsDeterministic) {
   SyntheticCatalogOptions synth;
   synth.objects = 128;
@@ -338,17 +338,7 @@ TEST(CatalogSpecTest, SyntheticCatalogIsDeterministic) {
   EXPECT_EQ(a.origin_weight, b.origin_weight);
   for (std::size_t i = 0; i < a.node_count(); ++i) {
     for (std::size_t j = 0; j < a.node_count(); ++j) {
-      EXPECT_TRUE(BitsEqual(a.comm.row(i)[j], b.comm.row(i)[j]));
-    }
-  }
-
-  fap::net::CostMatrixCache cache;
-  const CatalogSpec c = make_synthetic_catalog(synth, 7, cache);
-  EXPECT_EQ(a.volume, c.volume);
-  EXPECT_EQ(a.home, c.home);
-  for (std::size_t i = 0; i < a.node_count(); ++i) {
-    for (std::size_t j = 0; j < a.node_count(); ++j) {
-      EXPECT_TRUE(BitsEqual(a.comm.row(i)[j], c.comm.row(i)[j]));
+      EXPECT_TRUE(BitsEqual(a.comm->row(i)[j], b.comm->row(i)[j]));
     }
   }
 
@@ -427,6 +417,13 @@ TEST(CatalogSolver, ValidatesSpecAndOptions) {
   for (double& cap : bad.node_capacity) {
     cap = 0.1;  // cannot hold the catalog
   }
+  EXPECT_THROW(CatalogSolver(bad, CatalogOptions{}), PreconditionError);
+  bad = good;
+  bad.comm = nullptr;
+  EXPECT_THROW(CatalogSolver(bad, CatalogOptions{}), PreconditionError);
+  bad = good;
+  bad.comm = std::make_shared<fap::net::RowCostProvider>(
+      fap::net::make_ring(5, 1.0));  // 5 nodes, the spec has 4
   EXPECT_THROW(CatalogSolver(bad, CatalogOptions{}), PreconditionError);
 
   CatalogOptions options;
