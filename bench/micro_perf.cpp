@@ -495,7 +495,8 @@ BENCHMARK(BM_TraceGen)->Arg(5000)->Arg(200000);
 // End-to-end trace serving at the CI smoke scale (Experiment A18's
 // pipeline in miniature): generator -> DES injection -> per-window
 // estimation, with the arg selecting the policy (0 = static, 1 = online
-// with re-solves + live migration). items/sec is served requests/sec.
+// with re-solves + live migration, 2 = per-node LRU caches). items/sec is
+// served requests/sec.
 void BM_ServeTrace(benchmark::State& state) {
   const net::Topology topology = net::make_ring(4);
   serve::TraceWorkload workload;
@@ -508,8 +509,10 @@ void BM_ServeTrace(benchmark::State& state) {
   const double window_time = 2.0 * 8192.0 / workload.total_rate;
   workload.drift_rate = 2.0 / window_time;
   serve::TraceServeOptions options;
-  options.mode = state.range(0) == 0 ? serve::ServeMode::kStatic
-                                     : serve::ServeMode::kOnline;
+  constexpr serve::ServeMode kModes[] = {serve::ServeMode::kStatic,
+                                         serve::ServeMode::kOnline,
+                                         serve::ServeMode::kLru};
+  options.mode = kModes[state.range(0)];
   options.estimation_epochs = 2;
   options.hysteresis = 0.05;
   constexpr std::size_t kRequests = 100000;
@@ -520,7 +523,11 @@ void BM_ServeTrace(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kRequests));
 }
-BENCHMARK(BM_ServeTrace)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServeTrace)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FragmentMapLookup(benchmark::State& state) {
   const auto records = static_cast<std::size_t>(state.range(0));

@@ -27,9 +27,10 @@ fap::core::SingleFileProblem hidden_truth(const fap::net::CostMatrix& comm,
       std::vector<double>(6, 2.0),
       /*k=*/1.0,
       fap::queueing::DelayModel(),
-      {},
-      {},
-      {}};
+      /*comm_weight_rates=*/{},
+      /*storage_capacity=*/{},
+      /*access_cost_override=*/{},
+      /*comm_provider=*/nullptr};
   if (epoch >= 2) {
     truth.mu[2] = 1.2;  // degraded disk
   }

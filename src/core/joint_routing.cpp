@@ -113,11 +113,15 @@ JointRoutingResult JointRoutingOptimizer::run(
     net::CostMatrix comm = net::all_pairs_shortest_paths(effective);
 
     // 2. Allocate under the induced c_ji.
-    SingleFileProblem sub{comm, problem_.workload.lambda, problem_.mu,
-                          problem_.k, problem_.delay,
-                          {},
-                          {},
-                          {}};
+    SingleFileProblem sub{comm,
+                          problem_.workload.lambda,
+                          problem_.mu,
+                          problem_.k,
+                          problem_.delay,
+                          /*comm_weight_rates=*/{},
+                          /*storage_capacity=*/{},
+                          /*access_cost_override=*/{},
+                          /*comm_provider=*/nullptr};
     const SingleFileModel model(std::move(sub));
     const ResourceDirectedAllocator allocator(model, options_.allocator);
     const AllocationResult inner = allocator.run(result.x);

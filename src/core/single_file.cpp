@@ -56,9 +56,10 @@ SingleFileProblem make_problem(const net::Topology& topology,
       std::vector<double>(topology.node_count(), mu),
       k,
       delay,
-      {},
-      {},
-      {}};
+      /*comm_weight_rates=*/{},
+      /*storage_capacity=*/{},
+      /*access_cost_override=*/{},
+      /*comm_provider=*/nullptr};
   return problem;
 }
 

@@ -1,13 +1,13 @@
 #include "serve/trace_server.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <list>
-#include <unordered_map>
 #include <utility>
 
 #include "fs/popularity.hpp"
 #include "queueing/delay.hpp"
+#include "runtime/metrics.hpp"
 #include "sim/estimation.hpp"
 #include "util/contracts.hpp"
 #include "util/numeric.hpp"
@@ -134,42 +134,167 @@ const std::vector<TraceRequest>& TraceGenerator::next_epoch(
 // ---------------------------------------------------------------------------
 // TraceServer internals
 
-/// Per-node LRU cache: front of `order` is the most recently used record.
-struct TraceServer::LruCache {
-  std::list<std::uint32_t> order;
-  std::unordered_map<std::uint32_t, std::list<std::uint32_t>::iterator>
-      index;
+/// The per-node LRU caches of kLru in flat arrays, sized once per serve()
+/// call: no request allocates. Node i owns `capacity` slots holding
+/// {record, prev, next}; its cached records form an intrusive recency list
+/// (head = most recently used) and its unused slots a free list. A holder
+/// mask of ⌈n/64⌉ words per record says which nodes cache it, so a read
+/// miss at a non-holder is one bit test and an update visits only the
+/// holders. A per-node open-addressing index of slot numbers
+/// (power-of-two size ≥ 2·capacity, linear probing, backward-shift
+/// deletion) finds a cached record's slot. Memory is
+/// O(n·capacity + records·⌈n/64⌉).
+struct TraceServer::LruCaches {
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
 
-  /// Moves `record` to the front if cached; returns whether it was.
-  bool touch(std::uint32_t record) {
-    const auto it = index.find(record);
-    if (it == index.end()) {
-      return false;
+  struct Slot {
+    std::uint32_t record;
+    std::uint32_t prev;
+    std::uint32_t next;  ///< next in the recency list, or in the free list
+  };
+  struct List {
+    std::uint32_t head = kNone;  ///< most recently used
+    std::uint32_t tail = kNone;  ///< least recently used
+    std::uint32_t free = 0;
+    std::uint32_t size = 0;
+  };
+
+  std::size_t capacity;
+  std::size_t words;  ///< holder-mask words per record
+  std::size_t index_size;
+  int index_shift;
+  std::vector<Slot> slots;  ///< node i: [i·capacity, (i+1)·capacity)
+  /// Slot numbers, kNone = empty; node i: [i·index_size, (i+1)·index_size).
+  std::vector<std::uint32_t> index;
+  std::vector<List> lists;
+  std::vector<std::uint64_t> holders;  ///< record r: [r·words, (r+1)·words)
+
+  LruCaches(std::size_t node_count, std::size_t records, std::size_t cap)
+      : capacity(cap),
+        words((node_count + 63) / 64),
+        index_size(std::bit_ceil(2 * cap)),
+        index_shift(64 - std::countr_zero(index_size)),
+        slots(node_count * cap),
+        index(node_count * index_size, kNone),
+        lists(node_count),
+        holders(records * words, 0) {
+    for (std::size_t i = 0; i < node_count; ++i) {
+      Slot* const base = &slots[i * capacity];
+      for (std::size_t s = 0; s < capacity; ++s) {
+        base[s].next = static_cast<std::uint32_t>(s + 1);
+      }
+      base[capacity - 1].next = kNone;
     }
-    order.splice(order.begin(), order, it->second);
-    return true;
   }
 
-  /// Inserts an absent record, evicting the least recently used one when
-  /// the cache is at `capacity`.
-  void insert(std::uint32_t record, std::size_t capacity) {
-    if (order.size() >= capacity) {
-      index.erase(order.back());
-      order.pop_back();
+  /// A read of `record` at `node`. A hit moves the record to the front
+  /// and returns true. A miss inserts it at the front, evicting the least
+  /// recently used record when the cache is at capacity, and returns
+  /// false.
+  bool read(std::size_t node, std::uint32_t record) {
+    std::uint64_t& word = holders[record * words + node / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (node % 64);
+    Slot* const base = &slots[node * capacity];
+    std::uint32_t* const table = &index[node * index_size];
+    List& list = lists[node];
+    if ((word & bit) != 0) {
+      const std::uint32_t s = table[find(table, base, record)];
+      unlink(base, list, s);
+      push_front(base, list, s);
+      return true;
     }
-    order.push_front(record);
-    index.emplace(record, order.begin());
+    std::uint32_t s = list.free;
+    if (list.size < capacity) {
+      list.free = base[s].next;
+      ++list.size;
+    } else {
+      s = list.tail;  // evict the least recently used record
+      holders[base[s].record * words + node / 64] &= ~bit;
+      erase(table, base, find(table, base, base[s].record));
+      unlink(base, list, s);
+    }
+    base[s].record = record;
+    push_front(base, list, s);
+    std::size_t cell = home(record);
+    while (table[cell] != kNone) {
+      cell = (cell + 1) & (index_size - 1);
+    }
+    table[cell] = s;
+    word |= bit;
+    return false;
   }
 
-  /// Drops `record` if cached (update invalidation); returns 1 if it was.
-  std::size_t erase(std::uint32_t record) {
-    const auto it = index.find(record);
-    if (it == index.end()) {
-      return 0;
+  /// Drops every cached copy of `record`; returns how many there were.
+  std::size_t invalidate(std::uint32_t record) {
+    std::size_t dropped = 0;
+    std::uint64_t* const mask = &holders[record * words];
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t node =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        Slot* const base = &slots[node * capacity];
+        std::uint32_t* const table = &index[node * index_size];
+        List& list = lists[node];
+        const std::size_t cell = find(table, base, record);
+        const std::uint32_t s = table[cell];
+        erase(table, base, cell);
+        unlink(base, list, s);
+        base[s].next = list.free;
+        list.free = s;
+        --list.size;
+        ++dropped;
+      }
+      mask[w] = 0;
     }
-    order.erase(it->second);
-    index.erase(it);
-    return 1;
+    return dropped;
+  }
+
+  /// Fibonacci hashing: the multiply spreads consecutive record ids
+  /// (a Zipf head is a run of them) over the whole index.
+  std::size_t home(std::uint32_t record) const {
+    return static_cast<std::size_t>(
+        (std::uint64_t{record} * 0x9E3779B97F4A7C15ULL) >> index_shift);
+  }
+
+  /// Cell of a record that the holder mask says is cached.
+  std::size_t find(const std::uint32_t* table, const Slot* base,
+                   std::uint32_t record) const {
+    std::size_t cell = home(record);
+    for (;; cell = (cell + 1) & (index_size - 1)) {
+      FAP_ENSURES(table[cell] != kNone,
+                  "holder mask and slot index must agree");
+      if (base[table[cell]].record == record) {
+        return cell;
+      }
+    }
+  }
+
+  /// Empties `cell` and shifts later entries of its probe run back, so
+  /// every entry stays reachable from its home cell.
+  void erase(std::uint32_t* table, const Slot* base, std::size_t cell) const {
+    const std::size_t mask = index_size - 1;
+    for (std::size_t next = (cell + 1) & mask; table[next] != kNone;
+         next = (next + 1) & mask) {
+      if (((next - home(base[table[next]].record)) & mask) >=
+          ((next - cell) & mask)) {
+        table[cell] = table[next];
+        cell = next;
+      }
+    }
+    table[cell] = kNone;
+  }
+
+  static void unlink(Slot* base, List& list, std::uint32_t s) {
+    const Slot& slot = base[s];
+    (slot.prev != kNone ? base[slot.prev].next : list.head) = slot.next;
+    (slot.next != kNone ? base[slot.next].prev : list.tail) = slot.prev;
+  }
+
+  static void push_front(Slot* base, List& list, std::uint32_t s) {
+    base[s].prev = kNone;
+    base[s].next = list.head;
+    (list.head != kNone ? base[list.head].prev : list.tail) = s;
+    list.head = s;
   }
 };
 
@@ -245,9 +370,15 @@ TraceServeResult TraceServer::serve(std::size_t total_requests) {
   // and workload mix, then deploy it as a contiguous layout whose
   // per-node POPULARITY mass matches the solution shares.
   {
-    core::SingleFileProblem problem{
-        comm_, lambda_, std::vector<double>(n_, options_.mu), options_.k,
-        queueing::DelayModel::mm1(kRhoMax)};
+    core::SingleFileProblem problem{comm_,
+                                    lambda_,
+                                    std::vector<double>(n_, options_.mu),
+                                    options_.k,
+                                    queueing::DelayModel::mm1(kRhoMax),
+                                    /*comm_weight_rates=*/{},
+                                    /*storage_capacity=*/{},
+                                    /*access_cost_override=*/{},
+                                    /*comm_provider=*/nullptr};
     const core::SingleFileModel model(problem);
     const core::ResourceDirectedAllocator allocator(model,
                                                     options_.allocator);
@@ -267,12 +398,14 @@ TraceServeResult TraceServer::serve(std::size_t total_requests) {
   windows_since_realloc_ = options_.cooldown_windows;
   pending_.reset();
   locks_ = fs::LockManager();
-  caches_.clear();
+  lru_.reset();
   if (options_.mode == ServeMode::kLru) {
-    cache_capacity_ = std::max<std::size_t>(
+    const std::size_t capacity = std::max<std::size_t>(
         1, static_cast<std::size_t>(options_.cache_fraction *
                                     static_cast<double>(workload_.records)));
-    caches_.resize(n_);
+    FAP_EXPECTS(capacity < LruCaches::kNone,
+                "cache slots must be numbered below the empty sentinel");
+    lru_ = std::make_unique<LruCaches>(n_, workload_.records, capacity);
   }
 
   sim::DesConfig config;
@@ -356,6 +489,21 @@ TraceServeResult TraceServer::serve(std::size_t total_requests) {
     update_migration_state(engine_->now(), result);
   }
   harvest_window(engine_->window(), result);
+
+  // Counters for the calling sweep task's metrics record (no-op outside
+  // a metered sweep), named like the benchmark's per-layer metrics.
+  const std::pair<const char*, std::size_t> counters[] = {
+      {"sim.des.completions", result.completions},
+      {"serve.cache.hits", result.cache_hits},
+      {"serve.cache.misses", result.cache_misses},
+      {"serve.cache.invalidations", result.cache_invalidations},
+      {"serve.online.reallocations", result.reallocations},
+      {"fs.migration.records", result.migrated_records},
+      {"fs.migration.stalled_requests", result.stalled_requests},
+  };
+  for (const auto& [name, value] : counters) {
+    runtime::add_task_metric(name, static_cast<double>(value));
+  }
   return result;
 }
 
@@ -398,16 +546,13 @@ void TraceServer::route_request(const TraceRequest& request,
       if (request.update) {
         // Updates are applied at the home node and invalidate every
         // cached copy — what keeps a write-heavy hot set uncacheable.
-        for (LruCache& cache : caches_) {
-          result.cache_invalidations += cache.erase(request.record);
-        }
+        result.cache_invalidations += lru_->invalidate(request.record);
       } else if (home != origin) {
-        if (caches_[origin].touch(request.record)) {
+        if (lru_->read(origin, request.record)) {
           ++result.cache_hits;
           target = origin;
         } else {
           ++result.cache_misses;
-          caches_[origin].insert(request.record, cache_capacity_);
         }
       }
       break;

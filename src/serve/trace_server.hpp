@@ -276,7 +276,7 @@ class TraceServer {
   const fs::FragmentMap& current_layout() const noexcept { return *layout_; }
 
  private:
-  struct LruCache;
+  struct LruCaches;
   struct PendingMigration;
 
   void route_request(const TraceRequest& request, std::size_t& target,
@@ -304,8 +304,7 @@ class TraceServer {
   std::unique_ptr<PendingMigration> pending_;
   fs::LockManager locks_;
 
-  std::vector<LruCache> caches_;
-  std::size_t cache_capacity_ = 0;
+  std::unique_ptr<LruCaches> lru_;  ///< kLru only
 
   std::unique_ptr<sim::DesSystem> engine_;
 };

@@ -61,11 +61,15 @@ core::SingleFileProblem problem_from_estimates(
   FAP_EXPECTS(estimates.lambda.size() == comm.node_count(),
               "estimate / cost-matrix size mismatch");
   FAP_EXPECTS(fallback_mu > 0.0, "fallback service rate must be positive");
-  core::SingleFileProblem problem{comm, estimates.lambda, estimates.mu, k,
+  core::SingleFileProblem problem{comm,
+                                  estimates.lambda,
+                                  estimates.mu,
+                                  k,
                                   delay,
-                                  {},
-                                  {},
-                                  {}};
+                                  /*comm_weight_rates=*/{},
+                                  /*storage_capacity=*/{},
+                                  /*access_cost_override=*/{},
+                                  /*comm_provider=*/nullptr};
   for (std::size_t i = 0; i < problem.mu.size(); ++i) {
     if (!estimates.mu_observed[i] || problem.mu[i] <= 0.0) {
       problem.mu[i] = fallback_mu;

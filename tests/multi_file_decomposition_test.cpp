@@ -51,9 +51,10 @@ Scenario make_setup(double k, std::uint64_t seed) {
     setup.separate.push_back(core::SingleFileProblem{
         comm, setup.joint.per_file_lambda[static_cast<std::size_t>(f)],
         std::vector<double>(5, mu), k, fap::queueing::DelayModel(),
-        {},
-        {},
-        {}});
+        /*comm_weight_rates=*/{},
+        /*storage_capacity=*/{},
+        /*access_cost_override=*/{},
+        /*comm_provider=*/nullptr});
   }
   return setup;
 }

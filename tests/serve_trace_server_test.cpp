@@ -2,15 +2,22 @@
 // determinism and distribution mechanics, mode equivalences, migration
 // completion, and the headline acceptance property — under popularity
 // drift, online reallocation beats both the static placement and an LRU
-// cache baseline on mean and tail delay.
+// cache baseline on mean and tail delay. Golden pins fix the LRU policy's
+// results bit for bit, and serve()'s counters reach sweep metrics.
 #include "serve/trace_server.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "net/generators.hpp"
+#include "runtime/metrics.hpp"
+#include "runtime/sweep.hpp"
 #include "util/contracts.hpp"
 
 namespace {
@@ -294,6 +301,131 @@ TEST(TraceServer, AccountingIsConsistent) {
   EXPECT_GT(result.external_traffic(), 0.0);
   // Cache bookkeeping only counts remote-home reads.
   EXPECT_GT(result.cache_hits + result.cache_misses, 0u);
+}
+
+// Golden pins of the LRU policy: the counters, the delay quantiles and
+// the summed communication cost of fixed runs, recorded from the original
+// per-node list + hash-map cache. Any cache layout must route every
+// request identically, so every value matches exactly (floating-point
+// values by bit pattern). The 70- and 130-node rings span two and three
+// 64-bit words of a per-record node mask; the last pin caches one record
+// per node, so every miss evicts.
+struct LruPin {
+  std::size_t nodes;
+  std::size_t records;
+  double cache_fraction;
+  std::size_t hits;
+  std::size_t misses;
+  std::size_t invalidations;
+  std::size_t served_at_origin;
+  std::uint64_t p50_bits;
+  std::uint64_t p99_bits;
+  std::uint64_t comm_sum_bits;
+};
+
+TraceServeResult serve_lru_pin(const LruPin& pin) {
+  const fap::net::Topology ring = fap::net::make_ring(pin.nodes);
+  TraceWorkload workload = small_workload();
+  workload.records = pin.records;
+  workload.total_rate = 0.6 * static_cast<double>(pin.nodes);
+  workload.update_fraction = 0.2;
+  TraceServeOptions options;
+  options.mode = ServeMode::kLru;
+  options.cache_fraction = pin.cache_fraction;
+  return TraceServer(ring, workload, options).serve(40000);
+}
+
+void expect_lru_pin(const LruPin& pin) {
+  const TraceServeResult result = serve_lru_pin(pin);
+  EXPECT_EQ(result.cache_hits, pin.hits);
+  EXPECT_EQ(result.cache_misses, pin.misses);
+  EXPECT_EQ(result.cache_invalidations, pin.invalidations);
+  EXPECT_EQ(result.served_at_origin, pin.served_at_origin);
+  EXPECT_EQ(result.completions, 40000u);
+  EXPECT_EQ(result.failed, 0u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.delay_hist.quantile(0.5)),
+            pin.p50_bits);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.delay_hist.quantile(0.99)),
+            pin.p99_bits);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.comm.sum()),
+            pin.comm_sum_bits);
+}
+
+TEST(TraceServer, LruGoldenPinFourNodes) {
+  expect_lru_pin({4, 2000, 0.05, 6642, 17329, 6660, 16609,
+                  0x3ffde2ea0e9d05acULL, 0x402ad4b4efd71b47ULL,
+                  0x40de6e3fffffff92ULL});
+}
+
+TEST(TraceServer, LruGoldenPinSeventyNodes) {
+  expect_lru_pin({70, 4000, 0.05, 1215, 30251, 21966, 1773,
+                  0x4002ce1c6897bdccULL, 0x4098ce86e5c6ebc4ULL,
+                  0x4124a5f20000000aULL});
+}
+
+TEST(TraceServer, LruGoldenPinCapacityOne) {
+  expect_lru_pin({130, 3000, 0.0005, 154, 31501, 5086, 465,
+                  0x40064d241487aaa0ULL, 0x40a1223a53d7bc96ULL,
+                  0x4133b026ffffffe6ULL});
+}
+
+// serve() reports its counters through runtime::add_task_metric, so a
+// metered sweep task's JSONL record carries them under the benchmark's
+// per-layer names.
+TEST(TraceServer, ReportsCountersToTheSweepMetricsRecord) {
+  const fap::net::Topology ring = fap::net::make_ring(4);
+  TraceWorkload workload = small_workload();
+  workload.drift_rate = 0.1;
+  workload.update_fraction = 0.2;
+  const std::string path = testing::TempDir() + "/serve_metrics.jsonl";
+  for (const ServeMode mode : {ServeMode::kLru, ServeMode::kOnline}) {
+    TraceServeOptions options;
+    options.mode = mode;
+    options.estimation_epochs = 2;
+    options.hysteresis = 0.05;
+    options.migration_bandwidth = 10.0;
+    TraceServeResult result;
+    {
+      fap::runtime::MetricsSink sink(path);
+      fap::runtime::SweepOptions sweep;
+      sweep.metrics = &sink;
+      sweep.run_id = "serve_metrics_test";
+      fap::runtime::run_sweep(1, sweep, [&](std::size_t, std::uint64_t) {
+        result = TraceServer(ring, workload, options).serve(40000);
+      });
+    }
+    std::ifstream in(path);
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    const auto value_of = [&](const std::string& name) {
+      const std::string key = "\"" + name + "\":";
+      const std::size_t at = line.find(key);
+      EXPECT_NE(at, std::string::npos) << name << " missing from " << line;
+      return at == std::string::npos ? -1.0
+                                     : std::stod(line.substr(at + key.size()));
+    };
+    const auto as_double = [](std::size_t count) {
+      return static_cast<double>(count);
+    };
+    EXPECT_EQ(value_of("sim.des.completions"), as_double(result.completions));
+    EXPECT_EQ(value_of("serve.cache.hits"), as_double(result.cache_hits));
+    EXPECT_EQ(value_of("serve.cache.misses"), as_double(result.cache_misses));
+    EXPECT_EQ(value_of("serve.cache.invalidations"),
+              as_double(result.cache_invalidations));
+    EXPECT_EQ(value_of("serve.online.reallocations"),
+              as_double(result.reallocations));
+    EXPECT_EQ(value_of("fs.migration.records"),
+              as_double(result.migrated_records));
+    EXPECT_EQ(value_of("fs.migration.stalled_requests"),
+              as_double(result.stalled_requests));
+    if (mode == ServeMode::kLru) {
+      EXPECT_GT(result.cache_hits, 0u);
+      EXPECT_GT(result.cache_invalidations, 0u);
+    } else {
+      EXPECT_GT(result.reallocations, 0u);
+      EXPECT_GT(result.stalled_requests, 0u);
+    }
+  }
 }
 
 }  // namespace
