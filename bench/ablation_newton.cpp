@@ -16,11 +16,14 @@ namespace {
 
 fap::core::SingleFileProblem scaled_problem(double cost_scale) {
   fap::core::SingleFileProblem problem = fap::core::make_paper_ring_problem();
+  fap::net::CostMatrix comm(4);
   for (std::size_t i = 0; i < 4; ++i) {
     for (std::size_t j = 0; j < 4; ++j) {
-      problem.comm.set_cost(i, j, problem.comm.cost(i, j) * cost_scale);
+      comm.set_cost(i, j, problem.comm->cost(i, j) * cost_scale);
     }
   }
+  problem.comm = std::make_shared<fap::net::DenseCostProvider>(
+      std::make_shared<const fap::net::CostMatrix>(std::move(comm)));
   problem.k *= cost_scale;
   return problem;
 }

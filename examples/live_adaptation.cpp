@@ -26,7 +26,9 @@ int main() {
             << "--------------------------------------------\n";
 
   const net::Topology ring = net::make_ring(6, 1.0);
-  const net::CostMatrix comm = net::all_pairs_shortest_paths(ring);
+  const auto comm = std::make_shared<net::DenseCostProvider>(
+      std::make_shared<const net::CostMatrix>(
+          net::all_pairs_shortest_paths(ring)));
 
   // Hidden truth, phase 1: node 0 is hot.
   core::SingleFileProblem phase1{comm,
@@ -36,8 +38,7 @@ int main() {
                                  queueing::DelayModel(),
                                  /*comm_weight_rates=*/{},
                                  /*storage_capacity=*/{},
-                                 /*access_cost_override=*/{},
-                                 /*comm_provider=*/nullptr};
+                                 /*access_cost_override=*/{}};
   // Hidden truth, phase 2: the hot spot jumps to node 3.
   core::SingleFileProblem phase2 = phase1;
   phase2.lambda = {0.05, 0.05, 0.05, 0.45, 0.05, 0.05};

@@ -17,11 +17,11 @@ namespace {
 
 // The hidden truth for epoch t: demand gradually migrates from node 0 to
 // node 4 over the run; node 2's server degrades halfway through.
-fap::core::SingleFileProblem hidden_truth(const fap::net::CostMatrix& comm,
-                                          int epoch) {
+fap::core::SingleFileProblem hidden_truth(
+    std::shared_ptr<const fap::net::CostProvider> comm, int epoch) {
   const double shift = static_cast<double>(epoch) / 4.0;  // 0 .. 1
   fap::core::SingleFileProblem truth{
-      comm,
+      std::move(comm),
       {0.40 * (1.0 - shift) + 0.05, 0.10, 0.10,
        0.10, 0.40 * shift + 0.05, 0.10},
       std::vector<double>(6, 2.0),
@@ -29,8 +29,7 @@ fap::core::SingleFileProblem hidden_truth(const fap::net::CostMatrix& comm,
       fap::queueing::DelayModel(),
       /*comm_weight_rates=*/{},
       /*storage_capacity=*/{},
-      /*access_cost_override=*/{},
-      /*comm_provider=*/nullptr};
+      /*access_cost_override=*/{}};
   if (epoch >= 2) {
     truth.mu[2] = 1.2;  // degraded disk
   }
@@ -47,7 +46,9 @@ int main() {
             << "speeds are estimated from access logs each epoch.\n\n";
 
   const net::Topology mesh = net::make_ring(6, 1.0);
-  const net::CostMatrix comm = net::all_pairs_shortest_paths(mesh);
+  const auto comm = std::make_shared<net::DenseCostProvider>(
+      std::make_shared<const net::CostMatrix>(
+          net::all_pairs_shortest_paths(mesh)));
 
   std::vector<double> deployed(6, 1.0 / 6.0);  // day-one default
 

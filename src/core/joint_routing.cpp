@@ -1,5 +1,6 @@
 #include "core/joint_routing.hpp"
 
+#include <memory>
 #include <unordered_map>
 
 #include "util/contracts.hpp"
@@ -110,18 +111,18 @@ JointRoutingResult JointRoutingOptimizer::run(
 
     // 1. Route under the current (damped) flow estimate.
     const net::Topology effective = effective_topology(result.link_flow);
-    net::CostMatrix comm = net::all_pairs_shortest_paths(effective);
+    const auto comm = std::make_shared<const net::CostMatrix>(
+        net::all_pairs_shortest_paths(effective));
 
     // 2. Allocate under the induced c_ji.
-    SingleFileProblem sub{comm,
+    SingleFileProblem sub{std::make_shared<net::DenseCostProvider>(comm),
                           problem_.workload.lambda,
                           problem_.mu,
                           problem_.k,
                           problem_.delay,
                           /*comm_weight_rates=*/{},
                           /*storage_capacity=*/{},
-                          /*access_cost_override=*/{},
-                          /*comm_provider=*/nullptr};
+                          /*access_cost_override=*/{}};
     const SingleFileModel model(std::move(sub));
     const ResourceDirectedAllocator allocator(model, options_.allocator);
     const AllocationResult inner = allocator.run(result.x);
@@ -147,7 +148,7 @@ JointRoutingResult JointRoutingOptimizer::run(
 
     result.x = inner.x;
     result.cost = inner.cost;
-    result.comm = std::move(comm);
+    result.comm = *comm;
     ++result.outer_iterations;
 
     // Flow movement only matters through its effect on link costs, so the

@@ -48,19 +48,10 @@ std::vector<double> QueryUpdateWorkload::comm_weight_rates() const {
 SingleFileProblem make_problem(const net::Topology& topology,
                                const Workload& workload, double mu, double k,
                                queueing::DelayModel delay) {
-  FAP_EXPECTS(workload.lambda.size() == topology.node_count(),
-              "workload size must match node count");
-  SingleFileProblem problem{
-      net::all_pairs_shortest_paths(topology),
-      workload.lambda,
-      std::vector<double>(topology.node_count(), mu),
-      k,
-      delay,
-      /*comm_weight_rates=*/{},
-      /*storage_capacity=*/{},
-      /*access_cost_override=*/{},
-      /*comm_provider=*/nullptr};
-  return problem;
+  return make_problem(std::make_shared<net::DenseCostProvider>(
+                          std::make_shared<const net::CostMatrix>(
+                              net::all_pairs_shortest_paths(topology))),
+                      workload, mu, k, delay);
 }
 
 SingleFileProblem make_problem(std::shared_ptr<const net::CostProvider> comm,
@@ -70,15 +61,14 @@ SingleFileProblem make_problem(std::shared_ptr<const net::CostProvider> comm,
   FAP_EXPECTS(workload.lambda.size() == comm->node_count(),
               "workload size must match node count");
   const std::size_t n = comm->node_count();
-  SingleFileProblem problem{net::CostMatrix(0),
+  SingleFileProblem problem{std::move(comm),
                             workload.lambda,
                             std::vector<double>(n, mu),
                             k,
                             delay,
-                            {},
-                            {},
-                            {},
-                            std::move(comm)};
+                            /*comm_weight_rates=*/{},
+                            /*storage_capacity=*/{},
+                            /*access_cost_override=*/{}};
   return problem;
 }
 
@@ -92,21 +82,12 @@ SingleFileModel::SingleFileModel(SingleFileProblem problem)
   const std::size_t n = problem_.lambda.size();
   FAP_EXPECTS(n >= 1, "problem needs at least one node");
   const bool overridden = !problem_.access_cost_override.empty();
-  const bool has_provider = problem_.comm_provider != nullptr;
-  if (has_provider) {
-    FAP_EXPECTS(problem_.comm_provider->node_count() == n,
-                "cost provider size must match node count");
-  }
   if (overridden) {
     FAP_EXPECTS(problem_.access_cost_override.size() == n,
                 "access cost override must match node count");
-    FAP_EXPECTS(problem_.comm.node_count() == 0 ||
-                    problem_.comm.node_count() == n,
-                "cost matrix size must match node count");
   } else {
-    FAP_EXPECTS(problem_.comm.node_count() == n ||
-                    (has_provider && problem_.comm.node_count() == 0),
-                "need a full cost matrix or a cost provider");
+    FAP_EXPECTS(problem_.comm != nullptr && problem_.comm->node_count() == n,
+                "need a cost provider matching the node count");
   }
   FAP_EXPECTS(problem_.mu.size() == n, "mu size must match node count");
   FAP_EXPECTS(problem_.k >= 0.0, "k must be non-negative");
@@ -151,26 +132,15 @@ SingleFileModel::SingleFileModel(SingleFileProblem problem)
                                          : problem_.comm_weight_rates;
   FAP_EXPECTS(omega.size() == n, "comm weight rates must match node count");
 
-  // C_i = Σ_j (ω_j / λ) c_ji. Accumulated row-major (j outer) through the
-  // unchecked row accessor: per destination i the additions still happen in
-  // increasing j, so the totals are bit-identical to the column-major
-  // double loop, but each row of the O(n²) matrix is walked contiguously
-  // and without per-element bounds checks. The provider branch streams the
-  // identical rows in the identical order (providers return bit-equal rows
-  // by contract), so both branches produce the same bytes; it just never
-  // materializes the n×n matrix.
+  // C_i = Σ_j (ω_j / λ) c_ji. Accumulated row-major (j outer), one
+  // provider row at a time: per destination i the additions still happen
+  // in increasing j, so the totals are bit-identical to the column-major
+  // double loop, and every provider yields the same bytes (they return
+  // bit-equal rows by contract).
   access_cost_.assign(n, 0.0);
-  const bool dense = problem_.comm.node_count() == n;
   for (std::size_t j = 0; j < n; ++j) {
     const double weight = omega[j];
-    net::CostRow provider_row;
-    const double* row;
-    if (dense) {
-      row = problem_.comm.row(j);
-    } else {
-      provider_row = problem_.comm_provider->row(j);
-      row = provider_row.data();
-    }
+    const net::CostRow row = problem_.comm->row(j);
     for (std::size_t i = 0; i < n; ++i) {
       access_cost_[i] += weight * row[i];
     }

@@ -18,7 +18,6 @@
 
 #include "core/cost_model.hpp"
 #include "net/cost_provider.hpp"
-#include "net/shortest_paths.hpp"
 #include "net/topology.hpp"
 #include "queueing/delay.hpp"
 
@@ -54,7 +53,11 @@ struct QueryUpdateWorkload {
 
 /// Full problem description for the single-copy single-file FAP.
 struct SingleFileProblem {
-  net::CostMatrix comm;           ///< c_ij: least-cost access i -> j
+  /// c_ij: least-cost access i -> j, read one source row at a time. A
+  /// dense matrix enters as a DenseCostProvider (every row resident);
+  /// large N uses a row or implicit provider, so the model never holds
+  /// n² costs. May be null only with access_cost_override.
+  std::shared_ptr<const net::CostProvider> comm;
   std::vector<double> lambda;     ///< per-node access rates λ_i
   std::vector<double> mu;         ///< per-node service rates μ_i
   double k = 1.0;                 ///< delay-vs-communication scaling
@@ -68,32 +71,26 @@ struct SingleFileProblem {
   /// exists.
   std::vector<double> storage_capacity;
   /// When non-empty (one entry per node), these ARE the access costs C_i:
-  /// the model skips the Σ_j (ω_j/λ) c_ji aggregation and `comm` may be
-  /// empty. The catalog engine uses this to hand the serial reference
-  /// allocator the exact priced access-cost vector its batched inner
-  /// solves see — assembling C_i twice through different summation orders
-  /// would break the bit-identity pin at the last ulp.
+  /// the model skips the Σ_j (ω_j/λ) c_ji aggregation and `comm` is
+  /// neither read nor checked (it may be null). The catalog engine uses
+  /// this to hand the serial reference allocator the exact priced
+  /// access-cost vector its batched inner solves see — assembling C_i
+  /// twice through different summation orders would break the
+  /// bit-identity pin at the last ulp.
   std::vector<double> access_cost_override;
-  /// Row-based alternative to `comm` for large N: when set (and `comm` is
-  /// empty), C_i is assembled by streaming provider rows j = 0..n-1 in the
-  /// same order as the dense loop, so the result is byte-identical to the
-  /// dense path while the cost structure stays O(n + cached rows) instead
-  /// of n². A populated `comm` always wins over the provider (the dense
-  /// fast path stays the small-N default).
-  std::shared_ptr<const net::CostProvider> comm_provider;
 };
 
 /// Convenience: builds a SingleFileProblem from a physical topology using
 /// least-cost routing (the paper's assumption), a uniform service rate μ,
-/// and workload `w`.
+/// and workload `w`. The costs are the dense APSP matrix behind a
+/// DenseCostProvider.
 SingleFileProblem make_problem(const net::Topology& topology,
                                const Workload& workload, double mu, double k,
                                queueing::DelayModel delay = {});
 
-/// Provider-backed variant for large N: no dense matrix is ever built —
-/// the model streams provider rows during C_i assembly, byte-identical to
-/// the dense overload on the same network (providers return bit-equal
-/// rows by contract) with memory O(n + cached rows).
+/// Same, over any cost provider. With a row or implicit provider no dense
+/// matrix is ever built; C_i is byte-identical to the topology overload
+/// on the same network (providers return bit-equal rows by contract).
 SingleFileProblem make_problem(std::shared_ptr<const net::CostProvider> comm,
                                const Workload& workload, double mu, double k,
                                queueing::DelayModel delay = {});

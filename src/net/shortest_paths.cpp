@@ -25,16 +25,6 @@ void CostMatrix::set_cost(NodeId i, NodeId j, double cost) {
   data_[i * n_ + j] = cost;
 }
 
-double CostMatrix::max_cost() const noexcept {
-  double mx = 0.0;
-  for (const double c : data_) {
-    if (c != kInfiniteCost) {
-      mx = std::max(mx, c);
-    }
-  }
-  return mx;
-}
-
 namespace {
 
 struct QueueEntry {

@@ -21,9 +21,8 @@ namespace fap::net {
 /// from i serviced at j (request plus response over the least-cost route).
 class CostMatrix {
  public:
-  /// node_count 0 is allowed: an empty matrix is the "no routing
-  /// information" placeholder of SingleFileProblem::access_cost_override
-  /// and a default-constructed catalog::CatalogSpec.
+  /// All-zero n×n matrix. node_count 0 is allowed and yields an empty
+  /// matrix (no entries, no rows).
   explicit CostMatrix(std::size_t node_count);
 
   std::size_t node_count() const noexcept { return n_; }
@@ -44,9 +43,6 @@ class CostMatrix {
   /// Mutable row access for bulk writers (the APSP kernel fills each
   /// source's row in place). Same precondition as row().
   double* mutable_row(NodeId i) noexcept { return data_.data() + i * n_; }
-
-  /// Largest finite entry; used for α-bound computations.
-  double max_cost() const noexcept;
 
  private:
   std::size_t n_;

@@ -332,7 +332,9 @@ TraceServer::TraceServer(const net::Topology& topology,
       workload_(std::move(workload)),
       options_(std::move(options)),
       n_(topology.node_count()),
-      comm_(net::all_pairs_shortest_paths(topology)) {
+      comm_(std::make_shared<net::DenseCostProvider>(
+          std::make_shared<const net::CostMatrix>(
+              net::all_pairs_shortest_paths(topology)))) {
   FAP_EXPECTS(options_.mu > 0.0, "service rate must be positive");
   FAP_EXPECTS(options_.k >= 0.0, "delay weight must be non-negative");
   FAP_EXPECTS(options_.hop_latency >= 0.0,
@@ -377,8 +379,7 @@ TraceServeResult TraceServer::serve(std::size_t total_requests) {
                                     queueing::DelayModel::mm1(kRhoMax),
                                     /*comm_weight_rates=*/{},
                                     /*storage_capacity=*/{},
-                                    /*access_cost_override=*/{},
-                                    /*comm_provider=*/nullptr};
+                                    /*access_cost_override=*/{}};
     const core::SingleFileModel model(problem);
     const core::ResourceDirectedAllocator allocator(model,
                                                     options_.allocator);
@@ -417,11 +418,10 @@ TraceServeResult TraceServer::serve(std::size_t total_requests) {
   for (std::size_t i = 0; i < n_; ++i) {
     config.routing[i][i] = 1.0;
   }
-  config.comm_cost.assign(n_, std::vector<double>(n_, 0.0));
+  config.comm_cost.resize(n_);
   for (std::size_t i = 0; i < n_; ++i) {
-    for (std::size_t j = 0; j < n_; ++j) {
-      config.comm_cost[i][j] = comm_.cost(i, j);
-    }
+    const net::CostRow row = comm_->row(i);
+    config.comm_cost[i].assign(row.data(), row.data() + n_);
   }
   config.k = options_.k;
   config.service = options_.service;
@@ -458,7 +458,7 @@ TraceServeResult TraceServer::serve(std::size_t total_requests) {
     injected += batch.size();
     engine_->advance_until(generator.now());
     if (options_.mode == ServeMode::kOnline) {
-      update_migration_state(generator.now(), result);
+      update_migration_state(generator.now());
     }
     if (++epochs_in_window >= options_.estimation_epochs &&
         injected < total_requests) {
@@ -486,7 +486,7 @@ TraceServeResult TraceServer::serve(std::size_t total_requests) {
   while (engine_->advance_completions(65536) > 0) {
   }
   if (options_.mode == ServeMode::kOnline) {
-    update_migration_state(engine_->now(), result);
+    update_migration_state(engine_->now());
   }
   harvest_window(engine_->window(), result);
 
@@ -558,7 +558,7 @@ void TraceServer::route_request(const TraceRequest& request,
       break;
     }
   }
-  comm = comm_.cost(origin, target);
+  comm = comm_->cost(origin, target);
 }
 
 void TraceServer::maybe_reallocate(const sim::WindowStats& window, double now,
@@ -651,7 +651,7 @@ void TraceServer::maybe_reallocate(const sim::WindowStats& window, double now,
     pending_ = std::make_unique<PendingMigration>(PendingMigration{
         std::move(plan), std::move(schedule), std::move(wave_begin),
         std::move(wave_end), std::move(next)});
-    update_migration_state(now, result);  // lock wave 0
+    update_migration_state(now);  // lock wave 0
   } catch (const std::exception&) {
     // Deterministic: the estimate (or the model built from it) was not
     // solvable this window; keep serving and try again next window.
@@ -659,9 +659,7 @@ void TraceServer::maybe_reallocate(const sim::WindowStats& window, double now,
   }
 }
 
-void TraceServer::update_migration_state(double now,
-                                         TraceServeResult& result) {
-  (void)result;
+void TraceServer::update_migration_state(double now) {
   if (!pending_) {
     return;
   }

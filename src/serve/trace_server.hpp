@@ -48,7 +48,7 @@
 #include "fs/fragment_map.hpp"
 #include "fs/lock_manager.hpp"
 #include "fs/migration.hpp"
-#include "net/shortest_paths.hpp"
+#include "net/cost_provider.hpp"
 #include "net/topology.hpp"
 #include "sim/alias_sampler.hpp"
 #include "sim/des_system.hpp"
@@ -284,14 +284,14 @@ class TraceServer {
                      TraceServeResult& result);
   void maybe_reallocate(const sim::WindowStats& window, double now,
                         TraceServeResult& result);
-  void update_migration_state(double now, TraceServeResult& result);
+  void update_migration_state(double now);
   void harvest_window(const sim::WindowStats& window, TraceServeResult& result);
 
   const net::Topology& topology_;
   TraceWorkload workload_;
   TraceServeOptions options_;
   std::size_t n_ = 0;
-  net::CostMatrix comm_;
+  std::shared_ptr<const net::CostProvider> comm_;
   std::vector<std::vector<std::size_t>> hops_;
   std::vector<double> lambda_;  ///< placement-model per-node rates
 

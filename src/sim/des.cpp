@@ -30,7 +30,6 @@ DesResult measure(DesSystem& system, const DesConfig& config) {
   result.comm_cost = window.comm_cost;
   result.sojourn = window.sojourn;
   result.response_time = window.response_time;
-  result.sojourn_histogram = window.sojourn_histogram;
   result.response_hist = window.response_hist;
   result.node = window.node;
   result.simulated_time = window.span;
@@ -58,16 +57,18 @@ DesConfig des_config_for(const core::SingleFileModel& model,
                          const std::vector<double>& x) {
   model.check_feasible(x);
   const std::size_t n = model.dimension();
+  FAP_EXPECTS(model.problem().comm != nullptr &&
+                  model.problem().comm->node_count() == n,
+              "the DES needs c_ij for every node pair");
   DesConfig config;
   config.lambda = model.problem().lambda;
   config.mu = model.problem().mu;
   config.k = model.problem().k;
   config.routing.assign(n, x);  // every source routes ~ x
-  config.comm_cost.assign(n, std::vector<double>(n, 0.0));
+  config.comm_cost.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i < n; ++i) {
-      config.comm_cost[j][i] = model.problem().comm.cost(j, i);
-    }
+    const net::CostRow row = model.problem().comm->row(j);
+    config.comm_cost[j].assign(row.data(), row.data() + n);
   }
   return config;
 }

@@ -124,10 +124,9 @@ struct DesResult {
   /// End-to-end response time (request transit + sojourn + response
   /// transit); equals sojourn when hop_latency is 0.
   util::RunningStats response_time;
-  util::Histogram sojourn_histogram{0.0, 1.0, 1};
-  /// Response-time distribution on exponential buckets — the tail
-  /// (p99/p999) source; the linear sojourn histogram would quantize it
-  /// into one coarse bucket under heavy-tailed service.
+  /// Response-time distribution on exponential buckets, so the tail
+  /// (p99/p999) keeps constant relative resolution under heavy-tailed
+  /// service. Same samples as response_time.
   util::LogHistogram response_hist{1e-4, 1e6, 512};
   std::vector<NodeStats> node;
   double simulated_time = 0.0;  ///< post-warmup measurement span

@@ -297,7 +297,6 @@ void DesReferenceSystem::process_one_event() {
     if (pending.arrival_time >= window_.start_time) {
       window_.comm_cost.add(pending.comm_cost);
       window_.sojourn.add(sojourn);
-      window_.sojourn_histogram.add(sojourn);
       window_.node[node].sojourn.add(sojourn);
       // Response reaches the requester after the return transit.
       const double response =

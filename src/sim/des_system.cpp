@@ -634,7 +634,6 @@ void DesSystem::process_one_event() {
         job.arrival_time >= window_.start_time) {
       window_.comm_cost.add(job.comm_cost);
       window_.sojourn.add(sojourn);
-      window_.sojourn_histogram.add(sojourn);
       window_.node[node].sojourn.add(sojourn);
       // Response reaches the requester after the return transit.
       const double response =
@@ -696,7 +695,6 @@ void DesSystem::reset_window() {
   window_.comm_cost = util::RunningStats();
   window_.sojourn = util::RunningStats();
   window_.response_time = util::RunningStats();
-  window_.sojourn_histogram.clear();
   window_.response_hist.clear();
   window_.node.assign(n, NodeStats());
   window_.log.clear();

@@ -33,9 +33,12 @@ namespace fap::sim {
 ///       one-uniform-per-sample stream alignment.
 inline constexpr int kDesRoutingSamplerRevision = 2;
 
-/// Statistics for the current observation window. Only accesses that
-/// *arrived* after the window opened are counted, so a freshly reset
-/// window is not polluted by the tail of the previous regime.
+/// Statistics for the current observation window. Which completed
+/// accesses count follows DesConfig::window_by_completion: by default
+/// only those that *arrived* after the window opened, so a freshly reset
+/// window is not polluted by the tail of the previous regime; with it set,
+/// every access that *completed* in the window, so consecutive windows
+/// partition all completions.
 struct WindowStats {
   util::RunningStats comm_cost;
   util::RunningStats sojourn;
@@ -43,7 +46,6 @@ struct WindowStats {
   /// queueing + service + response transit. Equals sojourn when
   /// hop_latency is 0.
   util::RunningStats response_time;
-  util::Histogram sojourn_histogram{0.0, 50.0, 500};
   /// Response-time distribution on exponential buckets (same samples as
   /// response_time), so p99/p999 keep constant relative resolution under
   /// heavy-tailed delays. Same parameters as DesResult::response_hist.

@@ -56,20 +56,20 @@ EstimatedParameters estimate_parameters(
 }
 
 core::SingleFileProblem problem_from_estimates(
-    const EstimatedParameters& estimates, const net::CostMatrix& comm,
-    double k, double fallback_mu, queueing::DelayModel delay) {
-  FAP_EXPECTS(estimates.lambda.size() == comm.node_count(),
-              "estimate / cost-matrix size mismatch");
+    const EstimatedParameters& estimates,
+    std::shared_ptr<const net::CostProvider> comm, double k,
+    double fallback_mu, queueing::DelayModel delay) {
+  FAP_EXPECTS(comm != nullptr && estimates.lambda.size() == comm->node_count(),
+              "estimate / cost-provider size mismatch");
   FAP_EXPECTS(fallback_mu > 0.0, "fallback service rate must be positive");
-  core::SingleFileProblem problem{comm,
+  core::SingleFileProblem problem{std::move(comm),
                                   estimates.lambda,
                                   estimates.mu,
                                   k,
                                   delay,
                                   /*comm_weight_rates=*/{},
                                   /*storage_capacity=*/{},
-                                  /*access_cost_override=*/{},
-                                  /*comm_provider=*/nullptr};
+                                  /*access_cost_override=*/{}};
   for (std::size_t i = 0; i < problem.mu.size(); ++i) {
     if (!estimates.mu_observed[i] || problem.mu[i] <= 0.0) {
       problem.mu[i] = fallback_mu;

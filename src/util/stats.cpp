@@ -82,51 +82,6 @@ double TimeWeightedStats::average(double until) const noexcept {
   return sum / (until - start_time_);
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  FAP_EXPECTS(hi > lo, "histogram range must be non-empty");
-  FAP_EXPECTS(buckets > 0, "histogram needs at least one bucket");
-}
-
-void Histogram::clear() noexcept {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  total_ = 0;
-  nonfinite_ = 0;
-}
-
-std::size_t Histogram::count(std::size_t bucket) const {
-  FAP_EXPECTS(bucket < counts_.size(), "bucket out of range");
-  return counts_[bucket];
-}
-
-double Histogram::bucket_lo(std::size_t bucket) const {
-  FAP_EXPECTS(bucket < counts_.size(), "bucket out of range");
-  return lo_ + width_ * static_cast<double>(bucket);
-}
-
-double Histogram::quantile(double q) const {
-  FAP_EXPECTS(q >= 0.0 && q <= 1.0, "quantile must be in [0, 1]");
-  if (total_ == 0) {
-    return lo_;
-  }
-  const double target = q * static_cast<double>(total_);
-  double cumulative = 0.0;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    const double next = cumulative + static_cast<double>(counts_[b]);
-    // Empty buckets are skipped even when the target lands exactly on the
-    // cumulative boundary: the quantile must sit where mass actually is,
-    // not at the left edge of a hole in the distribution.
-    if (counts_[b] > 0 && next >= target) {
-      const double within =
-          (target - cumulative) / static_cast<double>(counts_[b]);
-      return std::min(bucket_lo(b) + within * width_, hi_);
-    }
-    cumulative = next;
-  }
-  return hi_;
-}
-
 LogHistogram::LogHistogram(double lo, double hi, std::size_t buckets)
     : lo_(lo), hi_(hi), counts_(buckets, 0) {
   FAP_EXPECTS(lo > 0.0, "log histogram needs a positive lower edge");
@@ -172,6 +127,9 @@ double LogHistogram::quantile(double q) const {
   double cumulative = 0.0;
   for (std::size_t b = 0; b < counts_.size(); ++b) {
     const double next = cumulative + static_cast<double>(counts_[b]);
+    // Empty buckets are skipped even when the target lands exactly on the
+    // cumulative boundary: the quantile must sit where mass actually is,
+    // not at the left edge of a hole in the distribution.
     if (counts_[b] > 0 && next >= target) {
       const double within =
           (target - cumulative) / static_cast<double>(counts_[b]);

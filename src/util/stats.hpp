@@ -77,56 +77,6 @@ class TimeWeightedStats {
   double weighted_sum_ = 0.0;
 };
 
-/// Fixed-width histogram over [lo, hi); out-of-range finite samples are
-/// clamped into the edge buckets, non-finite samples are counted aside
-/// (they carry no position, so filing them into a bucket would silently
-/// poison every quantile). Used for delay distributions in the DES.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  /// Inline for the same reason as RunningStats::add — once per DES
-  /// completion.
-  void add(double x) noexcept {
-    if (!std::isfinite(x)) {
-      ++nonfinite_;
-      return;
-    }
-    std::size_t idx = 0;
-    if (x >= hi_) {
-      idx = counts_.size() - 1;
-    } else if (x > lo_) {
-      idx = static_cast<std::size_t>((x - lo_) / width_);
-      idx = std::min(idx, counts_.size() - 1);
-    }
-    ++counts_[idx];
-    ++total_;
-  }
-  /// Zeroes every bucket (range and bucket count unchanged) without
-  /// releasing storage — equivalent to a freshly constructed histogram
-  /// with the same parameters.
-  void clear() noexcept;
-  std::size_t bucket_count() const noexcept { return counts_.size(); }
-  std::size_t count(std::size_t bucket) const;
-  std::size_t total() const noexcept { return total_; }
-  /// Samples rejected by add() for being NaN or infinite.
-  std::size_t nonfinite() const noexcept { return nonfinite_; }
-  /// Inclusive lower edge of the given bucket.
-  double bucket_lo(std::size_t bucket) const;
-  /// Linearly interpolated quantile estimate, q in [0, 1]. Empty buckets
-  /// are skipped when the target lands exactly on a cumulative boundary,
-  /// and the interpolated value never exceeds hi_.
-  double quantile(double q) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t nonfinite_ = 0;
-};
-
 /// Histogram with exponentially spaced bucket edges over [lo, hi), lo > 0:
 /// bucket b covers [lo·r^b, lo·r^(b+1)) with r = (hi/lo)^(1/buckets), so
 /// relative resolution is constant across the range. This is what makes
@@ -135,9 +85,11 @@ class Histogram {
 /// bucket, while here every decade gets the same number of buckets.
 ///
 /// Finite samples at or below lo land in bucket 0 and samples at or above
-/// hi in the last bucket (clamped, like Histogram); non-finite samples
-/// are counted aside. merge() makes the per-window accumulation in the
-/// trace server exact under any merge order (integer bucket adds).
+/// hi in the last bucket (clamped). Non-finite samples are counted aside:
+/// they carry no position, so filing them into a bucket would silently
+/// poison every quantile. merge() makes the per-window accumulation in the
+/// trace server exact under any merge order (integer bucket adds). This
+/// is the repo's only histogram type.
 class LogHistogram {
  public:
   LogHistogram(double lo, double hi, std::size_t buckets);
@@ -158,6 +110,9 @@ class LogHistogram {
     ++counts_[idx];
     ++total_;
   }
+  /// Zeroes every bucket and the non-finite count (range and bucket
+  /// count unchanged) without releasing storage — equivalent to a freshly
+  /// constructed histogram with the same parameters.
   void clear() noexcept;
   /// Adds the other histogram's buckets into this one. The two must have
   /// been constructed with identical (lo, hi, buckets).
@@ -165,12 +120,14 @@ class LogHistogram {
   std::size_t bucket_count() const noexcept { return counts_.size(); }
   std::size_t count(std::size_t bucket) const;
   std::size_t total() const noexcept { return total_; }
+  /// Samples rejected by add() for being NaN or infinite.
   std::size_t nonfinite() const noexcept { return nonfinite_; }
   /// Inclusive lower edge of the given bucket: lo·r^bucket.
   double bucket_lo(std::size_t bucket) const;
   /// Quantile estimate with linear interpolation inside the (geometric)
-  /// bucket, q in [0, 1]; same empty-bucket-skip and hi_ clamp semantics
-  /// as Histogram::quantile.
+  /// bucket, q in [0, 1]; lo when empty. Empty buckets are skipped even
+  /// when the target lands exactly on a cumulative boundary, and the
+  /// interpolated value never exceeds hi.
   double quantile(double q) const;
 
  private:

@@ -65,7 +65,7 @@ std::vector<double> dense_allocation(const CatalogSpec& spec,
 
 // The serial twin of catalog object o at the given prices: a
 // SingleFileModel fed the solver's own priced access-cost vector through
-// access_cost_override (no comm matrix, λ concentrated anywhere — the
+// access_cost_override (no cost provider, λ concentrated anywhere — the
 // override makes the workload's spatial shape irrelevant), run by the
 // serial allocator from the solver's own deterministic start.
 AllocationResult serial_reference(const CatalogSpec& spec,
@@ -73,15 +73,14 @@ AllocationResult serial_reference(const CatalogSpec& spec,
                                   const std::vector<double>& prices) {
   std::vector<double> lambda(spec.node_count(), 0.0);
   lambda[spec.home[o]] = spec.rate[o];
-  SingleFileProblem problem{fap::net::CostMatrix(0),
+  SingleFileProblem problem{/*comm=*/nullptr,
                             std::move(lambda),
                             spec.mu,
                             spec.k,
                             spec.delay,
                             {},
                             {},
-                            solver.object_access_cost(o, prices),
-                            nullptr};
+                            solver.object_access_cost(o, prices)};
   const SingleFileModel model(std::move(problem));
   const ResourceDirectedAllocator serial(model, solver.options().inner);
   return serial.run(solver.object_start(o, prices));

@@ -11,6 +11,7 @@
 
 #include "baselines/projected_gradient.hpp"
 #include "core/single_file.hpp"
+#include "net/generators.hpp"
 #include "test_helpers.hpp"
 #include "util/contracts.hpp"
 #include "util/numeric.hpp"
@@ -228,11 +229,15 @@ TEST(Allocator, LargeAlphaStillReachesTheOptimum) {
 TEST(Allocator, NodesAtZeroWithLowMarginalUtilityStayAtZero) {
   // Make node 3 very expensive to reach so its optimal share is zero.
   fap::core::SingleFileProblem problem = core::make_paper_ring_problem();
+  fap::net::CostMatrix comm =
+      fap::net::all_pairs_shortest_paths(fap::net::make_ring(4, 1.0));
   for (std::size_t j = 0; j < 4; ++j) {
     if (j != 3) {
-      problem.comm.set_cost(j, 3, 50.0);
+      comm.set_cost(j, 3, 50.0);
     }
   }
+  problem.comm = std::make_shared<fap::net::DenseCostProvider>(
+      std::make_shared<const fap::net::CostMatrix>(std::move(comm)));
   const core::SingleFileModel model(std::move(problem));
   core::AllocatorOptions options = paper_options(0.1);
   options.epsilon = 1e-6;

@@ -153,11 +153,14 @@ TEST(NeighborAllocator, DryBarrierLimitationIsReal) {
   core::SingleFileProblem problem = core::make_problem(
       line, core::Workload::uniform(n, 1.0), /*mu=*/1.5, /*k=*/0.05);
   // Node 1 (the relay) is outrageously expensive to access.
+  net::CostMatrix comm = net::all_pairs_shortest_paths(line);
   for (std::size_t j = 0; j < n; ++j) {
     if (j != 1) {
-      problem.comm.set_cost(j, 1, 200.0);
+      comm.set_cost(j, 1, 200.0);
     }
   }
+  problem.comm = std::make_shared<net::DenseCostProvider>(
+      std::make_shared<const net::CostMatrix>(std::move(comm)));
   const core::SingleFileModel model(std::move(problem));
 
   core::NeighborAllocatorOptions options = gossip_options(0.02);

@@ -94,11 +94,14 @@ TEST(NewtonAllocator, ScaleInvarianceOfTheIterationPath) {
   fap::core::SingleFileProblem base = core::make_paper_ring_problem();
   fap::core::SingleFileProblem scaled = base;
   const double factor = 100.0;
+  fap::net::CostMatrix comm(4);
   for (std::size_t i = 0; i < 4; ++i) {
     for (std::size_t j = 0; j < 4; ++j) {
-      scaled.comm.set_cost(i, j, base.comm.cost(i, j) * factor);
+      comm.set_cost(i, j, base.comm->cost(i, j) * factor);
     }
   }
+  scaled.comm = std::make_shared<fap::net::DenseCostProvider>(
+      std::make_shared<const fap::net::CostMatrix>(std::move(comm)));
   scaled.k = base.k * factor;
   const core::SingleFileModel model_base(base);
   const core::SingleFileModel model_scaled(scaled);
@@ -135,11 +138,14 @@ TEST(NewtonAllocator, FirstOrderIsNotScaleInvariant) {
   fap::core::SingleFileProblem base = core::make_paper_ring_problem();
   fap::core::SingleFileProblem scaled = base;
   const double factor = 0.01;
+  fap::net::CostMatrix comm(4);
   for (std::size_t i = 0; i < 4; ++i) {
     for (std::size_t j = 0; j < 4; ++j) {
-      scaled.comm.set_cost(i, j, base.comm.cost(i, j) * factor);
+      comm.set_cost(i, j, base.comm->cost(i, j) * factor);
     }
   }
+  scaled.comm = std::make_shared<fap::net::DenseCostProvider>(
+      std::make_shared<const fap::net::CostMatrix>(std::move(comm)));
   scaled.k = base.k * factor;
   const core::SingleFileModel model_base(base);
   const core::SingleFileModel model_scaled(scaled);

@@ -213,6 +213,18 @@ TEST(SingleFileModel, RejectsInvalidConstruction) {
   EXPECT_NO_THROW(core::SingleFileModel(core::make_problem(
       ring, core::Workload::uniform(4, 2.0), /*mu=*/1.5, 1.0,
       fap::queueing::DelayModel::mm1(0.9))));
+  // c_ij comes only from the provider: without one the model needs an
+  // access-cost override ...
+  core::SingleFileProblem problem = core::make_paper_ring_problem();
+  problem.comm = nullptr;
+  EXPECT_THROW(core::SingleFileModel{problem}, PreconditionError);
+  problem.access_cost_override = {1.0, 2.0, 3.0, 4.0};
+  EXPECT_NO_THROW(core::SingleFileModel{problem});
+  // ... and a provider must cover exactly the problem's nodes.
+  problem = core::make_paper_ring_problem();
+  problem.comm = std::make_shared<fap::net::RowCostProvider>(
+      fap::net::make_ring(5, 1.0));
+  EXPECT_THROW(core::SingleFileModel{problem}, PreconditionError);
 }
 
 TEST(SingleFileModel, CheckFeasibleValidates) {
@@ -227,8 +239,8 @@ TEST(SingleFileModel, CheckFeasibleValidates) {
   EXPECT_FALSE(core::is_feasible(model, {1.0, 0.1, 0.0, 0.0}));
 }
 
-// Cost providers are drop-in replacements for the dense matrix: the
-// assembled C_i, and therefore every downstream cost/gradient, must be
+// Row and implicit providers are drop-in replacements for the dense one:
+// the assembled C_i, and therefore every downstream cost/gradient, must be
 // byte-identical — not merely close — to the dense-backed model.
 void expect_models_bitwise_equal(const core::SingleFileModel& dense,
                                  const core::SingleFileModel& provider,

@@ -31,9 +31,10 @@ struct Scenario {
 Scenario make_setup(double k, std::uint64_t seed) {
   fap::util::Rng rng(seed);
   const net::Topology topology = net::make_random_metric(5, 2, rng);
-  const net::CostMatrix comm = net::all_pairs_shortest_paths(topology);
+  const auto comm = std::make_shared<const net::CostMatrix>(
+      net::all_pairs_shortest_paths(topology));
 
-  Scenario setup{core::MultiFileProblem{comm, {}, {}, k,
+  Scenario setup{core::MultiFileProblem{*comm, {}, {}, k,
                                      fap::queueing::DelayModel()},
               {}};
   double total = 0.0;
@@ -49,12 +50,12 @@ Scenario make_setup(double k, std::uint64_t seed) {
   setup.joint.mu.assign(5, mu);
   for (int f = 0; f < 2; ++f) {
     setup.separate.push_back(core::SingleFileProblem{
-        comm, setup.joint.per_file_lambda[static_cast<std::size_t>(f)],
+        std::make_shared<net::DenseCostProvider>(comm),
+        setup.joint.per_file_lambda[static_cast<std::size_t>(f)],
         std::vector<double>(5, mu), k, fap::queueing::DelayModel(),
         /*comm_weight_rates=*/{},
         /*storage_capacity=*/{},
-        /*access_cost_override=*/{},
-        /*comm_provider=*/nullptr});
+        /*access_cost_override=*/{}});
   }
   return setup;
 }

@@ -39,13 +39,6 @@ void expect_windows_equal(const WindowStats& a, const WindowStats& b) {
   EXPECT_EQ(a.span, b.span);
   EXPECT_EQ(a.completions, b.completions);
   EXPECT_EQ(a.failed_accesses, b.failed_accesses);
-  ASSERT_EQ(a.sojourn_histogram.bucket_count(),
-            b.sojourn_histogram.bucket_count());
-  EXPECT_EQ(a.sojourn_histogram.total(), b.sojourn_histogram.total());
-  for (std::size_t i = 0; i < a.sojourn_histogram.bucket_count(); ++i) {
-    EXPECT_EQ(a.sojourn_histogram.count(i), b.sojourn_histogram.count(i))
-        << "histogram bucket " << i;
-  }
   ASSERT_EQ(a.response_hist.bucket_count(), b.response_hist.bucket_count());
   EXPECT_EQ(a.response_hist.total(), b.response_hist.total());
   EXPECT_EQ(a.response_hist.nonfinite(), b.response_hist.nonfinite());

@@ -107,15 +107,15 @@ TEST(Protocol, SingleNodeRunConvergesWithZeroMessages) {
   // detects termination in its first round, and — after the accounting
   // fix — reports zero traffic of any kind.
   const core::SingleFileModel model(
-      core::SingleFileProblem{net::CostMatrix(1),
+      core::SingleFileProblem{std::make_shared<net::DenseCostProvider>(
+                                  std::make_shared<const net::CostMatrix>(1)),
                               {1.0},
                               {1.5},
                               /*k=*/1.0,
                               fap::queueing::DelayModel(),
                               /*comm_weight_rates=*/{},
                               /*storage_capacity=*/{},
-                              /*access_cost_override=*/{},
-                              /*comm_provider=*/nullptr});
+                              /*access_cost_override=*/{}});
   sim::ProtocolConfig config;
   config.needs_full_allocation = true;
   config.algorithm = paper_options();

@@ -11,7 +11,6 @@
 
 namespace {
 
-using fap::util::Histogram;
 using fap::util::LogHistogram;
 using fap::util::RunningStats;
 using fap::util::TimeWeightedStats;
@@ -125,91 +124,6 @@ TEST(TimeWeightedStats, OutOfOrderFirstRecordStillAnchorsStart) {
   EXPECT_NEAR(stats.average(7.0), 3.0, 1e-12);
 }
 
-TEST(Histogram, CountsAndClamping) {
-  Histogram hist(0.0, 10.0, 10);
-  hist.add(0.5);    // bucket 0
-  hist.add(9.99);   // bucket 9
-  hist.add(-5.0);   // clamped to bucket 0
-  hist.add(100.0);  // clamped to bucket 9
-  EXPECT_EQ(hist.total(), 4u);
-  EXPECT_EQ(hist.count(0), 2u);
-  EXPECT_EQ(hist.count(9), 2u);
-  EXPECT_DOUBLE_EQ(hist.bucket_lo(3), 3.0);
-}
-
-TEST(Histogram, QuantileOfUniformData) {
-  Histogram hist(0.0, 1.0, 100);
-  fap::util::Rng rng(7);
-  for (int i = 0; i < 100000; ++i) {
-    hist.add(rng.uniform());
-  }
-  EXPECT_NEAR(hist.quantile(0.5), 0.5, 0.02);
-  EXPECT_NEAR(hist.quantile(0.9), 0.9, 0.02);
-  EXPECT_NEAR(hist.quantile(0.99), 0.99, 0.02);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), fap::util::PreconditionError);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), fap::util::PreconditionError);
-  Histogram hist(0.0, 1.0, 4);
-  EXPECT_THROW(hist.count(4), fap::util::PreconditionError);
-  EXPECT_THROW(hist.quantile(1.5), fap::util::PreconditionError);
-}
-
-// Regression: `next >= target` admitted empty buckets when the target
-// sat exactly on their (unchanged) cumulative boundary — q = 0 is the
-// always-reproducible case: target = 0 matched the empty bucket 0 and
-// quantile(0) reported 0.0 for a distribution whose entire mass sits in
-// bucket 9. The fix skips empty buckets, so every quantile lands where
-// mass actually is.
-TEST(Histogram, QuantileSkipsEmptyBucketAtExactBoundary) {
-  Histogram hist(0.0, 10.0, 10);
-  hist.add(9.5);
-  hist.add(9.5);
-  hist.add(9.5);
-  hist.add(9.5);
-  EXPECT_DOUBLE_EQ(hist.quantile(0.0), 9.0);
-  EXPECT_DOUBLE_EQ(hist.quantile(0.5), 9.5);
-  EXPECT_DOUBLE_EQ(hist.quantile(1.0), 10.0);
-}
-
-TEST(Histogram, QuantileInterpolatesAcrossEmptyGap) {
-  Histogram hist(0.0, 10.0, 10);
-  hist.add(0.5);
-  hist.add(0.5);
-  hist.add(9.5);
-  hist.add(9.5);
-  // Median: target = 2 = cumulative mass of bucket 0, so it interpolates
-  // to the right edge of the occupied bucket 0.
-  EXPECT_DOUBLE_EQ(hist.quantile(0.5), 1.0);
-  // Past the boundary the estimate jumps the empty gap into bucket 9:
-  // target = 2.4, within = (2.4 - 2) / 2 = 0.2 of bucket 9.
-  EXPECT_DOUBLE_EQ(hist.quantile(0.6), 9.0 + 0.2 * 1.0);
-}
-
-TEST(Histogram, QuantileNeverExceedsUpperEdge) {
-  Histogram hist(0.0, 10.0, 10);
-  hist.add(100.0);  // clamped into the last bucket
-  EXPECT_DOUBLE_EQ(hist.quantile(1.0), 10.0);
-}
-
-// Regression: NaN used to fall through both range comparisons into
-// bucket 0, silently dragging every low quantile toward lo.
-TEST(Histogram, NonFiniteSamplesAreCountedAside) {
-  Histogram hist(0.0, 10.0, 10);
-  hist.add(std::nan(""));
-  hist.add(std::numeric_limits<double>::infinity());
-  hist.add(-std::numeric_limits<double>::infinity());
-  EXPECT_EQ(hist.total(), 0u);
-  EXPECT_EQ(hist.count(0), 0u);
-  EXPECT_EQ(hist.nonfinite(), 3u);
-  hist.add(5.0);
-  EXPECT_EQ(hist.total(), 1u);
-  EXPECT_DOUBLE_EQ(hist.quantile(0.0), 5.0);
-  hist.clear();
-  EXPECT_EQ(hist.nonfinite(), 0u);
-}
-
 TEST(LogHistogram, BucketEdgesAreGeometric) {
   LogHistogram hist(1.0, 1000.0, 3);
   EXPECT_DOUBLE_EQ(hist.bucket_lo(0), 1.0);
@@ -271,6 +185,93 @@ TEST(LogHistogram, RejectsBadConstructionAndMismatchedMerge) {
   LogHistogram b(1.0, 10.0, 8);
   EXPECT_THROW(a.merge(b), fap::util::PreconditionError);
   EXPECT_EQ(a.quantile(0.5), 1.0);  // empty histogram reports lo
+}
+
+// The tests below use [1, 1024) in 10 buckets: bucket b covers
+// [2^b, 2^(b+1)), so every expected value is exact up to the rounding of
+// the edges' exp() (1e-9 absolute is ample). Samples sit inside buckets,
+// never on an edge. The Histogram suite holds what any histogram must do
+// — range clamping and argument checks — run on LogHistogram, the one
+// histogram in the library.
+
+TEST(Histogram, CountsAndClamping) {
+  LogHistogram hist(1.0, 1024.0, 10);
+  hist.add(1.5);    // bucket 0: [1, 2)
+  hist.add(768.0);  // bucket 9: [512, 1024)
+  hist.add(0.5);    // clamped to bucket 0
+  hist.add(1e6);    // clamped to bucket 9
+  EXPECT_EQ(hist.total(), 4u);
+  EXPECT_EQ(hist.count(0), 2u);
+  EXPECT_EQ(hist.count(9), 2u);
+  EXPECT_NEAR(hist.bucket_lo(3), 8.0, 1e-9);
+}
+
+TEST(Histogram, RejectsBadConstruction) {
+  EXPECT_THROW(LogHistogram(1.0, 1.0, 4), fap::util::PreconditionError);
+  EXPECT_THROW(LogHistogram(1.0, 1024.0, 0), fap::util::PreconditionError);
+  LogHistogram hist(1.0, 1024.0, 10);
+  EXPECT_THROW(hist.count(10), fap::util::PreconditionError);
+  EXPECT_THROW(hist.bucket_lo(10), fap::util::PreconditionError);
+  EXPECT_THROW(hist.quantile(1.5), fap::util::PreconditionError);
+  EXPECT_THROW(hist.quantile(-0.1), fap::util::PreconditionError);
+}
+
+// Regression: `next >= target` admitted empty buckets when the target
+// sat exactly on their (unchanged) cumulative boundary — q = 0 is the
+// always-reproducible case: target = 0 matched the empty bucket 0 and
+// quantile(0) reported lo for a distribution whose entire mass sits in
+// the last bucket. Skipping empty buckets puts every quantile where mass
+// actually is.
+TEST(LogHistogram, QuantileSkipsEmptyBucketAtExactBoundary) {
+  LogHistogram hist(1.0, 1024.0, 10);
+  for (int i = 0; i < 4; ++i) {
+    hist.add(768.0);  // bucket 9: [512, 1024)
+  }
+  EXPECT_NEAR(hist.quantile(0.0), 512.0, 1e-9);
+  EXPECT_NEAR(hist.quantile(0.5), 768.0, 1e-9);
+  EXPECT_NEAR(hist.quantile(1.0), 1024.0, 1e-9);
+}
+
+TEST(LogHistogram, QuantileInterpolatesAcrossEmptyGap) {
+  LogHistogram hist(1.0, 1024.0, 10);
+  hist.add(1.5);  // bucket 0: [1, 2)
+  hist.add(1.5);
+  hist.add(768.0);  // bucket 9: [512, 1024)
+  hist.add(768.0);
+  // Median: target = 2 = cumulative mass of bucket 0, so it interpolates
+  // to the right edge of the occupied bucket 0.
+  EXPECT_NEAR(hist.quantile(0.5), 2.0, 1e-9);
+  // Past the boundary the estimate jumps the empty gap into bucket 9:
+  // target = 2.4, within = (2.4 - 2) / 2 = 0.2 of bucket 9.
+  EXPECT_NEAR(hist.quantile(0.6), 512.0 + 0.2 * 512.0, 1e-9);
+}
+
+TEST(LogHistogram, QuantileNeverExceedsUpperEdge) {
+  // Not the power-of-two geometry: over [1, 10) in 4 buckets the last
+  // bucket's upper edge, lo·r^4, rounds to just above 10, so only the
+  // clamp keeps quantile(1) at hi.
+  LogHistogram hist(1.0, 10.0, 4);
+  hist.add(1e6);  // clamped into the last bucket
+  EXPECT_EQ(hist.count(3), 1u);
+  EXPECT_EQ(hist.quantile(1.0), 10.0);
+}
+
+// Regression: NaN used to fall through both range comparisons into
+// bucket 0, silently dragging every low quantile toward lo.
+TEST(LogHistogram, NonFiniteSamplesAreCountedAside) {
+  LogHistogram hist(1.0, 1024.0, 10);
+  hist.add(std::nan(""));
+  hist.add(std::numeric_limits<double>::infinity());
+  hist.add(-std::numeric_limits<double>::infinity());
+  EXPECT_EQ(hist.total(), 0u);
+  EXPECT_EQ(hist.count(0), 0u);
+  EXPECT_EQ(hist.nonfinite(), 3u);
+  hist.add(5.0);  // bucket 2: [4, 8)
+  EXPECT_EQ(hist.total(), 1u);
+  EXPECT_NEAR(hist.quantile(0.0), 4.0, 1e-9);
+  hist.clear();
+  EXPECT_EQ(hist.total(), 0u);
+  EXPECT_EQ(hist.nonfinite(), 0u);
 }
 
 }  // namespace
