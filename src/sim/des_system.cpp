@@ -9,8 +9,15 @@
 //     LIFO free list. Events carry the slot index, so a departure is an
 //     array access where the previous engine paid an unordered_map
 //     find+erase (and a node allocation per job).
-//   * SlotRing — each server's FIFO is a growable power-of-two ring of
+//   * Ring<T> — each server's FIFO is a growable power-of-two ring of
 //     slot indices instead of a std::deque of fat records.
+//   * Arrival stream — in-order injection (DesSystem::inject_access) is
+//     O(1): an access whose arrival is not earlier than the last one
+//     queued is appended to a time-ordered Ring<InjectedAccess> beside
+//     the heap, and holds no job slot until it reaches its target. The
+//     loop pops whichever of the stream's front and the heap's top comes
+//     first in (time, seq). Out-of-order injection (a migration stall or
+//     a longer transit) is one heap push: a slot plus a kArrive event.
 //   * Epoch voiding is unchanged: a node failure bumps the server epoch,
 //     frees the queued/active slots, and any in-flight departure event
 //     carrying the stale epoch is discarded before it can touch the slab
@@ -23,7 +30,9 @@
 //
 // Equivalence to the previous engine is pinned by the golden-trace suite
 // (tests/sim_des_engine_equiv_test.cpp) against DesReferenceSystem, the
-// old engine kept verbatim in des_reference.cpp.
+// old engine kept verbatim in des_reference.cpp. The reference engine has
+// no open-loop path; DesSystem.OpenLoopGoldenPin and the TraceServer
+// golden pins fix that path bit for bit instead.
 #include "sim/des_system.hpp"
 
 #include <algorithm>
@@ -59,9 +68,23 @@ struct EventEntry {
   std::uint32_t epoch = 0;
 };
 
+/// An injected access waiting in the arrival stream. It holds no job slot
+/// yet; `seq` is taken at injection, so it orders against heap events
+/// exactly as the kArrive event it replaces would have.
+struct InjectedAccess {
+  double time = 0.0;  // arrival at the target's queue
+  std::uint64_t seq = 0;
+  double generated_time = 0.0;
+  double comm_cost = 0.0;
+  std::uint32_t source = 0;
+  std::uint32_t target = 0;
+};
+
 /// (time, seq) precedes — the exact ordering std::greater<Event> gave the
-/// old priority queue, so pop order is preserved bit for bit.
-inline bool precedes(const EventEntry& a, const EventEntry& b) noexcept {
+/// old priority queue, so pop order is preserved bit for bit. Defined for
+/// heap entries and stream entries alike.
+template <typename A, typename B>
+inline bool precedes(const A& a, const B& b) noexcept {
   if (a.time != b.time) {
     return a.time < b.time;
   }
@@ -191,40 +214,42 @@ class JobSlab {
   std::uint32_t free_head_ = kNoSlot;
 };
 
-/// Growable power-of-two ring buffer of job slots — each server's FIFO.
-/// push/pop are an index mask each; growth (amortized, warm-up only)
-/// unwraps the ring into the doubled storage.
-class SlotRing {
+/// Growable power-of-two FIFO ring — each server's queue of job slots and
+/// the injected-arrival stream. push/pop are an index mask each; growth
+/// (amortized, warm-up only) unwraps the ring into the doubled storage.
+template <typename T>
+class Ring {
  public:
   bool empty() const noexcept { return size_ == 0; }
   std::size_t size() const noexcept { return size_; }
   void clear() noexcept { head_ = size_ = 0; }
+  const T& front() const noexcept { return buffer_[head_]; }
+  const T& back() const noexcept { return at(size_ - 1); }
 
-  void push_back(std::uint32_t slot) {
+  void push_back(const T& value) {
     if (size_ == buffer_.size()) {
       grow();
     }
-    buffer_[(head_ + size_) & (buffer_.size() - 1)] = slot;
+    buffer_[(head_ + size_) & (buffer_.size() - 1)] = value;
     ++size_;
   }
 
-  std::uint32_t pop_front() noexcept {
-    const std::uint32_t slot = buffer_[head_];
+  T pop_front() noexcept {
+    const T value = buffer_[head_];
     head_ = (head_ + 1) & (buffer_.size() - 1);
     --size_;
-    return slot;
+    return value;
   }
 
-  /// FIFO-order element access (0 = front); used only by failure
-  /// handling to release the queued slots.
-  std::uint32_t at(std::size_t i) const noexcept {
+  /// FIFO-order element access (0 = front).
+  const T& at(std::size_t i) const noexcept {
     return buffer_[(head_ + i) & (buffer_.size() - 1)];
   }
 
  private:
   void grow() {
     const std::size_t capacity = std::max<std::size_t>(buffer_.size() * 2, 16);
-    std::vector<std::uint32_t> bigger(capacity);
+    std::vector<T> bigger(capacity);
     for (std::size_t i = 0; i < size_; ++i) {
       bigger[i] = buffer_[(head_ + i) & (buffer_.size() - 1)];
     }
@@ -232,15 +257,15 @@ class SlotRing {
     head_ = 0;
   }
 
-  std::vector<std::uint32_t> buffer_;
+  std::vector<T> buffer_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;
 };
 
 struct Server {
-  std::size_t capacity = 1;  // parallel servers (M/M/c node)
-  std::uint32_t epoch = 0;   // bumped on failure; voids stale departures
-  SlotRing queue;            // waiting jobs, FIFO
+  std::size_t capacity = 1;   // parallel servers (M/M/c node)
+  std::uint32_t epoch = 0;    // bumped on failure; voids stale departures
+  Ring<std::uint32_t> queue;  // waiting jobs' slots, FIFO
   /// In-service job slots in dispatch order. Dispatch order is ascending
   /// job-creation order, so iterating this vector reproduces the
   /// canonical ascending-job-id busy-time summation order shared with
@@ -269,6 +294,8 @@ struct DesSystem::Impl {
   DesConfig config;
   util::Rng rng{0};
   EventHeap events;
+  /// In-order injected accesses, ascending in (time, seq); see the header.
+  Ring<InjectedAccess> arrivals;
   std::uint64_t seq = 0;
   std::vector<AliasSampler> samplers;
   std::vector<Server> servers;
@@ -330,6 +357,7 @@ struct DesSystem::Impl {
     const std::size_t n = config.lambda.size();
     rng = util::Rng(config.seed);
     events.clear();
+    arrivals.clear();
     seq = 0;
     total_completions = 0;
     jobs.clear();
@@ -420,6 +448,14 @@ struct DesSystem::Impl {
     return cell.alias;
   }
 
+  bool drained() const noexcept { return events.empty() && arrivals.empty(); }
+
+  /// Whether the next event (stream front or heap top) is due by `time`.
+  bool event_due(double time) const noexcept {
+    return (!arrivals.empty() && arrivals.front().time <= time) ||
+           (!events.empty() && events.top().time <= time);
+  }
+
   /// One-way transit time of the source->target route.
   double transit(std::size_t source, std::size_t target) const {
     if (config.hop_latency == 0.0 || source == target) {
@@ -491,21 +527,35 @@ void DesSystem::inject_access(double time, std::size_t source,
                               double extra_latency) {
   Impl& impl = *impl_;
   const std::size_t n = impl.config.lambda.size();
+  FAP_EXPECTS(std::isfinite(time), "injection time must be finite");
   FAP_EXPECTS(time >= now_, "cannot inject an access in the past");
   FAP_EXPECTS(source < n && target < n, "node out of range");
-  FAP_EXPECTS(extra_latency >= 0.0, "extra latency must be non-negative");
+  FAP_EXPECTS(std::isfinite(extra_latency) && extra_latency >= 0.0,
+              "extra latency must be finite and non-negative");
+  // The access is "in flight" until generation time + stall + transit,
+  // then queues at the target through the same handler generated traffic
+  // uses (including the failed-node drop and the window arrival
+  // accounting). seq is taken now either way, so where the access waits
+  // cannot change the (time, seq) pop order.
+  const double arrival_time =
+      time + extra_latency + impl.transit(source, target);
+  const std::uint64_t seq = impl.seq++;
+  if (impl.arrivals.empty() || arrival_time >= impl.arrivals.back().time) {
+    impl.arrivals.push_back(InjectedAccess{
+        arrival_time, seq, time, comm, static_cast<std::uint32_t>(source),
+        static_cast<std::uint32_t>(target)});
+    return;
+  }
+  // Overtakes the stream's tail (a stall or a longer transit): a slot and
+  // a kArrive heap event, the store-and-forward path.
   const std::uint32_t slot = impl.jobs.allocate();
   JobRecord& job = impl.jobs[slot];
   job.comm_cost = comm;
   job.generated_time = time;
   job.source = static_cast<std::uint32_t>(source);
-  // Reuse the store-and-forward arrival path: the access is "in flight"
-  // until generation time + stall + transit, then queues at the target
-  // through the same kArrive handler generated traffic uses (including
-  // the failed-node drop and the window arrival accounting).
   EventEntry arrival;
-  arrival.time = time + extra_latency + impl.transit(source, target);
-  arrival.seq = impl.seq++;
+  arrival.time = arrival_time;
+  arrival.seq = seq;
   arrival.kind = EventKind::kArrive;
   arrival.node = static_cast<std::uint32_t>(target);
   arrival.slot = slot;
@@ -544,15 +594,18 @@ void DesSystem::set_node_failed(std::size_t node, bool failed) {
 
 void DesSystem::process_one_event() {
   Impl& impl = *impl_;
-  FAP_ENSURES(!impl.events.empty(), "event queue drained unexpectedly");
-  const EventEntry event = impl.events.top();
-  now_ = event.time;
+  FAP_ENSURES(!impl.drained(), "event queue drained unexpectedly");
+  const bool from_stream =
+      !impl.arrivals.empty() &&
+      (impl.events.empty() ||
+       precedes(impl.arrivals.front(), impl.events.top()));
 
-  // Deferred pop: the consumed top entry stays in the heap until either
-  // the first scheduled event overwrites it in place (replace_top — one
-  // sift instead of a pop's sift-down plus a push's sift-up) or the
-  // handler finishes without scheduling anything.
-  bool top_replaced = false;
+  // Deferred pop: a consumed heap top stays in the heap until either the
+  // first scheduled event overwrites it in place (replace_top — one sift
+  // instead of a pop's sift-down plus a push's sift-up) or the handler
+  // finishes without scheduling anything. A stream arrival consumes no
+  // heap entry, so everything it schedules is a plain push.
+  bool top_replaced = from_stream;
   const auto emit = [&](const EventEntry& entry) {
     if (top_replaced) {
       impl.events.push(entry);
@@ -581,6 +634,20 @@ void DesSystem::process_one_event() {
     impl.dispatch(target, now_, emit);
   };
 
+  if (from_stream) {
+    const InjectedAccess access = impl.arrivals.pop_front();
+    now_ = access.time;
+    const std::uint32_t slot = impl.jobs.allocate();
+    JobRecord& job = impl.jobs[slot];
+    job.comm_cost = access.comm_cost;
+    job.generated_time = access.generated_time;
+    job.source = access.source;
+    enqueue_access(slot, access.target);
+    return;
+  }
+
+  const EventEntry event = impl.events.top();
+  now_ = event.time;
   if (event.kind == EventKind::kGenerate) {
     const std::size_t source = event.node;
     EventEntry next;
@@ -659,8 +726,9 @@ void DesSystem::process_one_event() {
 }
 
 void DesSystem::advance_until(double time) {
+  FAP_EXPECTS(std::isfinite(time), "advance target time must be finite");
   FAP_EXPECTS(time >= now_, "cannot advance backwards in time");
-  while (!impl_->events.empty() && impl_->events.top().time <= time) {
+  while (impl_->event_due(time)) {
     process_one_event();
   }
   now_ = time;
@@ -675,7 +743,7 @@ std::size_t DesSystem::advance_completions(std::size_t count) {
       impl_->config.event_budget_floor;
   std::size_t events_processed = 0;
   while (impl_->total_completions < start + count) {
-    if (impl_->events.empty()) {
+    if (impl_->drained()) {
       break;
     }
     FAP_ENSURES(events_processed++ < event_budget,

@@ -83,12 +83,14 @@ class DesSystem {
   /// Re-initializes the engine for `config` exactly as constructing a
   /// fresh DesSystem(config) would — same RNG stream, same event
   /// sequence, bit-identical statistics — but reuses the already-grown
-  /// event heap, job slab, queue rings, sampler tables and window
-  /// buffers, so a warmed engine replays configuration after
+  /// event heap, arrival stream, job slab, queue rings, sampler tables
+  /// and window buffers, so a warmed engine replays configuration after
   /// configuration with zero steady-state allocation (this is how
   /// run_des_replications recycles one engine per worker thread).
-  /// now() returns 0 again afterwards. Throws on an invalid config, in
-  /// which case the engine must be restarted again before further use.
+  /// Injected accesses not yet served are discarded with the rest of the
+  /// old run. now() returns 0 again afterwards. Throws on an invalid
+  /// config, in which case the engine must be restarted again before
+  /// further use.
   void restart(DesConfig config);
 
   double now() const noexcept { return now_; }
@@ -115,11 +117,16 @@ class DesSystem {
   /// completion plus return transit, so `extra_latency` (e.g. a
   /// migration stall) shows up in the delay statistics. Injection does
   /// not advance the clock — call advance_until / advance_completions to
-  /// process the scheduled work.
+  /// process the scheduled work. In-order injection is O(1): an access
+  /// that reaches its target no earlier than the latest one queued in the
+  /// time-ordered arrival stream joins that stream and holds no job state
+  /// until it arrives. Out-of-order injection (a stall, a longer route)
+  /// is one event-heap push. Either way, accesses are processed in the
+  /// same order. `time` and `extra_latency` must be finite.
   void inject_access(double time, std::size_t source, std::size_t target,
                      double comm, double extra_latency = 0.0);
 
-  /// Processes events until simulated time reaches `time`.
+  /// Processes events until simulated time reaches `time` (finite).
   void advance_until(double time);
 
   /// Processes events until `count` further accesses complete (measured

@@ -369,6 +369,66 @@ TEST(TraceServer, LruGoldenPinCapacityOne) {
                   0x4133b026ffffffe6ULL});
 }
 
+// Golden pins of the requests whose arrivals leave injection order: the
+// migration-stalled reads of kOnline and the per-hop transit of kStatic
+// with hop latency. Recorded from the engine that gave every injected
+// request a job slot and a heap event at injection; pinned on the same
+// fields as the LRU pins, plus the online adaptation counters.
+struct ServePin {
+  std::size_t served_at_origin;
+  std::size_t completions;
+  std::uint64_t p50_bits;
+  std::uint64_t p99_bits;
+  std::uint64_t comm_sum_bits;
+};
+
+void expect_serve_pin(const TraceServeResult& result, const ServePin& pin) {
+  EXPECT_EQ(result.cache_hits, 0u);
+  EXPECT_EQ(result.cache_misses, 0u);
+  EXPECT_EQ(result.cache_invalidations, 0u);
+  EXPECT_EQ(result.served_at_origin, pin.served_at_origin);
+  EXPECT_EQ(result.completions, pin.completions);
+  EXPECT_EQ(result.completions, result.requests_injected);
+  EXPECT_EQ(result.failed, 0u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.delay_hist.quantile(0.5)),
+            pin.p50_bits);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.delay_hist.quantile(0.99)),
+            pin.p99_bits);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.comm.sum()),
+            pin.comm_sum_bits);
+}
+
+TEST(TraceServer, OnlineGoldenPinWithStalls) {
+  // The configuration of MigrationMovesTheLayoutAndAccountsStalls.
+  const fap::net::Topology ring = fap::net::make_ring(4);
+  TraceWorkload workload = small_workload();
+  workload.drift_rate = 0.1;
+  TraceServeOptions options;
+  options.mode = ServeMode::kOnline;
+  options.estimation_epochs = 2;
+  options.hysteresis = 0.05;
+  options.cooldown_windows = 0;
+  options.migration_bandwidth = 10.0;
+  const TraceServeResult result = TraceServer(ring, workload, options)
+                                      .serve(120000);
+  EXPECT_EQ(result.reallocations, 14u);
+  EXPECT_EQ(result.migrated_records, 14344u);
+  EXPECT_EQ(result.stalled_requests, 1892u);
+  expect_serve_pin(result, {30092, 120000, 0x409ea6813d26d7d0ULL,
+                            0x40ccccb9a64c20bfULL, 0x40fd472000000003ULL});
+}
+
+TEST(TraceServer, StaticGoldenPinWithHopLatency) {
+  const fap::net::Topology ring = fap::net::make_ring(4);
+  TraceServeOptions options;
+  options.mode = ServeMode::kStatic;
+  options.hop_latency = 0.25;
+  const TraceServeResult result =
+      TraceServer(ring, small_workload(), options).serve(40000);
+  expect_serve_pin(result, {9967, 40000, 0x40021c9874489dc8ULL,
+                            0x40278f552ac1ee51ULL, 0x40e387c000000013ULL});
+}
+
 // serve() reports its counters through runtime::add_task_metric, so a
 // metered sweep task's JSONL record carries them under the benchmark's
 // per-layer names.

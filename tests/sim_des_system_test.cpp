@@ -1,14 +1,22 @@
 // Tests for the incremental simulation engine: windowing semantics,
-// mid-run rewiring, and consistency with the batch run_des wrapper.
+// mid-run rewiring, consistency with the batch run_des wrapper, and a
+// golden pin of the open-loop (injected-access) path.
 #include "sim/des_system.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "core/single_file.hpp"
+#include "net/generators.hpp"
+#include "net/shortest_paths.hpp"
 #include "queueing/delay.hpp"
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -209,6 +217,214 @@ TEST(DesSystem, GenerousEventBudgetIsNotTrippedByNormalRuns) {
   sim::DesSystem system(config);
   system.advance_until(50.0);
   EXPECT_EQ(system.advance_completions(2000), 2000u);
+}
+
+// An open-loop engine on a 4-ring: no node generates traffic, nodes have
+// 1-3 servers, every hop costs 0.25 of transit (so injected accesses
+// reach their targets out of injection order), the access log is on and
+// windows attribute accesses by completion time.
+sim::DesConfig open_loop_ring_config() {
+  constexpr std::size_t kNodes = 4;
+  sim::DesConfig config;
+  config.open_loop = true;
+  config.lambda.assign(kNodes, 0.0);
+  config.mu = {1.0, 0.8, 1.2, 0.5};
+  config.servers_per_node = {1, 2, 1, 3};
+  config.routing.assign(kNodes, std::vector<double>(kNodes, 0.0));
+  config.route_hops = fap::net::route_hop_counts(fap::net::make_ring(kNodes));
+  config.comm_cost.assign(kNodes, std::vector<double>(kNodes, 0.0));
+  for (std::size_t j = 0; j < kNodes; ++j) {
+    config.routing[j][j] = 1.0;
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      config.comm_cost[j][i] = static_cast<double>(config.route_hops[j][i]);
+    }
+  }
+  config.hop_latency = 0.25;
+  config.record_log = true;
+  config.window_by_completion = true;
+  config.seed = 2024;
+  return config;
+}
+
+/// Injects accesses numbered [first, last) at increasing times drawn from
+/// `script` (rate 3, about 57% of the ring's service capacity), advancing
+/// the engine to the latest injection time after every 256th, the way
+/// trace serving feeds it. Every 7th access shares its predecessor's time
+/// exactly and every 50th carries a migration-like stall. Returns the
+/// time of the last injection.
+double inject_script(sim::DesSystem& system, fap::util::Rng& script,
+                     std::size_t first, std::size_t last, double time) {
+  for (std::size_t i = first; i < last; ++i) {
+    if (i % 7 != 0) {
+      time += script.exponential(3.0);
+    }
+    const std::size_t source = script.uniform_index(4);
+    const std::size_t target = script.uniform_index(4);
+    const double comm = script.uniform(0.0, 2.0);
+    const double stall = i % 50 == 49 ? script.uniform(0.0, 3.0) : 0.0;
+    system.inject_access(time, source, target, comm, stall);
+    if (i % 256 == 255) {
+      system.advance_until(time);
+    }
+  }
+  return time;
+}
+
+void drain(sim::DesSystem& system) {
+  while (system.advance_completions(4096) > 0) {
+  }
+}
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// FNV-1a over every field of every logged access, doubles by bit pattern.
+std::uint64_t log_digest(const std::vector<sim::AccessObservation>& log) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (const sim::AccessObservation& access : log) {
+    mix(access.source);
+    mix(access.target);
+    mix(bits(access.arrival_time));
+    mix(bits(access.service_start));
+    mix(bits(access.departure_time));
+    mix(bits(access.comm_cost));
+  }
+  return hash;
+}
+
+struct WindowPin {
+  std::size_t completions;
+  std::size_t failed_accesses;
+  std::array<std::size_t, 4> arrivals;
+  std::uint64_t comm_sum_bits;
+  std::uint64_t sojourn_mean_bits;
+  std::uint64_t response_mean_bits;
+  std::uint64_t p50_bits;
+  std::uint64_t p99_bits;
+  std::uint64_t log_digest;
+};
+
+void expect_window_pin(const sim::WindowStats& window, const WindowPin& pin) {
+  EXPECT_EQ(window.completions, pin.completions);
+  EXPECT_EQ(window.failed_accesses, pin.failed_accesses);
+  ASSERT_EQ(window.node.size(), pin.arrivals.size());
+  for (std::size_t i = 0; i < pin.arrivals.size(); ++i) {
+    EXPECT_EQ(window.node[i].arrivals, pin.arrivals[i]) << "node " << i;
+  }
+  EXPECT_EQ(bits(window.comm_cost.sum()), pin.comm_sum_bits);
+  EXPECT_EQ(bits(window.sojourn.mean()), pin.sojourn_mean_bits);
+  EXPECT_EQ(bits(window.response_time.mean()), pin.response_mean_bits);
+  EXPECT_EQ(bits(window.response_hist.quantile(0.5)), pin.p50_bits);
+  EXPECT_EQ(bits(window.response_hist.quantile(0.99)), pin.p99_bits);
+  EXPECT_EQ(log_digest(window.log), pin.log_digest);
+}
+
+// Golden pin of the open-loop path, recorded from the engine that gave
+// every injected access a job slot and a heap event at injection. Equal
+// times, stalls and per-hop transit mix in-order and out-of-order
+// arrivals; node 2 fails with accesses queued and in flight towards it,
+// then recovers; the window is harvested and reset halfway. The
+// (time, seq) event order fixes every statistic, so any engine layout
+// must reproduce these values bit for bit.
+TEST(DesSystem, OpenLoopGoldenPin) {
+  constexpr std::size_t kAccesses = 20000;
+  sim::DesSystem system(open_loop_ring_config());
+  fap::util::Rng script(77);
+  double time = inject_script(system, script, 0, 6144, 0.0);
+  system.set_node_failed(2, true);
+  time = inject_script(system, script, 6144, 7168, time);
+  system.set_node_failed(2, false);
+  time = inject_script(system, script, 7168, 10240, time);
+  const sim::WindowStats& first = system.window();
+  const std::size_t first_served = first.completions + first.failed_accesses;
+  expect_window_pin(first, {9941, 267, {2535, 2504, 2384, 2551},
+                            0x40c3a14d2b0d0846ULL, 0x400be9f953ae051bULL,
+                            0x4010197f454887baULL, 0x4005619de933fd62ULL,
+                            0x40389e97dc3a2c8eULL, 0xd8daf4dd87e072a5ULL});
+  system.reset_window();
+  inject_script(system, script, 10240, kAccesses, time);
+  drain(system);
+  const sim::WindowStats& second = system.window();
+  expect_window_pin(second, {9792, 0, {2434, 2366, 2506, 2458},
+                             0x40c2f147a565dbf8ULL, 0x401014aa8c1d08c7ULL,
+                             0x401237e34f2783afULL, 0x40071e9300a24c06ULL,
+                             0x403a27692da90e59ULL, 0xf1ffe672915151bcULL});
+  // Completion-time windows partition every injected access.
+  EXPECT_EQ(first_served + second.completions + second.failed_accesses,
+            kAccesses);
+}
+
+TEST(DesSystem, RejectsNonFiniteOpenLoopTimes) {
+  // An infinite time would drain the run to a clock of +inf, after which
+  // every departure measures inf - inf = NaN.
+  sim::DesSystem system(open_loop_ring_config());
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  using fap::util::PreconditionError;
+  EXPECT_THROW(system.inject_access(inf, 0, 1, 1.0), PreconditionError);
+  EXPECT_THROW(system.inject_access(nan, 0, 1, 1.0), PreconditionError);
+  EXPECT_THROW(system.inject_access(1.0, 0, 1, 1.0, inf), PreconditionError);
+  EXPECT_THROW(system.inject_access(1.0, 0, 1, 1.0, nan), PreconditionError);
+  EXPECT_THROW(system.advance_until(inf), PreconditionError);
+  EXPECT_THROW(system.advance_until(nan), PreconditionError);
+  // The rejected calls left nothing behind.
+  system.inject_access(1.0, 0, 1, 1.0);
+  EXPECT_EQ(system.advance_completions(10), 1u);
+  EXPECT_TRUE(std::isfinite(system.now()));
+  EXPECT_EQ(system.window().completions, 1u);
+  EXPECT_EQ(system.window().response_hist.nonfinite(), 0u);
+}
+
+void expect_same_stats(const fap::util::RunningStats& a,
+                       const fap::util::RunningStats& b, const char* what) {
+  EXPECT_EQ(a.count(), b.count()) << what;
+  EXPECT_EQ(a.mean(), b.mean()) << what;
+  EXPECT_EQ(a.variance(), b.variance()) << what;
+}
+
+TEST(DesSystem, RestartDiscardsInjectedAccessesInFlight) {
+  const sim::DesConfig config = open_loop_ring_config();
+  sim::DesSystem recycled(config);
+  fap::util::Rng leftover(5);
+  const double last = inject_script(recycled, leftover, 0, 700, 0.0);
+  // Long stalls keep these in flight past the clock restart() finds.
+  for (std::size_t i = 0; i < 20; ++i) {
+    recycled.inject_access(last, i % 4, (i + 1) % 4, 1.0, 10.0 + i);
+  }
+  recycled.advance_until(last + 5.0);
+  const sim::WindowStats& before = recycled.window();
+  ASSERT_GT(before.completions, 0u);
+  ASSERT_LT(before.completions + before.failed_accesses, 720u);
+  recycled.restart(config);
+
+  sim::DesSystem fresh(config);
+  for (sim::DesSystem* system : {&recycled, &fresh}) {
+    fap::util::Rng script(9);
+    inject_script(*system, script, 0, 3000, 0.0);
+    drain(*system);
+  }
+  EXPECT_EQ(recycled.now(), fresh.now());
+  const sim::WindowStats& a = recycled.window();
+  const sim::WindowStats& b = fresh.window();
+  EXPECT_EQ(a.completions, b.completions);
+  EXPECT_EQ(a.completions, 3000u);
+  EXPECT_EQ(a.failed_accesses, b.failed_accesses);
+  expect_same_stats(a.comm_cost, b.comm_cost, "comm_cost");
+  expect_same_stats(a.sojourn, b.sojourn, "sojourn");
+  expect_same_stats(a.response_time, b.response_time, "response_time");
+  EXPECT_EQ(a.response_hist.quantile(0.5), b.response_hist.quantile(0.5));
+  EXPECT_EQ(a.response_hist.quantile(0.99), b.response_hist.quantile(0.99));
+  ASSERT_EQ(a.node.size(), b.node.size());
+  for (std::size_t i = 0; i < a.node.size(); ++i) {
+    EXPECT_EQ(a.node[i].arrivals, b.node[i].arrivals) << "node " << i;
+    EXPECT_EQ(a.node[i].busy_time, b.node[i].busy_time) << "node " << i;
+  }
+  EXPECT_EQ(log_digest(a.log), log_digest(b.log));
 }
 
 }  // namespace
