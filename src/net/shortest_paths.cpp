@@ -38,13 +38,11 @@ struct QueueEntry {
 // Dijkstra that also records, for each settled node, the first hop taken
 // from the source (or the node itself for the source).
 void dijkstra_impl(const Topology& topology, NodeId source,
-                   std::vector<double>& dist, std::vector<NodeId>* first_hop) {
+                   std::vector<double>& dist, std::vector<NodeId>& first_hop) {
   const std::size_t n = topology.node_count();
   FAP_EXPECTS(source < n, "source out of range");
   dist.assign(n, kInfiniteCost);
-  if (first_hop != nullptr) {
-    first_hop->assign(n, source);
-  }
+  first_hop.assign(n, source);
   std::priority_queue<QueueEntry, std::vector<QueueEntry>,
                       std::greater<QueueEntry>>
       frontier;
@@ -60,10 +58,8 @@ void dijkstra_impl(const Topology& topology, NodeId source,
       const double candidate = top.dist + nb.cost;
       if (candidate < dist[nb.node]) {
         dist[nb.node] = candidate;
-        if (first_hop != nullptr) {
-          (*first_hop)[nb.node] =
-              (top.node == source) ? nb.node : (*first_hop)[top.node];
-        }
+        first_hop[nb.node] =
+            (top.node == source) ? nb.node : first_hop[top.node];
         frontier.push(QueueEntry{candidate, nb.node});
       }
     }
@@ -307,17 +303,11 @@ void hop_counts_csr(const CsrAdjacency& adj, std::size_t n, NodeId source,
 
 }  // namespace
 
-std::vector<double> dijkstra(const Topology& topology, NodeId source) {
-  std::vector<double> dist;
-  dijkstra_impl(topology, source, dist, nullptr);
-  return dist;
-}
-
 std::vector<NodeId> dijkstra_next_hops(const Topology& topology,
                                        NodeId source) {
   std::vector<double> dist;
   std::vector<NodeId> hops;
-  dijkstra_impl(topology, source, dist, &hops);
+  dijkstra_impl(topology, source, dist, hops);
   return hops;
 }
 

@@ -93,11 +93,6 @@ CostMatrix all_pairs_shortest_paths(const Topology& topology);
 CostMatrix all_pairs_shortest_paths(const Topology& topology,
                                     runtime::ThreadPool& pool);
 
-/// Single-source Dijkstra; returns distances from `source` to every node
-/// (infinity for unreachable nodes). Exposed separately for routing in the
-/// discrete-event simulator.
-std::vector<double> dijkstra(const Topology& topology, NodeId source);
-
 /// Next-hop routing table entry for store-and-forward simulation: for each
 /// destination, the neighbor to forward to on a least-cost path.
 std::vector<NodeId> dijkstra_next_hops(const Topology& topology,

@@ -1,19 +1,16 @@
-// Ordered-result parallel map over an index range.
+// Parallel loop over an index range.
 //
-// parallel_map(pool, count, fn) evaluates fn(0) .. fn(count-1) on the
-// pool's workers and returns the results in index order, so replacing a
-// serial `for` loop that appends table rows changes nothing about the
-// output — only the wall clock. Work is split by static chunking
-// (static_chunks): contiguous index blocks, one per worker, computed up
-// front. Static chunking keeps the execution plan a pure function of
-// (count, jobs); combined with per-task RNG seeds derived from the task
-// index (sweep.hpp) it makes parallel output bit-identical to serial.
+// parallel_for(pool, count, body) runs body(0) .. body(count-1) on the
+// pool's workers. Work is split by static chunking (static_chunks):
+// contiguous index blocks, one per worker, computed up front. Static
+// chunking keeps the execution plan a pure function of (count, jobs);
+// combined with per-task RNG seeds derived from the task index
+// (sweep.hpp) and results written to per-index slots, it makes parallel
+// output bit-identical to serial.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <optional>
-#include <utility>
 #include <vector>
 
 #include "runtime/thread_pool.hpp"
@@ -39,38 +36,5 @@ std::vector<IndexRange> static_chunks(std::size_t count, std::size_t chunks);
 /// must not submit to or wait on the same pool.
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& body);
-
-/// Ordered parallel map: element i of the result is fn(i). `fn` must be
-/// callable concurrently from multiple threads; results are written to
-/// disjoint slots, so no synchronization is needed on the caller's side.
-template <typename Fn>
-auto parallel_map(ThreadPool& pool, std::size_t count, Fn&& fn)
-    -> std::vector<decltype(fn(std::size_t{0}))> {
-  using Result = decltype(fn(std::size_t{0}));
-  std::vector<std::optional<Result>> slots(count);
-  parallel_for(pool, count,
-               [&](std::size_t i) { slots[i].emplace(fn(i)); });
-  std::vector<Result> results;
-  results.reserve(count);
-  for (std::optional<Result>& slot : slots) {
-    results.push_back(std::move(*slot));
-  }
-  return results;
-}
-
-/// Serial fallback with the identical contract, used by the sweep runner
-/// when jobs == 1 so single-threaded runs pay no pool setup and behave
-/// byte-for-byte like the parallel path.
-template <typename Fn>
-auto serial_map(std::size_t count, Fn&& fn)
-    -> std::vector<decltype(fn(std::size_t{0}))> {
-  using Result = decltype(fn(std::size_t{0}));
-  std::vector<Result> results;
-  results.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    results.push_back(fn(i));
-  }
-  return results;
-}
 
 }  // namespace fap::runtime

@@ -11,10 +11,12 @@
 //     sweep(count, {.jobs = 1}, fn)  ==  sweep(count, {.jobs = 8}, fn)
 //
 // element for element, bit for bit — scheduling cannot be observed.
-// Results come back in task order; per-replication statistics reduce
-// through util::RunningStats::merge (parallel Welford), which is exact,
-// not approximate. When a MetricsSink is attached, each completed task
-// appends a JSONL record with its index, seed and wall-clock.
+// Results come back in task order, so per-replication statistics merged
+// in that order through util::RunningStats::merge (parallel Welford,
+// exact, not approximate) do not depend on the job count either (see
+// sim::run_des_replications). When a MetricsSink is attached, each
+// completed task appends a JSONL record with its index, seed and
+// wall-clock.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +29,6 @@
 #include "runtime/metrics.hpp"
 #include "runtime/parallel_for.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 
 namespace fap::runtime {
 
@@ -150,23 +151,6 @@ auto batch_sweep(std::size_t count, std::size_t width,
     }
   }
   return flat;
-}
-
-/// Replication reduction: runs `replications` tasks, each producing a
-/// RunningStats over its own observations, and merges them in index
-/// order. Chan/Welford merging is exact, so the reduced statistics are
-/// independent of the number of jobs.
-template <typename Fn>
-util::RunningStats replicate(std::size_t replications,
-                             const SweepOptions& options, Fn&& fn) {
-  const std::vector<util::RunningStats> parts =
-      sweep(replications, options,
-            [&fn](std::size_t i, std::uint64_t seed) { return fn(i, seed); });
-  util::RunningStats merged;
-  for (const util::RunningStats& part : parts) {
-    merged.merge(part);
-  }
-  return merged;
 }
 
 }  // namespace fap::runtime

@@ -51,9 +51,12 @@ TraceGenerator::TraceGenerator(TraceWorkload workload, std::size_t node_count)
       records_(base_),
       origins_(normalized_origin_mix(workload_, node_count)) {
   FAP_EXPECTS(nodes_ >= 1, "need at least one node");
-  FAP_EXPECTS(workload_.total_rate > 0.0, "total rate must be positive");
-  FAP_EXPECTS(workload_.drift_rate >= 0.0,
-              "drift rate must be non-negative");
+  FAP_EXPECTS(std::isfinite(workload_.total_rate) &&
+                  workload_.total_rate > 0.0,
+              "total rate must be finite and positive");
+  FAP_EXPECTS(std::isfinite(workload_.drift_rate) &&
+                  workload_.drift_rate >= 0.0,
+              "drift rate must be finite and non-negative");
   FAP_EXPECTS(workload_.update_fraction >= 0.0 &&
                   workload_.update_fraction <= 1.0,
               "update fraction must be a probability");
@@ -337,8 +340,9 @@ TraceServer::TraceServer(const net::Topology& topology,
               net::all_pairs_shortest_paths(topology)))) {
   FAP_EXPECTS(options_.mu > 0.0, "service rate must be positive");
   FAP_EXPECTS(options_.k >= 0.0, "delay weight must be non-negative");
-  FAP_EXPECTS(options_.hop_latency >= 0.0,
-              "hop latency must be non-negative");
+  FAP_EXPECTS(std::isfinite(options_.hop_latency) &&
+                  options_.hop_latency >= 0.0,
+              "hop latency must be finite and non-negative");
   FAP_EXPECTS(options_.estimation_epochs >= 1,
               "estimation windows span at least one epoch");
   FAP_EXPECTS(options_.hysteresis >= 0.0,
@@ -350,9 +354,6 @@ TraceServer::TraceServer(const net::Topology& topology,
   FAP_EXPECTS(options_.cache_fraction > 0.0 &&
                   options_.cache_fraction <= 1.0,
               "cache fraction must be in (0, 1]");
-  if (options_.hop_latency > 0.0) {
-    hops_ = net::route_hop_counts(topology);
-  }
   const std::vector<double> mix = normalized_origin_mix(workload_, n_);
   lambda_.resize(n_);
   for (std::size_t i = 0; i < n_; ++i) {
@@ -409,24 +410,18 @@ TraceServeResult TraceServer::serve(std::size_t total_requests) {
     lru_ = std::make_unique<LruCaches>(n_, workload_.records, capacity);
   }
 
+  // No node generates: route_request picks every target and its comm
+  // cost, so the engine needs no routing or comm-cost matrix.
   sim::DesConfig config;
   config.open_loop = true;
   config.lambda.assign(n_, 0.0);
   config.mu.assign(n_, options_.mu);
-  // Identity routing: targets are chosen here, not by the engine.
-  config.routing.assign(n_, std::vector<double>(n_, 0.0));
-  for (std::size_t i = 0; i < n_; ++i) {
-    config.routing[i][i] = 1.0;
-  }
-  config.comm_cost.resize(n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    const net::CostRow row = comm_->row(i);
-    config.comm_cost[i].assign(row.data(), row.data() + n_);
-  }
   config.k = options_.k;
   config.service = options_.service;
   config.hop_latency = options_.hop_latency;
-  config.route_hops = hops_;
+  if (options_.hop_latency > 0.0) {
+    config.route_hops = net::route_hop_counts(topology_);
+  }
   config.record_log = options_.mode == ServeMode::kOnline;
   // Completion-time window attribution: the union of the estimation
   // windows is an exact partition of all completions, so the cumulative

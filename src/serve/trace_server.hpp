@@ -255,8 +255,9 @@ struct TraceServeResult {
 
 class TraceServer {
  public:
-  /// The topology reference must outlive the server. Routing costs (and
-  /// hop counts, when options.hop_latency > 0) are computed here once.
+  /// The topology reference must outlive the server. Routing costs are
+  /// computed here once; hop counts (when options.hop_latency > 0) are
+  /// computed by each serve() call.
   TraceServer(const net::Topology& topology, TraceWorkload workload,
               TraceServeOptions options);
   ~TraceServer();
@@ -292,7 +293,6 @@ class TraceServer {
   TraceServeOptions options_;
   std::size_t n_ = 0;
   std::shared_ptr<const net::CostProvider> comm_;
-  std::vector<std::vector<std::size_t>> hops_;
   std::vector<double> lambda_;  ///< placement-model per-node rates
 
   std::unique_ptr<fs::FragmentMap> initial_;

@@ -34,9 +34,12 @@ struct DesConfig {
   std::vector<double> lambda;  ///< per-node access generation rates
   std::vector<double> mu;      ///< per-node service rates
   /// routing[j][i]: probability node j's access is served at node i
-  /// (rows must sum to ~1).
+  /// (rows must sum to ~1). Read only to route generated accesses, so it
+  /// may be empty when no node generates (all lambda zero).
   std::vector<std::vector<double>> routing;
-  /// comm_cost[j][i]: communication cost of one access j -> i.
+  /// comm_cost[j][i]: communication cost of one access j -> i. Required
+  /// with `routing` (and by DesSystem::set_routing); may be empty when no
+  /// node generates — injected accesses carry their own cost.
   std::vector<std::vector<double>> comm_cost;
   double k = 1.0;  ///< delay weight in the measured cost
 

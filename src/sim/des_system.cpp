@@ -22,9 +22,14 @@
 //     frees the queued/active slots, and any in-flight departure event
 //     carrying the stale epoch is discarded before it can touch the slab
 //     (so slot reuse can never resurrect a lost job).
+//   * Routing cells — a generate event finds its target and comm cost in
+//     one 32-byte AliasCell of a flat n*n table, filled row by row through
+//     one scratch AliasSampler. Only generate events read it, so a config
+//     in which no node generates (open-loop serving) builds no table and
+//     may leave DesConfig::routing and comm_cost empty.
 //
-// Steady state allocates nothing: the heap, slab, rings and window
-// buffers grow during warm-up and are reused thereafter — including
+// Steady state allocates nothing: the heap, slab, rings, routing cells and
+// window buffers grow during warm-up and are reused thereafter — including
 // across runs via restart(), which re-seeds the engine bit-equivalently
 // to fresh construction without releasing storage.
 //
@@ -274,17 +279,17 @@ struct Server {
   std::vector<std::uint32_t> active;
 };
 
+/// Checks the rates. The routing and comm-cost matrices are checked where
+/// the routing cells are built (Impl::rebuild_routing), which happens only
+/// when some node generates.
 void validate_config(const DesConfig& config) {
   const std::size_t n = config.lambda.size();
   FAP_EXPECTS(n >= 1, "need at least one node");
   FAP_EXPECTS(config.mu.size() == n, "mu size mismatch");
-  FAP_EXPECTS(config.routing.size() == n, "routing size mismatch");
-  FAP_EXPECTS(config.comm_cost.size() == n, "comm cost size mismatch");
   for (std::size_t j = 0; j < n; ++j) {
-    FAP_EXPECTS(config.lambda[j] >= 0.0, "rates must be non-negative");
+    FAP_EXPECTS(std::isfinite(config.lambda[j]) && config.lambda[j] >= 0.0,
+                "rates must be finite and non-negative");
     FAP_EXPECTS(config.mu[j] > 0.0, "service rates must be positive");
-    FAP_EXPECTS(config.routing[j].size() == n, "routing row size mismatch");
-    FAP_EXPECTS(config.comm_cost[j].size() == n, "comm row size mismatch");
   }
 }
 
@@ -297,7 +302,6 @@ struct DesSystem::Impl {
   /// In-order injected accesses, ascending in (time, seq); see the header.
   Ring<InjectedAccess> arrivals;
   std::uint64_t seq = 0;
-  std::vector<AliasSampler> samplers;
   std::vector<Server> servers;
   JobSlab jobs;
   std::gamma_distribution<double> gamma;
@@ -320,22 +324,27 @@ struct DesSystem::Impl {
     std::uint32_t alias = 0;
     std::uint32_t pad = 0;
   };
-  /// Row-major n*n flattened mirror of the per-source alias tables and
-  /// comm costs. The nested config matrices scatter every row behind its
-  /// own allocation; the event loop probes this contiguous copy instead
-  /// (refreshed by restart / set_routing).
+  /// Row-major n*n per-source alias tables with their comm costs. The
+  /// nested config matrices scatter every row behind its own allocation;
+  /// the event loop probes this contiguous table instead. Only kGenerate
+  /// events read it, so restart builds it only when some node generates;
+  /// set_routing rebuilds it.
   std::vector<AliasCell> alias_cells;
+  /// Scratch table each routing row is built in before its cells are
+  /// filled. AliasSampler::rebuild does not depend on the previous row.
+  AliasSampler row_sampler{std::vector<double>{1.0}};
 
   explicit Impl(DesConfig cfg) { restart(std::move(cfg)); }
 
   /// Full deterministic re-initialization: after restart(cfg) the engine
   /// is in exactly the state Impl(cfg) would produce — same RNG stream,
-  /// same seeded generate events — but the heap, slab, rings and sampler
-  /// tables keep their grown capacity. Throws (without leaking) on an
+  /// same seeded generate events — but the heap, slab, rings and routing
+  /// cells keep their grown capacity. Throws (without leaking) on an
   /// invalid config; the engine must then be restarted again before use.
   void restart(DesConfig cfg) {
     validate_config(cfg);
-    FAP_EXPECTS(cfg.hop_latency >= 0.0, "hop latency must be non-negative");
+    FAP_EXPECTS(std::isfinite(cfg.hop_latency) && cfg.hop_latency >= 0.0,
+                "hop latency must be finite and non-negative");
     if (!cfg.route_hops.empty()) {
       FAP_EXPECTS(cfg.route_hops.size() == cfg.lambda.size(),
                   "route hop matrix size mismatch");
@@ -361,7 +370,6 @@ struct DesSystem::Impl {
     seq = 0;
     total_completions = 0;
     jobs.clear();
-    rebuild_samplers(config.routing);
     servers.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       servers[i].capacity =
@@ -389,35 +397,30 @@ struct DesSystem::Impl {
     }
     FAP_EXPECTS(config.open_loop || !events.empty(),
                 "at least one node must generate accesses");
+    if (!events.empty()) {
+      rebuild_routing(config.routing);
+    }
   }
 
-  void rebuild_samplers(const std::vector<std::vector<double>>& routing) {
-    FAP_EXPECTS(routing.size() == config.lambda.size(),
-                "routing size mismatch");
-    // Rebuild each sampler's tables in place (no vector churn); trim or
-    // grow only when the node count itself changed.
-    if (samplers.size() > routing.size()) {
-      samplers.erase(samplers.begin() +
-                         static_cast<std::ptrdiff_t>(routing.size()),
-                     samplers.end());
+  /// Builds alias_cells from `routing` and config.comm_cost, both of which
+  /// must be n x n. Every row is validated before any cell changes, so a
+  /// malformed routing throws with the deployed mix intact.
+  void rebuild_routing(const std::vector<std::vector<double>>& routing) {
+    const std::size_t n = config.lambda.size();
+    FAP_EXPECTS(routing.size() == n, "routing size mismatch");
+    FAP_EXPECTS(config.comm_cost.size() == n, "comm cost size mismatch");
+    for (std::size_t j = 0; j < n; ++j) {
+      FAP_EXPECTS(routing[j].size() == n, "routing row size mismatch");
+      FAP_EXPECTS(config.comm_cost[j].size() == n, "comm row size mismatch");
+      row_sampler.rebuild(routing[j]);
     }
-    for (std::size_t j = 0; j < routing.size(); ++j) {
-      FAP_EXPECTS(routing[j].size() == config.lambda.size(),
-                  "routing row size mismatch");
-      if (j < samplers.size()) {
-        samplers[j].rebuild(routing[j]);
-      } else {
-        samplers.emplace_back(routing[j]);
-      }
-    }
-    // Mirror the rebuilt tables into the flattened probe copy. The comm
-    // costs come along so the generate handler never touches the nested
-    // config matrix (comm_cost never changes outside restart()).
-    const std::size_t n = routing.size();
+    // The comm costs come along so the generate handler never touches the
+    // nested config matrix (comm_cost never changes outside restart()).
     alias_cells.resize(n * n);
     for (std::size_t j = 0; j < n; ++j) {
-      const std::vector<double>& accept = samplers[j].acceptance();
-      const std::vector<std::size_t>& alias = samplers[j].alias();
+      row_sampler.rebuild(routing[j]);
+      const std::vector<double>& accept = row_sampler.acceptance();
+      const std::vector<std::size_t>& alias = row_sampler.alias();
       for (std::size_t b = 0; b < n; ++b) {
         AliasCell& cell = alias_cells[j * n + b];
         cell.accept = accept[b];
@@ -518,8 +521,7 @@ void DesSystem::restart(DesConfig config) {
 }
 
 void DesSystem::set_routing(const std::vector<std::vector<double>>& routing) {
-  impl_->rebuild_samplers(routing);
-  impl_->config.routing = routing;
+  impl_->rebuild_routing(routing);
 }
 
 void DesSystem::inject_access(double time, std::size_t source,

@@ -83,7 +83,7 @@ class DesSystem {
   /// Re-initializes the engine for `config` exactly as constructing a
   /// fresh DesSystem(config) would — same RNG stream, same event
   /// sequence, bit-identical statistics — but reuses the already-grown
-  /// event heap, arrival stream, job slab, queue rings, sampler tables
+  /// event heap, arrival stream, job slab, queue rings, routing cells
   /// and window buffers, so a warmed engine replays configuration after
   /// configuration with zero steady-state allocation (this is how
   /// run_des_replications recycles one engine per worker thread).
@@ -97,7 +97,9 @@ class DesSystem {
 
   /// Deploys a new routing mix (e.g. a freshly optimized allocation).
   /// Takes effect for accesses generated after the call; queued work is
-  /// unaffected, exactly as in a real system.
+  /// unaffected, exactly as in a real system. Needs the config's n x n
+  /// comm_cost matrix; a malformed routing throws and leaves the deployed
+  /// mix in place.
   void set_routing(const std::vector<std::vector<double>>& routing);
 
   /// Fails (or repairs) a node. Accesses routed to a failed node are lost

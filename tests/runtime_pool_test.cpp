@@ -117,16 +117,6 @@ TEST(StaticChunks, DegenerateCases) {
   EXPECT_EQ(fewer[1].size(), 1u);
 }
 
-TEST(ParallelMap, ResultsAreOrderedByIndex) {
-  ThreadPool pool(4);
-  const std::vector<std::size_t> out = fap::runtime::parallel_map(
-      pool, 100, [](std::size_t i) { return i * i; });
-  ASSERT_EQ(out.size(), 100u);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], i * i);
-  }
-}
-
 TEST(ParallelFor, VisitsEachIndexExactlyOnce) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> visits(64);

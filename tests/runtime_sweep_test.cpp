@@ -110,28 +110,6 @@ TEST(Sweep, Fig6StyleWorkloadIsBitIdenticalAcrossJobCounts) {
   }
 }
 
-TEST(Replicate, MergesExactlyAcrossJobCounts) {
-  const auto sample = [](std::size_t, std::uint64_t seed) {
-    fap::util::Rng rng(seed);
-    fap::util::RunningStats stats;
-    for (int i = 0; i < 1000; ++i) {
-      stats.add(rng.normal(5.0, 2.0));
-    }
-    return stats;
-  };
-  const fap::util::RunningStats serial =
-      fap::runtime::replicate(6, options_with_jobs(1), sample);
-  const fap::util::RunningStats parallel =
-      fap::runtime::replicate(6, options_with_jobs(8), sample);
-  EXPECT_EQ(serial.count(), 6000u);
-  EXPECT_EQ(serial.count(), parallel.count());
-  EXPECT_EQ(serial.mean(), parallel.mean());
-  EXPECT_EQ(serial.variance(), parallel.variance());
-  EXPECT_EQ(serial.min(), parallel.min());
-  EXPECT_EQ(serial.max(), parallel.max());
-  EXPECT_NEAR(serial.mean(), 5.0, 0.1);
-}
-
 TEST(RunDesReplications, DeterministicAcrossJobCountsAndNearAnalytic) {
   const fap::core::SingleFileModel model(
       fap::core::make_paper_ring_problem());

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -145,6 +146,22 @@ TEST(TraceGenerator, RejectsBadWorkloads) {
   bad = small_workload();
   bad.flash_crowds.push_back({0.0, 1.0, 1900, 2100, 10.0});
   EXPECT_THROW(TraceGenerator(bad, 4), fap::util::PreconditionError);
+  const double inf = std::numeric_limits<double>::infinity();
+  bad = small_workload();
+  bad.total_rate = inf;  // every request would land at t = 0
+  EXPECT_THROW(TraceGenerator(bad, 4), fap::util::PreconditionError);
+  bad = small_workload();
+  bad.drift_rate = inf;  // the rank shift would be a NaN cast to size_t
+  EXPECT_THROW(TraceGenerator(bad, 4), fap::util::PreconditionError);
+}
+
+TEST(TraceServer, RejectsNonFiniteHopLatency) {
+  // Served, it would report a NaN mean delay and an infinite span.
+  const fap::net::Topology ring = fap::net::make_ring(4);
+  TraceServeOptions options;
+  options.hop_latency = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(TraceServer(ring, small_workload(), options),
+               fap::util::PreconditionError);
 }
 
 TEST(TraceServer, ServeIsDeterministic) {

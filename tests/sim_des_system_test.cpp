@@ -183,6 +183,31 @@ TEST(DesSystem, RejectsBadRewiring) {
   EXPECT_THROW(system.set_routing(std::vector<std::vector<double>>(
                    4, std::vector<double>{0.5, 0.0, 0.0, 0.0})),
                fap::util::PreconditionError);
+  // Only the last row is malformed; the rows before it must not deploy.
+  std::vector<std::vector<double>> last_row_bad(
+      4, std::vector<double>{0.0, 0.0, 1.0, 0.0});
+  last_row_bad[3] = {0.5, 0.0, 0.0, 0.0};
+  EXPECT_THROW(system.set_routing(last_row_bad),
+               fap::util::PreconditionError);
+  sim::DesSystem untouched(paper_config({0.25, 0.25, 0.25, 0.25}));
+  system.advance_completions(2000);
+  untouched.advance_completions(2000);
+  EXPECT_EQ(system.now(), untouched.now());
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(system.window().node[i].arrivals,
+              untouched.window().node[i].arrivals)
+        << "node " << i;
+  }
+  EXPECT_EQ(system.window().comm_cost.sum(),
+            untouched.window().comm_cost.sum());
+  // An engine in which no node generates needs no matrices, but a routing
+  // mix cannot be deployed without the comm costs that go with it.
+  sim::DesConfig open_loop;
+  open_loop.open_loop = true;
+  open_loop.lambda = {0.0};
+  open_loop.mu = {1.0};
+  sim::DesSystem matrix_free(open_loop);
+  EXPECT_THROW(matrix_free.set_routing({{1.0}}), fap::util::PreconditionError);
 }
 
 TEST(DesSystem, DefaultEventBudgetMatchesHistoricalValue) {
@@ -243,6 +268,14 @@ sim::DesConfig open_loop_ring_config() {
   config.record_log = true;
   config.window_by_completion = true;
   config.seed = 2024;
+  return config;
+}
+
+/// `config` without the routing and comm-cost matrices, which an engine
+/// in which no node generates never reads.
+sim::DesConfig without_matrices(sim::DesConfig config) {
+  config.routing.clear();
+  config.comm_cost.clear();
   return config;
 }
 
@@ -330,33 +363,40 @@ void expect_window_pin(const sim::WindowStats& window, const WindowPin& pin) {
 // arrivals; node 2 fails with accesses queued and in flight towards it,
 // then recovers; the window is harvested and reset halfway. The
 // (time, seq) event order fixes every statistic, so any engine layout
-// must reproduce these values bit for bit.
+// must reproduce these values bit for bit — with the config's routing and
+// comm-cost matrices and without them.
 TEST(DesSystem, OpenLoopGoldenPin) {
   constexpr std::size_t kAccesses = 20000;
-  sim::DesSystem system(open_loop_ring_config());
-  fap::util::Rng script(77);
-  double time = inject_script(system, script, 0, 6144, 0.0);
-  system.set_node_failed(2, true);
-  time = inject_script(system, script, 6144, 7168, time);
-  system.set_node_failed(2, false);
-  time = inject_script(system, script, 7168, 10240, time);
-  const sim::WindowStats& first = system.window();
-  const std::size_t first_served = first.completions + first.failed_accesses;
-  expect_window_pin(first, {9941, 267, {2535, 2504, 2384, 2551},
-                            0x40c3a14d2b0d0846ULL, 0x400be9f953ae051bULL,
-                            0x4010197f454887baULL, 0x4005619de933fd62ULL,
-                            0x40389e97dc3a2c8eULL, 0xd8daf4dd87e072a5ULL});
-  system.reset_window();
-  inject_script(system, script, 10240, kAccesses, time);
-  drain(system);
-  const sim::WindowStats& second = system.window();
-  expect_window_pin(second, {9792, 0, {2434, 2366, 2506, 2458},
-                             0x40c2f147a565dbf8ULL, 0x401014aa8c1d08c7ULL,
-                             0x401237e34f2783afULL, 0x40071e9300a24c06ULL,
-                             0x403a27692da90e59ULL, 0xf1ffe672915151bcULL});
-  // Completion-time windows partition every injected access.
-  EXPECT_EQ(first_served + second.completions + second.failed_accesses,
-            kAccesses);
+  for (const sim::DesConfig& config :
+       {open_loop_ring_config(), without_matrices(open_loop_ring_config())}) {
+    SCOPED_TRACE(config.routing.empty() ? "without matrices"
+                                        : "with matrices");
+    sim::DesSystem system(config);
+    fap::util::Rng script(77);
+    double time = inject_script(system, script, 0, 6144, 0.0);
+    system.set_node_failed(2, true);
+    time = inject_script(system, script, 6144, 7168, time);
+    system.set_node_failed(2, false);
+    time = inject_script(system, script, 7168, 10240, time);
+    const sim::WindowStats& first = system.window();
+    const std::size_t first_served =
+        first.completions + first.failed_accesses;
+    expect_window_pin(first, {9941, 267, {2535, 2504, 2384, 2551},
+                              0x40c3a14d2b0d0846ULL, 0x400be9f953ae051bULL,
+                              0x4010197f454887baULL, 0x4005619de933fd62ULL,
+                              0x40389e97dc3a2c8eULL, 0xd8daf4dd87e072a5ULL});
+    system.reset_window();
+    inject_script(system, script, 10240, kAccesses, time);
+    drain(system);
+    const sim::WindowStats& second = system.window();
+    expect_window_pin(second, {9792, 0, {2434, 2366, 2506, 2458},
+                               0x40c2f147a565dbf8ULL, 0x401014aa8c1d08c7ULL,
+                               0x401237e34f2783afULL, 0x40071e9300a24c06ULL,
+                               0x403a27692da90e59ULL, 0xf1ffe672915151bcULL});
+    // Completion-time windows partition every injected access.
+    EXPECT_EQ(first_served + second.completions + second.failed_accesses,
+              kAccesses);
+  }
 }
 
 TEST(DesSystem, RejectsNonFiniteOpenLoopTimes) {
@@ -387,6 +427,22 @@ void expect_same_stats(const fap::util::RunningStats& a,
   EXPECT_EQ(a.variance(), b.variance()) << what;
 }
 
+void expect_same_window(const sim::WindowStats& a, const sim::WindowStats& b) {
+  EXPECT_EQ(a.completions, b.completions);
+  EXPECT_EQ(a.failed_accesses, b.failed_accesses);
+  expect_same_stats(a.comm_cost, b.comm_cost, "comm_cost");
+  expect_same_stats(a.sojourn, b.sojourn, "sojourn");
+  expect_same_stats(a.response_time, b.response_time, "response_time");
+  EXPECT_EQ(a.response_hist.quantile(0.5), b.response_hist.quantile(0.5));
+  EXPECT_EQ(a.response_hist.quantile(0.99), b.response_hist.quantile(0.99));
+  ASSERT_EQ(a.node.size(), b.node.size());
+  for (std::size_t i = 0; i < a.node.size(); ++i) {
+    EXPECT_EQ(a.node[i].arrivals, b.node[i].arrivals) << "node " << i;
+    EXPECT_EQ(a.node[i].busy_time, b.node[i].busy_time) << "node " << i;
+  }
+  EXPECT_EQ(log_digest(a.log), log_digest(b.log));
+}
+
 TEST(DesSystem, RestartDiscardsInjectedAccessesInFlight) {
   const sim::DesConfig config = open_loop_ring_config();
   sim::DesSystem recycled(config);
@@ -409,22 +465,41 @@ TEST(DesSystem, RestartDiscardsInjectedAccessesInFlight) {
     drain(*system);
   }
   EXPECT_EQ(recycled.now(), fresh.now());
-  const sim::WindowStats& a = recycled.window();
-  const sim::WindowStats& b = fresh.window();
-  EXPECT_EQ(a.completions, b.completions);
-  EXPECT_EQ(a.completions, 3000u);
-  EXPECT_EQ(a.failed_accesses, b.failed_accesses);
-  expect_same_stats(a.comm_cost, b.comm_cost, "comm_cost");
-  expect_same_stats(a.sojourn, b.sojourn, "sojourn");
-  expect_same_stats(a.response_time, b.response_time, "response_time");
-  EXPECT_EQ(a.response_hist.quantile(0.5), b.response_hist.quantile(0.5));
-  EXPECT_EQ(a.response_hist.quantile(0.99), b.response_hist.quantile(0.99));
-  ASSERT_EQ(a.node.size(), b.node.size());
-  for (std::size_t i = 0; i < a.node.size(); ++i) {
-    EXPECT_EQ(a.node[i].arrivals, b.node[i].arrivals) << "node " << i;
-    EXPECT_EQ(a.node[i].busy_time, b.node[i].busy_time) << "node " << i;
+  EXPECT_EQ(recycled.window().completions, 3000u);
+  expect_same_window(recycled.window(), fresh.window());
+}
+
+/// Injected accesses, served to completion, for an open-loop config; 300
+/// time units of generated traffic otherwise.
+void run_script(sim::DesSystem& system, const sim::DesConfig& config) {
+  if (config.open_loop) {
+    fap::util::Rng script(9);
+    inject_script(system, script, 0, 3000, 0.0);
+    drain(system);
+  } else {
+    system.advance_until(300.0);
   }
-  EXPECT_EQ(log_digest(a.log), log_digest(b.log));
+}
+
+TEST(DesSystem, RestartsBetweenConfigsWithAndWithoutMatrices) {
+  // A generating config builds the routing cells; an open-loop config
+  // without matrices builds none. The last leg routes differently from
+  // the first, so cells left over from it would show.
+  sim::DesConfig generating = paper_config({0.1, 0.2, 0.3, 0.4});
+  generating.record_log = true;
+  const sim::DesConfig matrix_free = without_matrices(open_loop_ring_config());
+  sim::DesSystem recycled(paper_config({0.25, 0.25, 0.25, 0.25}));
+  recycled.advance_until(100.0);
+  for (const sim::DesConfig& config : {matrix_free, generating}) {
+    SCOPED_TRACE(config.open_loop ? "without matrices" : "with matrices");
+    recycled.restart(config);
+    sim::DesSystem fresh(config);
+    run_script(recycled, config);
+    run_script(fresh, config);
+    EXPECT_EQ(recycled.now(), fresh.now());
+    EXPECT_GT(recycled.window().completions, 0u);
+    expect_same_window(recycled.window(), fresh.window());
+  }
 }
 
 }  // namespace

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/ring_model.hpp"
 #include "core/single_file.hpp"
 #include "queueing/delay.hpp"
+#include "sim/des_system.hpp"
 #include "util/contracts.hpp"
 
 namespace {
@@ -177,9 +179,18 @@ TEST(Des, RejectsMalformedConfigs) {
   config = single_queue_config(0.5, 1.5);
   config.mu = {0.0};
   EXPECT_THROW(sim::run_des(config), fap::util::PreconditionError);
+  // A generating node needs both the routing and the comm-cost matrix.
   config = single_queue_config(0.5, 1.5);
   config.comm_cost = {};
   EXPECT_THROW(sim::run_des(config), fap::util::PreconditionError);
+  config = single_queue_config(0.5, 1.5);
+  config.routing = {};
+  EXPECT_THROW(sim::run_des(config), fap::util::PreconditionError);
+  // Constructed, not run: an infinite rate schedules every generation at
+  // t = 0, so a run would grow the event heap without bound.
+  config = single_queue_config(0.5, 1.5);
+  config.lambda = {std::numeric_limits<double>::infinity()};
+  EXPECT_THROW(sim::DesSystem{config}, fap::util::PreconditionError);
 }
 
 }  // namespace

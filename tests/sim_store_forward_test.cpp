@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/single_file.hpp"
 #include "net/generators.hpp"
@@ -108,6 +109,10 @@ TEST(StoreForward, RejectsBadConfig) {
   EXPECT_THROW(sim::run_des(config), fap::util::PreconditionError);
   config = ring_config(0.1);
   config.route_hops.pop_back();
+  EXPECT_THROW(sim::run_des(config), fap::util::PreconditionError);
+  // Remote accesses would arrive at t = inf and silently drop out of the
+  // statistics.
+  config = ring_config(std::numeric_limits<double>::infinity());
   EXPECT_THROW(sim::run_des(config), fap::util::PreconditionError);
 }
 
