@@ -332,8 +332,8 @@ std::vector<std::vector<std::size_t>> route_hop_counts(
   const CsrAdjacency adj(topology);
   std::vector<std::vector<std::size_t>> hops(n);
   runtime::parallel_for(pool, n, [&](std::size_t source) {
-    // Per-worker scratch: parallel_for runs contiguous index chunks on one
-    // worker each, so the buffers warm up once per worker, not per source.
+    // Per-worker scratch: each worker runs many sources in turn, so the
+    // buffers warm up once per worker, not per source.
     thread_local std::vector<double> dist;
     thread_local std::vector<HopEntry> heap;
     hop_counts_csr(adj, n, source, dist, hops[source], heap);

@@ -1,35 +1,22 @@
 #include "runtime/parallel_for.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 namespace fap::runtime {
 
-std::vector<IndexRange> static_chunks(std::size_t count, std::size_t chunks) {
-  std::vector<IndexRange> ranges;
-  if (count == 0) {
-    return ranges;
-  }
-  const std::size_t parts = std::max<std::size_t>(1, std::min(chunks, count));
-  const std::size_t base = count / parts;
-  const std::size_t remainder = count % parts;
-  ranges.reserve(parts);
-  std::size_t begin = 0;
-  for (std::size_t p = 0; p < parts; ++p) {
-    const std::size_t size = base + (p < remainder ? 1 : 0);
-    ranges.push_back({begin, begin + size});
-    begin += size;
-  }
-  return ranges;
-}
-
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& body) {
-  // One task per chunk, not per index: a sweep point is usually orders of
-  // magnitude heavier than the queue round-trip, but benches with dozens
-  // of cheap points should not pay dozens of enqueues either.
-  for (const IndexRange& range : static_chunks(count, pool.size())) {
-    pool.submit([&body, range] {
-      for (std::size_t i = range.begin; i < range.end; ++i) {
+  // One task per worker, not per index: each claims the next unclaimed
+  // index as it frees up, so a worker that drew heavy indices never holds
+  // back light ones queued behind them, and a sweep of many cheap points
+  // pays one enqueue per worker rather than one per point.
+  std::atomic<std::size_t> next{0};
+  const std::size_t workers = std::min(pool.size(), count);
+  for (std::size_t w = 0; w < workers; ++w) {
+    pool.submit([&body, &next, count] {
+      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+           i < count; i = next.fetch_add(1, std::memory_order_relaxed)) {
         body(i);
       }
     });

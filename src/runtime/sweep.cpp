@@ -1,5 +1,6 @@
 #include "runtime/sweep.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "util/rng.hpp"
@@ -72,7 +73,9 @@ void run_sweep(std::size_t count, const SweepOptions& options,
     }
     return;
   }
-  ThreadPool pool(jobs);
+  // No more workers than tasks: a short sweep under --jobs 0 on a wide
+  // host would otherwise start and join threads that never get work.
+  ThreadPool pool(std::min(jobs, count));
   parallel_for(pool, count, run_task);
 }
 

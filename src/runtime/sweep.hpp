@@ -71,8 +71,10 @@ class TaskSeedSequence {
 std::size_t resolve_jobs(std::size_t jobs);
 
 /// Type-erased core: runs body(i, task_seed(base_seed, i)) for all
-/// i in [0, count), serially when resolve_jobs(options.jobs) == 1 and on
-/// a fresh ThreadPool otherwise, recording metrics per task if attached.
+/// i in [0, count), serially when resolve_jobs(options.jobs) == 1 or
+/// count <= 1, and otherwise on a fresh ThreadPool of
+/// min(resolve_jobs(options.jobs), count) workers, recording metrics per
+/// task if attached.
 /// Exceptions from `body` propagate to the caller (first one wins).
 void run_sweep(std::size_t count, const SweepOptions& options,
                const std::function<void(std::size_t, std::uint64_t)>& body);

@@ -16,7 +16,6 @@
 
 namespace {
 
-using fap::runtime::IndexRange;
 using fap::runtime::MetricsRecord;
 using fap::runtime::MetricsSink;
 using fap::runtime::ThreadPool;
@@ -95,36 +94,40 @@ TEST(ThreadPool, TasksRunConcurrentlyAcrossWorkers) {
   EXPECT_EQ(arrivals.load(), 2);
 }
 
-TEST(StaticChunks, CoversRangeInOrderWithBalancedSizes) {
-  const std::vector<IndexRange> chunks = fap::runtime::static_chunks(10, 3);
-  ASSERT_EQ(chunks.size(), 3u);
-  EXPECT_EQ(chunks[0].size(), 4u);  // 10 = 4 + 3 + 3
-  EXPECT_EQ(chunks[1].size(), 3u);
-  EXPECT_EQ(chunks[2].size(), 3u);
-  std::size_t expected_begin = 0;
-  for (const IndexRange& chunk : chunks) {
-    EXPECT_EQ(chunk.begin, expected_begin);
-    expected_begin = chunk.end;
-  }
-  EXPECT_EQ(expected_begin, 10u);
-}
-
-TEST(StaticChunks, DegenerateCases) {
-  EXPECT_TRUE(fap::runtime::static_chunks(0, 4).empty());
-  const std::vector<IndexRange> fewer = fap::runtime::static_chunks(2, 8);
-  ASSERT_EQ(fewer.size(), 2u);  // never emits empty ranges
-  EXPECT_EQ(fewer[0].size(), 1u);
-  EXPECT_EQ(fewer[1].size(), 1u);
-}
-
 TEST(ParallelFor, VisitsEachIndexExactlyOnce) {
   ThreadPool pool(3);
-  std::vector<std::atomic<int>> visits(64);
-  fap::runtime::parallel_for(pool, 64,
-                             [&](std::size_t i) { visits[i].fetch_add(1); });
-  for (const std::atomic<int>& count : visits) {
-    EXPECT_EQ(count.load(), 1);
+  for (const std::size_t count : {std::size_t{0}, std::size_t{2},
+                                  std::size_t{64}}) {
+    std::vector<std::atomic<int>> visits(count);
+    fap::runtime::parallel_for(pool, count,
+                               [&](std::size_t i) { visits[i].fetch_add(1); });
+    for (const std::atomic<int>& visit : visits) {
+      EXPECT_EQ(visit.load(), 1) << "count " << count;
+    }
   }
+}
+
+TEST(ParallelFor, IdleWorkerClaimsRemainingIndices) {
+  // Index 0 blocks its worker until every other index has run, so the
+  // loop finishes only if the second worker claims indices 1-7 itself; a
+  // schedule fixed up front that queues 1-3 behind 0 on one worker fails.
+  ThreadPool pool(2);
+  constexpr std::size_t kCount = 8;
+  std::atomic<std::size_t> others_done{0};
+  fap::runtime::parallel_for(pool, kCount, [&](std::size_t i) {
+    if (i != 0) {
+      others_done.fetch_add(1);
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (others_done.load() < kCount - 1) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "indices 1-7 never ran while index 0 held its worker";
+      std::this_thread::yield();
+    }
+  });
+  EXPECT_EQ(others_done.load(), kCount - 1);
 }
 
 TEST(MetricsSink, WritesOneValidJsonLinePerRecord) {
