@@ -195,8 +195,8 @@ core::detail::BatchSoA make_kernel_bench_soa(std::size_t lanes) {
   for (util::AlignedVector* v :
        {&soa.lane_tr, &soa.lane_k, &soa.lane_scv, &soa.lane_rho,
         &soa.lane_nd, &soa.lane_dynd, &soa.lane_alpha_opt,
-        &soa.lane_safety, &soa.sum_full, &soa.avg_full, &soa.alpha,
-        &soa.lo, &soa.hi, &soa.theta}) {
+        &soa.sum_full, &soa.avg_full, &soa.alpha, &soa.lo, &soa.hi,
+        &soa.theta}) {
     v->assign(stride, 0.0);
   }
   soa.pinc.assign(stride, 0u);
@@ -215,7 +215,6 @@ core::detail::BatchSoA make_kernel_bench_soa(std::size_t lanes) {
     soa.lane_rho[k] = 1.0;
     soa.lane_nd[k] = static_cast<double>(kStepBenchNodes);
     soa.lane_alpha_opt[k] = step_bench_options(k).alpha;
-    soa.lane_safety[k] = 1.0;
   }
   return soa;
 }

@@ -89,6 +89,13 @@ std::vector<double> project_capped_simplex(const std::vector<double>& v,
 
 namespace {
 
+// Armijo backtracking: each iteration tries kInitialStep first and
+// shrinks it by kBacktrack until the projected step decreases the cost by
+// at least kArmijoC times the directional derivative.
+constexpr double kInitialStep = 1.0;
+constexpr double kBacktrack = 0.5;
+constexpr double kArmijoC = 1e-4;
+
 // Project each constraint group's coordinates onto its (possibly capped)
 // scaled simplex.
 std::vector<double> project_groups(const core::CostModel& model,
@@ -134,8 +141,6 @@ ProjectedGradientResult projected_gradient_solve(
     const ProjectedGradientOptions& options) {
   FAP_EXPECTS(initial.size() == model.dimension(),
               "initial point has wrong dimension");
-  FAP_EXPECTS(options.backtrack > 0.0 && options.backtrack < 1.0,
-              "backtrack factor must be in (0, 1)");
 
   ProjectedGradientResult result;
   result.x = project_groups(model, std::move(initial));
@@ -143,7 +148,7 @@ ProjectedGradientResult projected_gradient_solve(
 
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     const std::vector<double> grad = model.gradient(result.x);
-    double step = options.initial_step;
+    double step = kInitialStep;
     std::vector<double> candidate;
     double candidate_cost = cost;
     bool accepted = false;
@@ -161,11 +166,11 @@ ProjectedGradientResult projected_gradient_solve(
       }
       // Sufficient decrease relative to the directional derivative.
       if (candidate_cost <=
-          cost + options.armijo_c * dot(grad, direction)) {
+          cost + kArmijoC * dot(grad, direction)) {
         accepted = true;
         break;
       }
-      step *= options.backtrack;
+      step *= kBacktrack;
     }
     if (!accepted) {
       // No descent step found: we are at a stationary point numerically.

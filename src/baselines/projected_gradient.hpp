@@ -17,10 +17,7 @@
 namespace fap::baselines {
 
 struct ProjectedGradientOptions {
-  double initial_step = 1.0;
-  double backtrack = 0.5;      ///< step shrink factor in the Armijo loop
-  double armijo_c = 1e-4;      ///< sufficient-decrease constant
-  double tol = 1e-10;          ///< stop when the iterate moves less than this
+  double tol = 1e-10;  ///< stop when the iterate moves less than this
   std::size_t max_iterations = 20000;
 };
 

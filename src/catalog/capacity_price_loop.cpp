@@ -16,30 +16,16 @@ constexpr double kMinBudget = 1e-12;
 }  // namespace
 
 CapacityPriceLoop::CapacityPriceLoop(std::vector<double> capacity,
-                                     CapacityPriceLoopOptions options)
-    : capacity_(std::move(capacity)), options_(options) {
+                                     double price_scale)
+    : capacity_(std::move(capacity)),
+      prices_(capacity_.size(), 0.0),
+      gamma_(capacity_.size()),
+      price_scale_(price_scale) {
   FAP_EXPECTS(!capacity_.empty(), "need at least one capacity budget");
   for (const double cap : capacity_) {
     FAP_EXPECTS(cap >= 0.0, "capacity budgets must be non-negative");
   }
-  FAP_EXPECTS(options_.gamma > 0.0, "gamma must be positive");
-  FAP_EXPECTS(options_.decay > 0.0 && options_.decay < 1.0,
-              "decay must be in (0, 1)");
-  FAP_EXPECTS(options_.tolerance >= 0.0, "tolerance must be non-negative");
-  FAP_EXPECTS(options_.max_rounds >= 1, "need at least one round");
-  FAP_EXPECTS(options_.price_scale > 0.0, "price scale must be positive");
-  if (options_.initial_prices.empty()) {
-    prices_.assign(capacity_.size(), 0.0);
-  } else {
-    FAP_EXPECTS(options_.initial_prices.size() == capacity_.size(),
-                "initial prices must have one entry per node");
-    for (const double price : options_.initial_prices) {
-      FAP_EXPECTS(price >= 0.0, "initial prices must be non-negative");
-    }
-    prices_ = options_.initial_prices;
-  }
-  gamma_.resize(capacity_.size());
-  diagnostics_.gamma = options_.gamma;
+  FAP_EXPECTS(price_scale_ > 0.0, "price scale must be positive");
 }
 
 bool CapacityPriceLoop::update(const std::vector<double>& demand) {
@@ -57,19 +43,17 @@ bool CapacityPriceLoop::update(const std::vector<double>& demand) {
                         residual < diagnostics_.residual_history.back();
   diagnostics_.residual_history.push_back(residual);
 
-  if (residual <= options_.tolerance) {
+  if (residual <= kTolerance) {
     converged_ = true;
     return true;
   }
 
   if (!improved) {
     ++diagnostics_.oscillations;
-    if (options_.step_rule == PriceStepRule::kAdaptive) {
-      diagnostics_.gamma *= options_.decay;
-    }
+    diagnostics_.gamma *= kGammaDecay;
   }
   for (std::size_t i = 0; i < gamma_.size(); ++i) {
-    gamma_[i] = diagnostics_.gamma * options_.price_scale /
+    gamma_[i] = diagnostics_.gamma * price_scale_ /
                 std::max(capacity_[i], kMinBudget);
   }
   econ::tatonnement_step(prices_, demand, capacity_, gamma_);

@@ -12,10 +12,13 @@
 //   p_i <- max(0, p_i + γ_i (demand_i - B_i)),   γ_i = γ · scale / B_i
 //
 // so a node overloaded by fraction f sees its price move by γ·scale·f
-// regardless of its absolute budget. CapacityPriceLoop owns the price
-// vector, the step rule (fixed or residual-adaptive γ), and the
-// convergence/oscillation diagnostics; the CatalogSolver feeds it one
-// demand vector per round of inner solves.
+// regardless of its absolute budget. The policy is fixed: prices start
+// at 0, γ starts at kInitialGamma and is multiplied by kGammaDecay on
+// every round that fails to reduce the overload residual, and the loop
+// stops at kTolerance or after kMaxRounds price updates.
+// CapacityPriceLoop owns the price vector and the convergence/oscillation
+// diagnostics; the CatalogSolver feeds it one demand vector per round of
+// inner solves.
 #pragma once
 
 #include <cstddef>
@@ -23,64 +26,47 @@
 
 namespace fap::catalog {
 
-/// How the normalized speed γ evolves across rounds.
-enum class PriceStepRule {
-  kFixed,     ///< γ stays at CapacityPriceLoopOptions::gamma
-  kAdaptive,  ///< γ is multiplied by `decay` whenever a round fails to
-              ///< reduce the overload residual (the demand response of a
-              ///< mostly point-mass catalog is steppy; backing off the
-              ///< speed damps the resulting price oscillation)
-};
-
-struct CapacityPriceLoopOptions {
-  double gamma = 0.5;  ///< initial normalized adjustment speed
-  PriceStepRule step_rule = PriceStepRule::kAdaptive;
-  double decay = 0.5;  ///< kAdaptive: γ multiplier on a non-improving round
+class CapacityPriceLoop {
+ public:
+  /// Normalized adjustment speed γ of the first price update.
+  static constexpr double kInitialGamma = 0.5;
+  /// γ multiplier on a round whose residual is no better than the
+  /// previous round's. The demand response of a mostly point-mass
+  /// catalog is steppy; backing off the speed damps the resulting price
+  /// oscillation.
+  static constexpr double kGammaDecay = 0.5;
   /// Convergence: max relative overload max_i (d_i - B_i)/B_i at or
   /// below this. The deterministic repair pass (catalog_solver.cpp)
   /// closes the remaining gap to exactly feasible, so the dual loop only
   /// needs to get close, not exact.
-  double tolerance = 0.01;
-  std::size_t max_rounds = 16;  ///< price updates before giving up
-  /// Price units per unit of relative overload; converts the
-  /// dimensionless residual into the access-cost scale the inner solves
-  /// compare prices against. CatalogSolver computes a problem-derived
-  /// default (see CatalogOptions::auto_price_scale).
-  double price_scale = 1.0;
-  /// Warm start: initial capacity prices p_i (one per node). Empty means
-  /// all-zero — the cold start, where every constraint is assumed slack
-  /// until demand proves otherwise. Re-solving a perturbed spec from the
-  /// previous solve's final prices skips the rounds the tâtonnement
-  /// would spend re-discovering which nodes are scarce.
-  std::vector<double> initial_prices;
-};
+  static constexpr double kTolerance = 0.01;
+  /// Price updates before giving up.
+  static constexpr std::size_t kMaxRounds = 16;
 
-class CapacityPriceLoop {
- public:
-  /// Capacities are the supply side B_i; prices start at
-  /// options.initial_prices, or 0 when that is empty (every constraint
-  /// assumed slack until demand proves otherwise — the zero cold start
-  /// is what keeps the slack-capacity path identical to the
-  /// unconstrained single-file solve).
-  CapacityPriceLoop(std::vector<double> capacity,
-                    CapacityPriceLoopOptions options);
+  /// Capacities are the supply side B_i. `price_scale` (price units per
+  /// unit of relative overload) converts the dimensionless residual into
+  /// the access-cost scale the inner solves compare prices against.
+  /// Prices start at 0: every constraint is assumed slack until demand
+  /// proves otherwise, which keeps the slack-capacity path identical to
+  /// the unconstrained single-file solve.
+  CapacityPriceLoop(std::vector<double> capacity, double price_scale);
 
   const std::vector<double>& prices() const noexcept { return prices_; }
-  const std::vector<double>& capacity() const noexcept { return capacity_; }
 
   /// Ingests one round's node demand (Σ_o v_o x_i^o per node). Computes
   /// the relative overload residual FIRST; when it is within tolerance
   /// the loop records convergence and returns true WITHOUT moving prices
   /// — the caller's last allocation is the one produced by the posted
-  /// prices. Otherwise prices take one projected tâtonnement step (with
-  /// γ adapted per the step rule) and false is returned. Calling update
-  /// after convergence or after max_rounds price updates throws.
+  /// prices. Otherwise prices take one projected tâtonnement step (γ
+  /// decayed first on a non-improving round) and false is returned.
+  /// Calling update after convergence or after kMaxRounds price updates
+  /// throws.
   bool update(const std::vector<double>& demand);
 
   bool converged() const noexcept { return converged_; }
   /// True while another update() call is admissible.
   bool active() const noexcept {
-    return !converged_ && diagnostics_.rounds < options_.max_rounds;
+    return !converged_ && diagnostics_.rounds < kMaxRounds;
   }
   /// Residual of the most recent update (max relative overload).
   double residual() const noexcept {
@@ -95,17 +81,17 @@ class CapacityPriceLoop {
     /// entry than `rounds` once converged).
     std::vector<double> residual_history;
     /// Rounds whose residual was no better than the previous round's —
-    /// the oscillation/stall count the adaptive rule reacts to.
+    /// the oscillation/stall count γ decays on.
     std::size_t oscillations = 0;
-    double gamma = 0.0;  ///< current speed after adaptation
+    double gamma = kInitialGamma;  ///< current speed after decay
   };
   const Diagnostics& diagnostics() const noexcept { return diagnostics_; }
 
  private:
   std::vector<double> capacity_;
   std::vector<double> prices_;
-  std::vector<double> gamma_;  ///< per-node γ_i, refreshed when γ adapts
-  CapacityPriceLoopOptions options_;
+  std::vector<double> gamma_;  ///< per-node γ_i, refreshed every update
+  double price_scale_;
   Diagnostics diagnostics_;
   bool converged_ = false;
 };

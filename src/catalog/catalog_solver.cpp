@@ -4,20 +4,28 @@
 #include <cmath>
 #include <limits>
 
+#include "catalog/capacity_price_loop.hpp"
 #include "runtime/sweep.hpp"
 #include "util/contracts.hpp"
 #include "util/numeric.hpp"
 
 namespace fap::catalog {
 
+namespace {
+
+// Safety margin of the repair pass, relative to each node's budget:
+// overloaded nodes are drained to B_i(1 - margin) so the recomputed
+// compensated load cannot round back above B_i. ~1e3×eps of slack — far
+// below the 1e-9 residual the result guarantees.
+constexpr double kRepairMargin = 1e-12;
+constexpr std::size_t kMaxRepairPasses = 8;
+
+}  // namespace
+
 CatalogSolver::CatalogSolver(const CatalogSpec& spec, CatalogOptions options)
     : spec_(spec), options_(std::move(options)) {
   spec_.validate();
   FAP_EXPECTS(options_.batch_width >= 1, "batch width must be at least 1");
-  FAP_EXPECTS(options_.repair_margin >= 0.0 && options_.repair_margin < 1.0,
-              "repair margin must be in [0, 1)");
-  FAP_EXPECTS(options_.max_repair_passes >= 1,
-              "need at least one repair pass");
 
   // Cbar_i = Σ_j w_j c_ji: the shared part of every object's access-cost
   // vector. Same accumulation pattern as SingleFileModel (j outer over
@@ -33,21 +41,18 @@ CatalogSolver::CatalogSolver(const CatalogSpec& spec, CatalogOptions options)
     }
   }
 
-  if (options_.auto_price_scale) {
-    // A price must be comparable, through v_o·p_i, to the cost spread an
-    // object chooses placements by: the base access-cost spread plus the
-    // no-load delay term. Normalizing by the mean volume makes the
-    // typical object see ~γ × that spread per unit of relative overload.
-    const auto [lo, hi] =
-        std::minmax_element(base_cost_.begin(), base_cost_.end());
-    const double mu_min =
-        *std::min_element(spec_.mu.begin(), spec_.mu.end());
-    const double cost_span = (*hi - *lo) + spec_.k / mu_min;
-    const double mean_volume =
-        util::stable_sum(spec_.volume) /
-        static_cast<double>(spec_.object_count());
-    options_.price.price_scale =
-        cost_span > 0.0 && mean_volume > 0.0 ? cost_span / mean_volume : 1.0;
+  // A price must be comparable, through v_o·p_i, to the cost spread an
+  // object chooses placements by: the base access-cost spread plus the
+  // no-load delay term. Normalizing by the mean volume makes the typical
+  // object see ~γ × that spread per unit of relative overload.
+  const auto [lo, hi] =
+      std::minmax_element(base_cost_.begin(), base_cost_.end());
+  const double mu_min = *std::min_element(spec_.mu.begin(), spec_.mu.end());
+  const double cost_span = (*hi - *lo) + spec_.k / mu_min;
+  const double mean_volume = util::stable_sum(spec_.volume) /
+                             static_cast<double>(spec_.object_count());
+  if (cost_span > 0.0 && mean_volume > 0.0) {
+    price_scale_ = cost_span / mean_volume;
   }
 }
 
@@ -181,14 +186,14 @@ void CatalogSolver::repair(std::vector<ObjectAllocation>& allocations,
                            CatalogResult& result) const {
   const std::size_t n = spec_.node_count();
   std::vector<double> access(n);
-  // Drain targets sit `repair_margin` below each budget so the canonical
+  // Drain targets sit kRepairMargin below each budget so the canonical
   // recompute cannot round a drained node back over B_i.
   std::vector<double> target(n);
   for (std::size_t i = 0; i < n; ++i) {
-    target[i] = spec_.node_capacity[i] * (1.0 - options_.repair_margin);
+    target[i] = spec_.node_capacity[i] * (1.0 - kRepairMargin);
   }
 
-  for (std::size_t pass = 0; pass < options_.max_repair_passes; ++pass) {
+  for (std::size_t pass = 0; pass < kMaxRepairPasses; ++pass) {
     bool any_overloaded = false;
     for (std::size_t i = 0; i < n; ++i) {
       any_overloaded |= loads[i] > spec_.node_capacity[i];
@@ -282,7 +287,7 @@ void CatalogSolver::repair(std::vector<ObjectAllocation>& allocations,
 }
 
 CatalogResult CatalogSolver::solve() const {
-  CapacityPriceLoop loop(spec_.node_capacity, options_.price);
+  CapacityPriceLoop loop(spec_.node_capacity, price_scale_);
 
   CatalogResult result;
   std::vector<ObjectAllocation> allocations;

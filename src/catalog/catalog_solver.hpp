@@ -33,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "catalog/capacity_price_loop.hpp"
 #include "catalog/catalog_spec.hpp"
 #include "core/allocator.hpp"
 #include "core/batch_allocator.hpp"
@@ -63,18 +62,6 @@ struct CatalogOptions {
     options.max_iterations = 2000;
     return options;
   }();
-  CapacityPriceLoopOptions price;
-  /// When true (default) price.price_scale is replaced by a spec-derived
-  /// scale: (spread of the base access costs + k/μ_min) per mean object
-  /// volume — a full-node overload then reprices a typical object by
-  /// about γ × the cost spread it chooses placements by.
-  bool auto_price_scale = true;
-  /// Safety margin for the repair pass, relative to each node's budget:
-  /// overloaded nodes are drained to B_i(1 - margin) so the recomputed
-  /// compensated load cannot round back above B_i. ~1e3×eps of slack —
-  /// far below the 1e-9 residual the result guarantees.
-  double repair_margin = 1e-12;
-  std::size_t max_repair_passes = 8;
   /// Optional observability sink (not owned), forwarded to batch_sweep.
   runtime::MetricsSink* metrics = nullptr;
   std::string run_id;
@@ -167,6 +154,11 @@ class CatalogSolver {
   const CatalogSpec& spec_;
   CatalogOptions options_;
   std::vector<double> base_cost_;  ///< Σ_j w_j c_ji
+  /// The price loop's price units per unit of relative overload:
+  /// (spread of the base access costs + k/μ_min) per mean object volume,
+  /// so a full-node overload reprices a typical object by about γ × the
+  /// cost spread it chooses placements by.
+  double price_scale_ = 1.0;
 };
 
 }  // namespace fap::catalog

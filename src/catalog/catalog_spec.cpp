@@ -26,6 +26,7 @@ void CatalogSpec::validate() const {
   FAP_EXPECTS(volume.size() == count && home.size() == count,
               "object arrays must have equal length");
   FAP_EXPECTS(k >= 0.0, "k must be non-negative");
+  FAP_EXPECTS(std::isfinite(k), "k must be finite");
   FAP_EXPECTS(locality >= 0.0 && locality <= 1.0,
               "locality must be in [0, 1]");
 
@@ -52,6 +53,7 @@ void CatalogSpec::validate() const {
   util::NeumaierSum volume_total;
   for (std::size_t o = 0; o < count; ++o) {
     FAP_EXPECTS(rate[o] > 0.0, "object rates must be positive");
+    FAP_EXPECTS(std::isfinite(rate[o]), "object rates must be finite");
     FAP_EXPECTS(volume[o] > 0.0, "object volumes must be positive");
     FAP_EXPECTS(home[o] < n, "home node out of range");
     rate_max = std::max(rate_max, rate[o]);
@@ -72,15 +74,16 @@ void CatalogSpec::validate() const {
 
 namespace {
 
+// The hottest object's rate as a fraction of the (uniform) service rate
+// μ = 1 — keeps every per-object queue stable with margin.
+constexpr double kHottestUtilization = 0.5;
+
 CatalogSpec build_synthetic(const SyntheticCatalogOptions& options,
                             std::uint64_t seed,
                             std::shared_ptr<const net::CostProvider> comm) {
   FAP_EXPECTS(options.objects >= 1, "need at least one object");
   FAP_EXPECTS(options.nodes >= 1, "need at least one node");
   FAP_EXPECTS(options.headroom >= 0.0, "headroom must be non-negative");
-  FAP_EXPECTS(options.hottest_utilization > 0.0 &&
-                  options.hottest_utilization < 1.0,
-              "hottest object utilization must be in (0, 1)");
 
   const std::size_t n = options.nodes;
   CatalogSpec spec;
@@ -105,7 +108,7 @@ CatalogSpec build_synthetic(const SyntheticCatalogOptions& options,
   // node's (unit) service rate — every per-object queue is stable even
   // when fully concentrated.
   spec.rate = fs::zipf_popularity(options.objects, options.zipf_s);
-  const double total_rate = options.hottest_utilization / spec.rate[0];
+  const double total_rate = kHottestUtilization / spec.rate[0];
   for (double& r : spec.rate) {
     r *= total_rate;
   }

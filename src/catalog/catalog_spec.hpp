@@ -63,11 +63,11 @@ struct CatalogSpec {
   std::size_t object_count() const noexcept { return rate.size(); }
 
   /// Throws PreconditionError unless the spec is well-formed: a cost
-  /// provider spanning every node, matching sizes, positive
-  /// rates/volumes/μ, locality in [0, 1], origin weights
-  /// a distribution, total capacity holding the total volume, and — for
-  /// pure (non-linearized) delay models — every object's full rate below
-  /// every node's service capacity.
+  /// provider spanning every node, matching sizes, a finite k >= 0,
+  /// finite positive rates, positive volumes/μ, locality in [0, 1],
+  /// origin weights a distribution, total capacity holding the total
+  /// volume, and — for pure (non-linearized) delay models — every
+  /// object's full rate below every node's service capacity.
   void validate() const;
 };
 
@@ -83,9 +83,6 @@ struct SyntheticCatalogOptions {
   double headroom = 0.25;
   /// Home-node share of each object's accesses (spec.locality).
   double locality = 0.5;
-  /// The hottest object's rate as a fraction of the (uniform) service
-  /// rate μ = 1 — keeps every per-object queue stable with margin.
-  double hottest_utilization = 0.5;
   double k = 1.0;
 };
 

@@ -48,8 +48,6 @@ ResourceDirectedAllocator::ResourceDirectedAllocator(const CostModel& model,
   FAP_EXPECTS(options_.alpha > 0.0, "step size must be positive");
   FAP_EXPECTS(options_.epsilon > 0.0, "epsilon must be positive");
   FAP_EXPECTS(options_.max_iterations > 0, "need at least one iteration");
-  FAP_EXPECTS(options_.dynamic_safety > 0.0 && options_.dynamic_safety <= 1.0,
-              "dynamic_safety must be in (0, 1]");
 }
 
 double ResourceDirectedAllocator::dynamic_alpha_bound(
@@ -263,8 +261,7 @@ ResourceDirectedAllocator::StepStats ResourceDirectedAllocator::step_into(
     // this uses the whole group, then is refined over the active set.
     double alpha = options_.alpha;
     if (options_.step_rule == StepRule::kDynamic) {
-      alpha =
-          options_.dynamic_safety * dynamic_alpha_bound_cached(group.indices);
+      alpha = kDynamicSafety * dynamic_alpha_bound_cached(group.indices);
     }
     std::vector<std::size_t>& active = ws_.group_active[g];
     if (options_.use_reference_active_set) {
@@ -274,7 +271,7 @@ ResourceDirectedAllocator::StepStats ResourceDirectedAllocator::step_into(
       active = ws_.aset.active;
     }
     if (options_.step_rule == StepRule::kDynamic) {
-      alpha = options_.dynamic_safety * dynamic_alpha_bound_cached(active);
+      alpha = kDynamicSafety * dynamic_alpha_bound_cached(active);
     }
     ws_.group_alpha[g] = alpha;
 

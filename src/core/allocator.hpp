@@ -50,10 +50,15 @@ namespace fap::core {
 enum class StepRule {
   kFixed,    ///< use AllocatorOptions::alpha every iteration
   kDynamic,  ///< evaluate the Theorem-2 inequality (Eq. 5) at the current
-             ///< allocation and take `dynamic_safety` times that bound (the
+             ///< allocation and take kDynamicSafety times that bound (the
              ///< appendix remark: "we could get a better value for α if we
              ///< dynamically calculate it at each iteration")
 };
+
+/// For kDynamic: fraction of the per-iteration bound to use. 0.5 is the
+/// second-order-optimal choice (the bound is the zero of the quadratic
+/// model of ΔU; half of it maximizes that quadratic).
+inline constexpr double kDynamicSafety = 0.5;
 
 struct AllocatorOptions {
   double alpha = 0.1;
@@ -64,10 +69,6 @@ struct AllocatorOptions {
   /// Record the allocation/cost at every iteration (the convergence
   /// profiles of Figures 3, 4, 8, 9 come from this trace).
   bool record_trace = false;
-  /// For kDynamic: fraction of the per-iteration bound to use. 0.5 is the
-  /// second-order-optimal choice (the bound is the zero of the quadratic
-  /// model of ΔU; half of it maximizes that quadratic).
-  double dynamic_safety = 0.5;
   /// Use the O(n²)-per-round reference active-set procedure
   /// (active_set_reference) instead of the incremental O(n log n) one.
   /// The two are decision-for-decision identical; this switch exists so

@@ -60,8 +60,6 @@ std::size_t BatchAllocator::submit(const SingleFileModel& model,
   FAP_EXPECTS(options.alpha > 0.0, "step size must be positive");
   FAP_EXPECTS(options.epsilon > 0.0, "epsilon must be positive");
   FAP_EXPECTS(options.max_iterations > 0, "need at least one iteration");
-  FAP_EXPECTS(options.dynamic_safety > 0.0 && options.dynamic_safety <= 1.0,
-              "dynamic_safety must be in (0, 1]");
   FAP_EXPECTS(!options.record_trace,
               "BatchAllocator does not record traces; use the serial "
               "ResourceDirectedAllocator for traced runs");
@@ -73,7 +71,6 @@ std::size_t BatchAllocator::submit(const SingleFileModel& model,
   inst.n = model.dimension();
   inst.alpha = options.alpha;
   inst.epsilon = options.epsilon;
-  inst.dynamic_safety = options.dynamic_safety;
   inst.dynamic_rule = options.step_rule == StepRule::kDynamic;
   inst.max_iterations = options.max_iterations;
   inst.total_rate = model.total_rate();
@@ -92,8 +89,6 @@ std::size_t BatchAllocator::submit(const RawInstance& raw,
   FAP_EXPECTS(options.alpha > 0.0, "step size must be positive");
   FAP_EXPECTS(options.epsilon > 0.0, "epsilon must be positive");
   FAP_EXPECTS(options.max_iterations > 0, "need at least one iteration");
-  FAP_EXPECTS(options.dynamic_safety > 0.0 && options.dynamic_safety <= 1.0,
-              "dynamic_safety must be in (0, 1]");
   FAP_EXPECTS(!options.record_trace,
               "BatchAllocator does not record traces; use the serial "
               "ResourceDirectedAllocator for traced runs");
@@ -147,7 +142,6 @@ std::size_t BatchAllocator::submit(const RawInstance& raw,
   inst.n = raw.n;
   inst.alpha = options.alpha;
   inst.epsilon = options.epsilon;
-  inst.dynamic_safety = options.dynamic_safety;
   inst.dynamic_rule = options.step_rule == StepRule::kDynamic;
   inst.max_iterations = options.max_iterations;
   inst.total_rate = raw.total_rate;
@@ -195,7 +189,6 @@ void BatchAllocator::load_lane(std::size_t lane, std::size_t instance_id) {
   soa_.lane_nd[lane] = static_cast<double>(inst.n);
   soa_.lane_dynd[lane] = inst.dynamic_rule ? 1.0 : 0.0;
   soa_.lane_alpha_opt[lane] = inst.alpha;
-  soa_.lane_safety[lane] = inst.dynamic_safety;
 }
 
 void BatchAllocator::refresh_lane_summary() {
@@ -294,7 +287,7 @@ void BatchAllocator::scalar_lane_step(std::size_t lane) {
     const double bound = denominator <= 0.0
                              ? soa_.lane_alpha_opt[lane]
                              : 2.0 * numerator / denominator;
-    al = soa_.lane_safety[lane] * bound;
+    al = kDynamicSafety * bound;
   }
 
   double lo = kInf;
@@ -414,8 +407,8 @@ std::vector<BatchRunResult> BatchAllocator::run_all() {
   for (util::AlignedVector* v :
        {&soa_.lane_tr, &soa_.lane_k, &soa_.lane_scv, &soa_.lane_rho,
         &soa_.lane_nd, &soa_.lane_dynd, &soa_.lane_alpha_opt,
-        &soa_.lane_safety, &soa_.sum_full, &soa_.avg_full, &soa_.alpha,
-        &soa_.lo, &soa_.hi, &soa_.theta}) {
+        &soa_.sum_full, &soa_.avg_full, &soa_.alpha, &soa_.lo, &soa_.hi,
+        &soa_.theta}) {
     v->assign(stride, 0.0);
   }
   soa_.pinc.assign(stride, 0u);
@@ -544,7 +537,6 @@ std::vector<BatchRunResult> BatchAllocator::run_all() {
           soa_.lane_nd[dst] = soa_.lane_nd[src];
           soa_.lane_dynd[dst] = soa_.lane_dynd[src];
           soa_.lane_alpha_opt[dst] = soa_.lane_alpha_opt[src];
-          soa_.lane_safety[dst] = soa_.lane_safety[src];
         }
         ++dst;
       }

@@ -134,7 +134,6 @@ class BatchAllocator {
     std::size_t n = 0;
     double alpha = 0.0;
     double epsilon = 0.0;
-    double dynamic_safety = 0.0;
     bool dynamic_rule = false;
     std::size_t max_iterations = 0;
     double total_rate = 0.0;

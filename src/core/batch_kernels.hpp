@@ -76,7 +76,7 @@ struct BatchSoA {
   // double-typed twins of the allocator's integer metadata so vector
   // masks can compare them without conversions (n <= 2^53 is exact).
   util::AlignedVector lane_tr, lane_k, lane_scv, lane_rho, lane_nd,
-      lane_dynd, lane_alpha_opt, lane_safety;
+      lane_dynd, lane_alpha_opt;
 
   // Per-iteration outputs (length stride).
   util::AlignedVector sum_full, avg_full, alpha, lo, hi, theta;
@@ -112,8 +112,8 @@ struct BatchKernels {
   void (*lane_sums)(BatchSoA& soa);
 
   /// alpha[k]: the lane's fixed step, or the Theorem-2 dynamic bound
-  /// over the whole group (safety * 2Σdev² / Σ|d2c|·dev²) for dynamic
-  /// lanes.
+  /// over the whole group (kDynamicSafety * 2Σdev² / Σ|d2c|·dev²) for
+  /// dynamic lanes.
   void (*step_sizes)(BatchSoA& soa);
 
   /// pinc/viol census against the full-group average step, plus the θ

@@ -34,6 +34,7 @@
 #include <limits>
 
 #include "core/active_set.hpp"
+#include "core/allocator.hpp"
 #include "queueing/delay_simd.hpp"
 
 namespace fap::core::detail {
@@ -160,6 +161,7 @@ void step_sizes(BatchSoA& soa) {
   }
   const __m256d zero = _mm256_setzero_pd();
   const __m256d two = _mm256_set1_pd(2.0);
+  const __m256d safety = _mm256_set1_pd(kDynamicSafety);
   for (std::size_t k = 0; k < kend; k += kSimdLanes) {
     const __m256d nd = _mm256_load_pd(soa.lane_nd.data() + k);
     const __m256d avg = _mm256_load_pd(soa.avg_full.data() + k);
@@ -188,8 +190,7 @@ void step_sizes(BatchSoA& soa) {
     const __m256d quot = _mm256_div_pd(_mm256_mul_pd(two, num), den);
     const __m256d bound = _mm256_blendv_pd(
         quot, alpha_opt, _mm256_cmp_pd(den, zero, _CMP_LE_OQ));
-    const __m256d dyn_alpha = _mm256_mul_pd(
-        _mm256_load_pd(soa.lane_safety.data() + k), bound);
+    const __m256d dyn_alpha = _mm256_mul_pd(safety, bound);
     const __m256d dynd = _mm256_load_pd(soa.lane_dynd.data() + k);
     const __m256d is_dyn = _mm256_cmp_pd(dynd, zero, _CMP_NEQ_OQ);
     _mm256_store_pd(soa.alpha.data() + k,

@@ -10,6 +10,7 @@
 #include <limits>
 
 #include "core/active_set.hpp"
+#include "core/allocator.hpp"
 #include "core/batch_kernels.hpp"
 #include "queueing/delay.hpp"
 
@@ -118,7 +119,7 @@ void step_sizes(BatchSoA& soa) {
     }
     const double bound = denominator <= 0.0 ? soa.lane_alpha_opt[k]
                                             : 2.0 * numerator / denominator;
-    soa.alpha[k] = soa.lane_safety[k] * bound;
+    soa.alpha[k] = kDynamicSafety * bound;
   }
 }
 

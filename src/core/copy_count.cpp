@@ -12,13 +12,10 @@ CopyCountResult optimal_copy_count(const RingProblem& base,
   FAP_EXPECTS(options.storage_cost_per_copy >= 0.0,
               "storage cost must be non-negative");
   const std::size_t n = base.ring.size();
-  const std::size_t max_copies =
-      options.max_copies == 0 ? n : std::min(options.max_copies, n);
-  FAP_EXPECTS(max_copies >= 1, "need to consider at least one copy");
 
   CopyCountResult result;
   result.best_total_cost = std::numeric_limits<double>::infinity();
-  for (std::size_t m = 1; m <= max_copies; ++m) {
+  for (std::size_t m = 1; m <= n; ++m) {
     RingProblem problem = base;
     problem.copies = static_cast<double>(m);
     const RingModel model(problem);

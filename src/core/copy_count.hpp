@@ -5,7 +5,8 @@
 // optimal number of copies."
 //
 // optimal_copy_count() answers it the way the paper frames it: sweep
-// m = 1..max_copies, optimize the fragment allocation for each m with the
+// m = 1..n (more copies than nodes would leave integral placements
+// meaningless), optimize the fragment allocation for each m with the
 // Section 7.3 multicopy driver, and add a per-copy storage/maintenance
 // cost. More copies reduce access cost (shorter ring walks, parallel
 // service) with diminishing returns, while storage grows linearly, so the
@@ -24,9 +25,6 @@ struct CopyCountOptions {
   /// Cost per unit time of storing and maintaining one whole copy
   /// (consistency traffic, disk, etc.).
   double storage_cost_per_copy = 0.1;
-  /// Largest m to consider (capped at the node count so integral
-  /// placements remain meaningful).
-  std::size_t max_copies = 0;  // 0 = node count
   /// Inner optimizer settings per m.
   MultiCopyOptions inner;
 };
@@ -40,7 +38,7 @@ struct CopyCountEntry {
 };
 
 struct CopyCountResult {
-  std::vector<CopyCountEntry> sweep;  ///< one entry per m = 1..max
+  std::vector<CopyCountEntry> sweep;  ///< one entry per m = 1..n
   std::size_t best_copies = 0;
   double best_total_cost = 0.0;
 };

@@ -10,6 +10,14 @@ namespace fap::core {
 
 namespace {
 
+// After this many outer iterations the routing is frozen (flows and the
+// cost matrix stop updating) and only the allocation continues to a fixed
+// point. Routing is a discrete choice, so near a tie the route can flip
+// indefinitely as flows drift — the same discontinuity-driven oscillation
+// the paper meets in Section 7.3, remedied the same way (stop moving the
+// discontinuous part).
+constexpr std::size_t kFreezeRoutingAfter = 50;
+
 // Canonical key for an undirected edge.
 std::uint64_t edge_key(std::size_t u, std::size_t v, std::size_t n) {
   const std::size_t lo = std::min(u, v);
@@ -107,7 +115,7 @@ JointRoutingResult JointRoutingOptimizer::run(
 
   for (std::size_t outer = 0; outer < options_.max_outer_iterations;
        ++outer) {
-    const bool frozen = outer >= options_.freeze_routing_after;
+    const bool frozen = outer >= kFreezeRoutingAfter;
 
     // 1. Route under the current (damped) flow estimate.
     const net::Topology effective = effective_topology(result.link_flow);

@@ -54,13 +54,6 @@ struct JointRoutingOptions {
   /// Outer convergence: allocation movement and γ-scaled flow movement
   /// both below this (L∞).
   double tol = 1e-6;
-  /// After this many outer iterations the routing is frozen (flows and
-  /// the cost matrix stop updating) and only the allocation continues to
-  /// a fixed point. Routing is a discrete choice, so near a tie the
-  /// route can flip indefinitely as flows drift — the same
-  /// discontinuity-driven oscillation the paper meets in Section 7.3,
-  /// remedied the same way (stop moving the discontinuous part).
-  std::size_t freeze_routing_after = 50;
 };
 
 struct JointRoutingOuterRecord {

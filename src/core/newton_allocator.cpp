@@ -14,6 +14,11 @@ namespace {
 // allocator.cpp — interior overshoots are θ-clipped, not frozen.
 constexpr double kBoundaryTol = 1e-12;
 
+// Curvatures below this floor (relative to the largest curvature in the
+// group) are clamped, so the update stays bounded on the delay model's
+// linear extension where ∂²U = 0.
+constexpr double kCurvatureFloor = 1e-9;
+
 // Curvature-weighted mean ū of marginal utilities over `subset`.
 double weighted_mean(const std::vector<double>& du,
                      const std::vector<double>& inv_h,
@@ -46,8 +51,6 @@ NewtonAllocator::NewtonAllocator(const CostModel& model,
   FAP_EXPECTS(options_.alpha > 0.0, "step size must be positive");
   FAP_EXPECTS(options_.epsilon > 0.0, "epsilon must be positive");
   FAP_EXPECTS(options_.max_iterations > 0, "need at least one iteration");
-  FAP_EXPECTS(options_.curvature_floor > 0.0,
-              "curvature floor must be positive");
   FAP_EXPECTS(model_.upper_bounds().empty(),
               "NewtonAllocator does not support storage capacities; use "
               "ResourceDirectedAllocator");
@@ -79,7 +82,7 @@ NewtonAllocator::StepOutcome NewtonAllocator::step(
     for (const std::size_t i : group.indices) {
       max_h = std::max(max_h, std::fabs(d2c[i]));
     }
-    const double floor = std::max(options_.curvature_floor * max_h,
+    const double floor = std::max(kCurvatureFloor * max_h,
                                   std::numeric_limits<double>::min());
     for (const std::size_t i : group.indices) {
       const double h = std::max(std::fabs(d2c[i]), floor);

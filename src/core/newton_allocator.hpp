@@ -36,10 +36,6 @@ struct NewtonAllocatorOptions {
   double epsilon = 1e-3;
   std::size_t max_iterations = 100000;
   bool record_trace = false;
-  /// Curvatures below this floor (relative to the largest curvature in the
-  /// group) are clamped, so the update stays bounded on the delay model's
-  /// linear extension where ∂²U = 0.
-  double curvature_floor = 1e-9;
 };
 
 class NewtonAllocator {

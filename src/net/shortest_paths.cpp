@@ -325,22 +325,6 @@ std::vector<std::vector<std::size_t>> route_hop_counts(
   return hops;
 }
 
-std::vector<std::vector<std::size_t>> route_hop_counts(
-    const Topology& topology, runtime::ThreadPool& pool) {
-  FAP_EXPECTS(topology.connected(), "topology must be connected");
-  const std::size_t n = topology.node_count();
-  const CsrAdjacency adj(topology);
-  std::vector<std::vector<std::size_t>> hops(n);
-  runtime::parallel_for(pool, n, [&](std::size_t source) {
-    // Per-worker scratch: each worker runs many sources in turn, so the
-    // buffers warm up once per worker, not per source.
-    thread_local std::vector<double> dist;
-    thread_local std::vector<HopEntry> heap;
-    hop_counts_csr(adj, n, source, dist, hops[source], heap);
-  });
-  return hops;
-}
-
 CostMatrix all_pairs_shortest_paths(const Topology& topology) {
   FAP_EXPECTS(topology.connected(),
               "topology must be connected for file access to be possible");

@@ -105,11 +105,6 @@ std::vector<NodeId> dijkstra_next_hops(const Topology& topology,
 std::vector<std::vector<std::size_t>> route_hop_counts(
     const Topology& topology);
 
-/// Parallel variant of route_hop_counts; per-source rows are independent,
-/// so the result is byte-identical to the serial overload.
-std::vector<std::vector<std::size_t>> route_hop_counts(
-    const Topology& topology, runtime::ThreadPool& pool);
-
 inline constexpr double kInfiniteCost = std::numeric_limits<double>::infinity();
 
 }  // namespace fap::net

@@ -145,62 +145,6 @@ double DelayModel::d2_sojourn(double a, double mu) const {
   return pure_d2_sojourn(a, mu);
 }
 
-void DelayModel::sojourn_batch(const double* a, const double* mu, double* out,
-                               std::size_t count) const {
-  if (discipline_ == Discipline::kMMc) {
-    // Erlang C has a data-dependent series; evaluate the exact scalar
-    // formula (knee logic included) per element.
-    for (std::size_t i = 0; i < count; ++i) {
-      const double knee = rho_max_ * capacity(mu[i]);
-      out[i] = (rho_max_ < 1.0 && a[i] >= knee)
-                   ? pure_sojourn(knee, mu[i]) +
-                         pure_d_sojourn(knee, mu[i]) * (a[i] - knee)
-                   : pure_sojourn(a[i], mu[i]);
-    }
-    return;
-  }
-  const double scv = scv_;
-  const double rho_max = rho_max_;
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = detail::lin_sojourn(a[i], mu[i], scv, rho_max);
-  }
-}
-
-void DelayModel::d_sojourn_batch(const double* a, const double* mu,
-                                 double* out, std::size_t count) const {
-  if (discipline_ == Discipline::kMMc) {
-    for (std::size_t i = 0; i < count; ++i) {
-      const double knee = rho_max_ * capacity(mu[i]);
-      out[i] = (rho_max_ < 1.0 && a[i] >= knee)
-                   ? pure_d_sojourn(knee, mu[i])
-                   : pure_d_sojourn(a[i], mu[i]);
-    }
-    return;
-  }
-  const double scv = scv_;
-  const double rho_max = rho_max_;
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = detail::lin_d_sojourn(a[i], mu[i], scv, rho_max);
-  }
-}
-
-void DelayModel::d2_sojourn_batch(const double* a, const double* mu,
-                                  double* out, std::size_t count) const {
-  if (discipline_ == Discipline::kMMc) {
-    for (std::size_t i = 0; i < count; ++i) {
-      const double knee = rho_max_ * capacity(mu[i]);
-      out[i] = (rho_max_ < 1.0 && a[i] >= knee) ? 0.0
-                                                : pure_d2_sojourn(a[i], mu[i]);
-    }
-    return;
-  }
-  const double scv = scv_;
-  const double rho_max = rho_max_;
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = detail::lin_d2_sojourn(a[i], mu[i], scv, rho_max);
-  }
-}
-
 double mm1_sojourn_time(double lambda, double mu) {
   FAP_EXPECTS(lambda >= 0.0 && lambda < mu, "M/M/1 requires 0 <= lambda < mu");
   return 1.0 / (mu - lambda);

@@ -25,10 +25,10 @@ namespace detail {
 
 // Single-server Pollaczek–Khinchine primitives. These inline expressions
 // are the ONE definition of the single-server delay law: the scalar
-// DelayModel entry points and the batch kernels (sojourn_batch and the
-// core::BatchAllocator derivative rows) all evaluate exactly these
-// operation sequences, which is what makes the batched paths bit-identical
-// to the scalar ones (pinned by queueing_batch_test).
+// DelayModel entry points and the core::BatchAllocator derivative rows
+// both evaluate exactly these operation sequences, which is what makes
+// the batched paths bit-identical to the scalar ones (pinned by
+// queueing_batch_test).
 inline double pk_sojourn(double a, double mu, double scv) {
   return 1.0 / mu + a * (1.0 + scv) / (2.0 * mu * (mu - a));
 }
@@ -128,20 +128,6 @@ class DelayModel {
 
   /// d² sojourn / d a² at the same point (0 on the linear extension).
   double d2_sojourn(double a, double mu) const;
-
-  /// Batch overloads: out[i] = sojourn(a[i], mu[i]) for i < count, with the
-  /// single-server disciplines evaluated branch-free so the loop
-  /// auto-vectorizes; kMMc falls back to the scalar formula per element.
-  /// Bit-identical to calling the scalar entry point per element (pinned by
-  /// queueing_batch_test). Preconditions (a >= 0, mu > 0 and, with
-  /// rho_max == 1, a < capacity) are the caller's responsibility — the
-  /// batch paths do not re-validate per element.
-  void sojourn_batch(const double* a, const double* mu, double* out,
-                     std::size_t count) const;
-  void d_sojourn_batch(const double* a, const double* mu, double* out,
-                       std::size_t count) const;
-  void d2_sojourn_batch(const double* a, const double* mu, double* out,
-                        std::size_t count) const;
 
   /// True when the (pure) queue is stable at this arrival rate, i.e. a < μ.
   static bool stable(double a, double mu) noexcept { return a < mu; }

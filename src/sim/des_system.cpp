@@ -382,7 +382,8 @@ struct DesSystem::Impl {
     busy_accum.assign(n, 0.0);
     failed.assign(n, false);
     if (config.service == ServiceDistribution::kGamma) {
-      FAP_EXPECTS(config.service_scv > 0.0, "gamma service needs scv > 0");
+      FAP_EXPECTS(config.service_scv > 0.0 && std::isfinite(config.service_scv),
+                  "gamma service needs a finite scv > 0");
       gamma = std::gamma_distribution<double>(1.0 / config.service_scv, 1.0);
     }
     for (std::size_t j = 0; j < n; ++j) {

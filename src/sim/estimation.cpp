@@ -7,8 +7,7 @@
 namespace fap::sim {
 
 EstimatedParameters estimate_parameters(
-    const std::vector<AccessObservation>& log, std::size_t node_count,
-    const EstimationOptions& options) {
+    const std::vector<AccessObservation>& log, std::size_t node_count) {
   FAP_EXPECTS(node_count >= 1, "need at least one node");
   FAP_EXPECTS(!log.empty(), "cannot estimate from an empty log");
 
@@ -46,7 +45,7 @@ EstimatedParameters estimate_parameters(
         static_cast<double>(generated[i]) / estimates.window;
     estimates.service_mix[i] =
         static_cast<double>(served[i]) / static_cast<double>(log.size());
-    if (served[i] >= options.min_service_samples && service_time[i] > 0.0) {
+    if (served[i] >= kMinServiceSamples && service_time[i] > 0.0) {
       // MLE for exponential service: completions per unit busy time.
       estimates.mu[i] = static_cast<double>(served[i]) / service_time[i];
       estimates.mu_observed[i] = true;

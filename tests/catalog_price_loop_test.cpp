@@ -1,12 +1,13 @@
 // The capacity price loop is the dual half of the catalog decomposition:
 // its projected tâtonnement step, convergence rule (check residual
-// BEFORE moving prices) and adaptive damping decide whether a million
-// inner solves settle or thrash. These tests pin the mechanism on
+// BEFORE moving prices) and γ decay decide whether a million inner
+// solves settle or thrash. These tests pin the mechanism on
 // hand-computable demand sequences.
 #include "catalog/capacity_price_loop.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <vector>
 
 #include "econ/price_directed.hpp"
@@ -15,19 +16,9 @@
 namespace {
 
 using fap::catalog::CapacityPriceLoop;
-using fap::catalog::CapacityPriceLoopOptions;
-using fap::catalog::PriceStepRule;
 using fap::util::PreconditionError;
 
-CapacityPriceLoopOptions fixed_options() {
-  CapacityPriceLoopOptions options;
-  options.gamma = 0.5;
-  options.step_rule = PriceStepRule::kFixed;
-  options.tolerance = 0.01;
-  options.price_scale = 2.0;
-  options.max_rounds = 8;
-  return options;
-}
+constexpr double kScale = 2.0;  // price units per unit of relative overload
 
 TEST(TatonnementStep, ProjectsOntoNonNegativePrices) {
   std::vector<double> prices = {1.0, 0.1, 0.0};
@@ -43,7 +34,7 @@ TEST(TatonnementStep, ProjectsOntoNonNegativePrices) {
 }
 
 TEST(CapacityPriceLoop, StartsAtZeroPricesAndConvergesWithoutMovingThem) {
-  CapacityPriceLoop loop({2.0, 2.0}, fixed_options());
+  CapacityPriceLoop loop({2.0, 2.0}, kScale);
   EXPECT_EQ(loop.prices(), std::vector<double>({0.0, 0.0}));
   // Demand within every budget: converged on the spot, prices untouched —
   // this is what keeps the slack-capacity catalog path identical to the
@@ -56,7 +47,7 @@ TEST(CapacityPriceLoop, StartsAtZeroPricesAndConvergesWithoutMovingThem) {
 }
 
 TEST(CapacityPriceLoop, RaisesOnlyOverloadedNodesPrices) {
-  CapacityPriceLoop loop({2.0, 4.0}, fixed_options());
+  CapacityPriceLoop loop({2.0, 4.0}, kScale);
   // Node 0 overloaded by 50%, node 1 underfull.
   EXPECT_FALSE(loop.update({3.0, 2.0}));
   // γ_i = γ·scale/B_i; Δp_0 = 0.5·2.0/2.0·(3-2) = 0.5.
@@ -69,18 +60,15 @@ TEST(CapacityPriceLoop, RaisesOnlyOverloadedNodesPrices) {
 TEST(CapacityPriceLoop, NormalizedSpeedIsBudgetInvariant) {
   // The same RELATIVE overload must move prices identically regardless
   // of the absolute budget scale.
-  CapacityPriceLoop small({1.0}, fixed_options());
-  CapacityPriceLoop large({1000.0}, fixed_options());
+  CapacityPriceLoop small({1.0}, kScale);
+  CapacityPriceLoop large({1000.0}, kScale);
   small.update({1.5});
   large.update({1500.0});
   EXPECT_DOUBLE_EQ(small.prices()[0], large.prices()[0]);
 }
 
 TEST(CapacityPriceLoop, AdaptiveRuleDampsOnNonImprovingRounds) {
-  CapacityPriceLoopOptions options = fixed_options();
-  options.step_rule = PriceStepRule::kAdaptive;
-  options.decay = 0.5;
-  CapacityPriceLoop loop({2.0}, options);
+  CapacityPriceLoop loop({2.0}, kScale);
   loop.update({3.0});  // residual 0.5 (first round: counts as improving)
   EXPECT_DOUBLE_EQ(loop.diagnostics().gamma, 0.5);
   loop.update({3.2});  // residual 0.6 > 0.5: oscillation, γ halves
@@ -92,75 +80,28 @@ TEST(CapacityPriceLoop, AdaptiveRuleDampsOnNonImprovingRounds) {
   EXPECT_EQ(loop.diagnostics().residual_history.size(), 3u);
 }
 
-TEST(CapacityPriceLoop, FixedRuleNeverAdapts) {
-  CapacityPriceLoop loop({2.0}, fixed_options());
-  loop.update({3.0});
-  loop.update({3.5});  // worse — still counted, but γ holds
-  EXPECT_DOUBLE_EQ(loop.diagnostics().gamma, 0.5);
-  EXPECT_EQ(loop.diagnostics().oscillations, 1u);
-}
-
-TEST(CapacityPriceLoop, WarmStartSeedsPricesAndZeroWarmEqualsCold) {
-  // Explicit zeros must be bit-identical to the default cold start.
-  CapacityPriceLoopOptions zeros = fixed_options();
-  zeros.initial_prices = {0.0, 0.0};
-  CapacityPriceLoop warm_zero({2.0, 4.0}, zeros);
-  CapacityPriceLoop cold({2.0, 4.0}, fixed_options());
-  EXPECT_EQ(warm_zero.prices(), cold.prices());
-  warm_zero.update({3.0, 2.0});
-  cold.update({3.0, 2.0});
-  EXPECT_EQ(warm_zero.prices(), cold.prices());
-
-  // A genuine warm start begins at the handed-in prices; a demand that
-  // already clears at those prices converges without moving them.
-  CapacityPriceLoopOptions warm_options = fixed_options();
-  warm_options.initial_prices = {0.5, 0.0};
-  CapacityPriceLoop warm({2.0, 4.0}, warm_options);
-  EXPECT_EQ(warm.prices(), std::vector<double>({0.5, 0.0}));
-  EXPECT_TRUE(warm.update({2.0, 3.0}));
-  EXPECT_TRUE(warm.converged());
-  EXPECT_EQ(warm.prices(), std::vector<double>({0.5, 0.0}));
-  EXPECT_EQ(warm.diagnostics().rounds, 0u);
-}
-
-TEST(CapacityPriceLoop, WarmStartValidatesItsInputs) {
-  CapacityPriceLoopOptions bad = fixed_options();
-  bad.initial_prices = {0.5};  // two nodes, one price
-  EXPECT_THROW(CapacityPriceLoop({1.0, 1.0}, bad), PreconditionError);
-  bad = fixed_options();
-  bad.initial_prices = {0.5, -0.1};
-  EXPECT_THROW(CapacityPriceLoop({1.0, 1.0}, bad), PreconditionError);
-}
-
 TEST(CapacityPriceLoop, RefusesUpdatesAfterFinishing) {
-  CapacityPriceLoopOptions options = fixed_options();
-  options.max_rounds = 2;
-  CapacityPriceLoop loop({1.0}, options);
-  EXPECT_FALSE(loop.update({2.0}));
-  EXPECT_TRUE(loop.active());
+  CapacityPriceLoop loop({1.0}, kScale);
+  for (std::size_t round = 1; round < CapacityPriceLoop::kMaxRounds;
+       ++round) {
+    EXPECT_FALSE(loop.update({2.0}));
+    EXPECT_TRUE(loop.active());
+  }
   EXPECT_FALSE(loop.update({2.0}));
   EXPECT_FALSE(loop.active());  // round budget spent
+  EXPECT_EQ(loop.diagnostics().rounds, 16u);
   EXPECT_THROW(loop.update({2.0}), PreconditionError);
 
-  CapacityPriceLoop converged({1.0}, fixed_options());
+  CapacityPriceLoop converged({1.0}, kScale);
   EXPECT_TRUE(converged.update({0.5}));
   EXPECT_THROW(converged.update({0.5}), PreconditionError);
 }
 
 TEST(CapacityPriceLoop, ValidatesItsInputs) {
-  EXPECT_THROW(CapacityPriceLoop({}, fixed_options()), PreconditionError);
-  EXPECT_THROW(CapacityPriceLoop({-1.0}, fixed_options()),
-               PreconditionError);
-  CapacityPriceLoopOptions bad = fixed_options();
-  bad.gamma = 0.0;
-  EXPECT_THROW(CapacityPriceLoop({1.0}, bad), PreconditionError);
-  bad = fixed_options();
-  bad.decay = 1.0;
-  EXPECT_THROW(CapacityPriceLoop({1.0}, bad), PreconditionError);
-  bad = fixed_options();
-  bad.price_scale = 0.0;
-  EXPECT_THROW(CapacityPriceLoop({1.0}, bad), PreconditionError);
-  CapacityPriceLoop loop({1.0, 1.0}, fixed_options());
+  EXPECT_THROW(CapacityPriceLoop({}, kScale), PreconditionError);
+  EXPECT_THROW(CapacityPriceLoop({-1.0}, kScale), PreconditionError);
+  EXPECT_THROW(CapacityPriceLoop({1.0}, 0.0), PreconditionError);
+  CapacityPriceLoop loop({1.0, 1.0}, kScale);
   EXPECT_THROW(loop.update({1.0}), PreconditionError);  // size mismatch
 }
 

@@ -9,14 +9,18 @@
 //   * with slack capacity the engine degenerates to K independent
 //     single-file solves at zero prices, each matching its serial twin;
 //   * under tight capacity the returned allocation is FEASIBLE: residual
-//     <= 1e-9 in volume units, every object's fractions still sum to 1.
+//     <= 1e-9 in volume units, every object's fractions still sum to 1;
+//   * two contended solves, one that exhausts the price rounds and one
+//     that converges, are pinned byte for byte by golden digests.
 #include "catalog/catalog_solver.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "catalog/catalog_spec.hpp"
@@ -26,6 +30,7 @@
 #include "net/generators.hpp"
 #include "net/hierarchy.hpp"
 #include "net/shortest_paths.hpp"
+#include "queueing/delay.hpp"
 #include "util/contracts.hpp"
 #include "util/numeric.hpp"
 
@@ -258,40 +263,82 @@ TEST(CatalogSolver, TightCapacityYieldsFeasibleAllocation) {
   EXPECT_GE(result.mean_fragments, 1.0);
 }
 
-// Warm-started re-solve: seeding the price loop with a previous solve's
-// final prices must stay feasible and not spend more rounds than the
-// cold start — the point of carrying prices across perturbed specs.
-TEST(CatalogSolver, WarmStartedResolveIsFeasibleAndNoSlower) {
-  SyntheticCatalogOptions synth;
-  synth.objects = 2000;
-  synth.nodes = 16;
-  synth.headroom = 0.1;
-  synth.zipf_s = 0.9;
-  const CatalogSpec spec = make_synthetic_catalog(synth, 77);
-  const CatalogResult cold = CatalogSolver(spec, CatalogOptions{}).solve();
-  EXPECT_GT(cold.rounds, 1u);  // tight capacity: prices actually move
-
-  CatalogOptions warm_options;
-  warm_options.price.initial_prices = cold.prices;
-  const CatalogResult warm = CatalogSolver(spec, warm_options).solve();
-  EXPECT_LE(warm.residual, 1e-9);
-  EXPECT_LE(warm.rounds, cold.rounds);
-  for (std::size_t i = 0; i < spec.node_count(); ++i) {
-    EXPECT_LE(warm.node_load[i], spec.node_capacity[i] + 1e-9)
-        << "node " << i;
-  }
-  for (std::size_t o = 0; o < spec.object_count(); ++o) {
-    fap::util::NeumaierSum mass;
-    for (std::uint32_t p = warm.offsets[o]; p < warm.offsets[o + 1]; ++p) {
-      mass.add(warm.placements[p].fraction);
+/// FNV-1a over everything the price loop and the repair pass decide:
+/// the CSR allocation, prices, loads, both residuals and the loop's
+/// counters, doubles by bit pattern.
+std::uint64_t price_loop_digest(const CatalogResult& r) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ULL;
     }
-    EXPECT_NEAR(mass.value(), 1.0, 1e-9) << "object " << o;
+  };
+  const auto bits = [](double value) {
+    return std::bit_cast<std::uint64_t>(value);
+  };
+  for (const std::uint32_t offset : r.offsets) {
+    mix(offset);
   }
+  for (const Placement& placement : r.placements) {
+    mix(placement.node);
+    mix(bits(placement.fraction));
+  }
+  for (std::size_t i = 0; i < r.prices.size(); ++i) {
+    mix(bits(r.prices[i]));
+    mix(bits(r.node_load[i]));
+  }
+  mix(bits(r.residual));
+  mix(bits(r.pre_repair_residual));
+  mix(r.rounds);
+  mix(r.oscillations);
+  mix(bits(r.gamma));
+  mix(r.repair_moves);
+  return hash;
+}
 
-  // Explicit zeros are the cold start, bit for bit.
-  CatalogOptions zeros;
-  zeros.price.initial_prices.assign(spec.node_count(), 0.0);
-  expect_identical(cold, CatalogSolver(spec, zeros).solve());
+// Golden pins of two contended solves (10 nodes, 5% headroom). The
+// first runs out of rounds and repairs; the second converges before the
+// cap. Together they fix the price loop's γ₀, decay, tolerance and round
+// cap and the repair pass's margin and pass limit. Their counters are
+// asserted too, so a change that stops exercising the decay, the cap or
+// the repair pass fails here and not only in the digest.
+TEST(CatalogSolver, ContendedGoldenPin) {
+  struct Pin {
+    std::size_t objects;
+    std::uint64_t seed;
+    std::size_t rounds;
+    bool converged;
+    std::size_t oscillations;
+    double gamma;
+    std::size_t repair_moves;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {100, 1, 16, false, 6, 0.0078125, 7, 0x9b6b991768f82934ULL},
+      {200, 3, 13, true, 5, 0.015625, 3, 0xafd8a77d2eb2d04bULL},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE("K = " + std::to_string(pin.objects) + ", seed " +
+                 std::to_string(pin.seed));
+    SyntheticCatalogOptions synth;
+    synth.objects = pin.objects;
+    synth.nodes = 10;
+    synth.headroom = 0.05;
+    synth.zipf_s = 0.9;
+    synth.locality = 0.5;
+    const CatalogSpec spec = make_synthetic_catalog(synth, pin.seed);
+    const CatalogResult result = CatalogSolver(spec, CatalogOptions{}).solve();
+    EXPECT_EQ(result.rounds, pin.rounds);
+    EXPECT_EQ(result.price_converged, pin.converged);
+    EXPECT_EQ(result.oscillations, pin.oscillations);
+    EXPECT_EQ(result.gamma, pin.gamma);
+    EXPECT_EQ(result.repair_moves, pin.repair_moves);
+    EXPECT_GT(result.pre_repair_residual, 0.0);
+    EXPECT_LE(result.residual, 1e-9);
+    EXPECT_EQ(price_loop_digest(result), pin.digest)
+        << std::hex << "0x" << price_loop_digest(result);
+  }
 }
 
 // A hand-built spec where the optimum is obvious: full locality, huge
@@ -425,14 +472,20 @@ TEST(CatalogSolver, ValidatesSpecAndOptions) {
       fap::net::make_ring(5, 1.0));  // 5 nodes, the spec has 4
   EXPECT_THROW(CatalogSolver(bad, CatalogOptions{}), PreconditionError);
 
+  // Under a linearized delay model the stability check is skipped, so
+  // an infinite k or object rate must fail here and not inside solve().
+  CatalogSpec linearized = good;
+  linearized.delay = fap::queueing::DelayModel::mm1(0.95);
+  EXPECT_NO_THROW(CatalogSolver(linearized, CatalogOptions{}));
+  bad = linearized;
+  bad.k = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(CatalogSolver(bad, CatalogOptions{}), PreconditionError);
+  bad = linearized;
+  bad.rate.front() = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(CatalogSolver(bad, CatalogOptions{}), PreconditionError);
+
   CatalogOptions options;
   options.batch_width = 0;
-  EXPECT_THROW(CatalogSolver(good, options), PreconditionError);
-  options = CatalogOptions{};
-  options.repair_margin = 1.0;
-  EXPECT_THROW(CatalogSolver(good, options), PreconditionError);
-  options = CatalogOptions{};
-  options.max_repair_passes = 0;
   EXPECT_THROW(CatalogSolver(good, options), PreconditionError);
 }
 

@@ -170,7 +170,6 @@ RandomInstance make_random_instance(std::uint64_t seed) {
   options.alpha = rng.uniform(0.05, 0.5);
   if (rng.uniform() < 0.5) {
     options.step_rule = StepRule::kDynamic;
-    options.dynamic_safety = rng.uniform(0.3, 0.9);
   }
   options.epsilon = rng.uniform() < 0.5 ? 1e-3 : 1e-5;
   // Include tight caps so the non-converged retirement path is hit.

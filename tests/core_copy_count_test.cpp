@@ -72,16 +72,6 @@ TEST(CopyCount, BestEntryIsTheMinimum) {
   }
 }
 
-TEST(CopyCount, RespectsMaxCopiesOption) {
-  const core::RingProblem base =
-      core::make_paper_ring_problem({1.0, 1.0, 1.0, 1.0}, 1.0);
-  core::CopyCountOptions options = quick_options(0.1);
-  options.max_copies = 2;
-  const core::CopyCountResult result =
-      core::optimal_copy_count(base, options);
-  EXPECT_EQ(result.sweep.size(), 2u);
-}
-
 TEST(CopyCount, RejectsNegativeStorageCost) {
   const core::RingProblem base =
       core::make_paper_ring_problem({1.0, 1.0, 1.0, 1.0}, 1.0);

@@ -187,10 +187,6 @@ TEST(NewtonAllocator, RejectsInvalidOptions) {
   bad.alpha = 0.0;
   EXPECT_THROW(core::NewtonAllocator(model, bad),
                fap::util::PreconditionError);
-  bad = core::NewtonAllocatorOptions{};
-  bad.curvature_floor = 0.0;
-  EXPECT_THROW(core::NewtonAllocator(model, bad),
-               fap::util::PreconditionError);
 }
 
 }  // namespace

@@ -55,15 +55,6 @@ TEST(ParallelShortestPaths, AllPairsMatchesSerialByteForByte) {
   }
 }
 
-TEST(ParallelShortestPaths, RouteHopCountsMatchSerial) {
-  runtime::ThreadPool pool(4);
-  for (const auto& [name, topology] : all_generator_samples()) {
-    const auto serial = net::route_hop_counts(topology);
-    const auto parallel = net::route_hop_counts(topology, pool);
-    EXPECT_EQ(serial, parallel) << name;
-  }
-}
-
 TEST(ParallelShortestPaths, SingleWorkerPoolMatchesToo) {
   // Degenerate pool: everything lands on one worker; must still agree.
   runtime::ThreadPool pool(1);

@@ -1,8 +1,9 @@
-// Batch delay-law overloads and delay-curve edge behavior.
+// Batch delay-law kernels and delay-curve edge behavior.
 //
-// Two concerns share this suite: (1) the vectorizable *_batch overloads
-// must be bit-identical to the scalar entry points element for element —
-// that identity is what lets the batched allocator kernel claim
+// Two concerns share this suite: (1) the branch-free single-server
+// kernels the batched allocator's derivative rows evaluate
+// (queueing::detail::lin_*) must be bit-identical to the scalar entry
+// points — that identity is what lets the batched allocator claim
 // bit-identical trajectories; (2) the delay laws' edge regions — the
 // rho_max knee, the linearized overload branch, and the derivative
 // formulas themselves — are pinned against finite differences of the
@@ -19,16 +20,16 @@
 namespace {
 
 using fap::queueing::DelayModel;
-using fap::queueing::Discipline;
 using fap::util::Rng;
 
-std::vector<DelayModel> interesting_models() {
+// Every single-server discipline, pure and linearized. (M/M/c has no
+// branch-free kernel: the batched allocator evaluates it through the
+// scalar entry points.)
+std::vector<DelayModel> single_server_models() {
   return {
-      DelayModel::mm1(),          DelayModel::md1(),
-      DelayModel::mg1(0.3),       DelayModel::mg1(2.4),
-      DelayModel::mm1(0.7),       DelayModel::md1(0.85),
-      DelayModel::mg1(1.7, 0.6),  DelayModel::mmc(2),
-      DelayModel::mmc(4, 0.8),
+      DelayModel::mm1(),     DelayModel::md1(),       DelayModel::mg1(0.3),
+      DelayModel::mg1(2.4),  DelayModel::mm1(0.7),    DelayModel::md1(0.85),
+      DelayModel::mg1(1.7, 0.6),
   };
 }
 
@@ -48,39 +49,29 @@ void fill_random_points(const DelayModel& model, Rng& rng, std::size_t count,
 }
 
 TEST(DelayBatch, BitIdenticalToScalarAcrossModelsAndPoints) {
+  namespace detail = fap::queueing::detail;
   Rng rng(2024);
-  for (const DelayModel& model : interesting_models()) {
+  for (const DelayModel& model : single_server_models()) {
     std::vector<double> a;
     std::vector<double> mu;
-    fill_random_points(model, rng, 257, a, mu);  // odd: exercise tails
-    std::vector<double> out(a.size());
-
-    model.sojourn_batch(a.data(), mu.data(), out.data(), a.size());
+    fill_random_points(model, rng, 257, a, mu);
+    const double scv = model.scv();
+    const double rho_max = model.rho_max();
     for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                    detail::lin_sojourn(a[i], mu[i], scv, rho_max)),
                 std::bit_cast<std::uint64_t>(model.sojourn(a[i], mu[i])))
           << "sojourn point " << i;
-    }
-    model.d_sojourn_batch(a.data(), mu.data(), out.data(), a.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                    detail::lin_d_sojourn(a[i], mu[i], scv, rho_max)),
                 std::bit_cast<std::uint64_t>(model.d_sojourn(a[i], mu[i])))
           << "d_sojourn point " << i;
-    }
-    model.d2_sojourn_batch(a.data(), mu.data(), out.data(), a.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                    detail::lin_d2_sojourn(a[i], mu[i], scv, rho_max)),
                 std::bit_cast<std::uint64_t>(model.d2_sojourn(a[i], mu[i])))
           << "d2_sojourn point " << i;
     }
   }
-}
-
-TEST(DelayBatch, ZeroCountIsANoOp) {
-  const DelayModel model = DelayModel::mm1();
-  model.sojourn_batch(nullptr, nullptr, nullptr, 0);
-  model.d_sojourn_batch(nullptr, nullptr, nullptr, 0);
-  model.d2_sojourn_batch(nullptr, nullptr, nullptr, 0);
 }
 
 // --- rho_max knee boundary -------------------------------------------

@@ -191,6 +191,12 @@ TEST(Des, RejectsMalformedConfigs) {
   config = single_queue_config(0.5, 1.5);
   config.lambda = {std::numeric_limits<double>::infinity()};
   EXPECT_THROW(sim::DesSystem{config}, fap::util::PreconditionError);
+  // Constructed, not run: gamma service with an infinite SCV would hand
+  // std::gamma_distribution a zero shape.
+  config = single_queue_config(0.5, 1.5);
+  config.service = sim::ServiceDistribution::kGamma;
+  config.service_scv = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(sim::DesSystem{config}, fap::util::PreconditionError);
 }
 
 }  // namespace
