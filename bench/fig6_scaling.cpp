@@ -137,10 +137,10 @@ ScalingPoint measure_scaling_point(const fap::core::SingleFileModel& model,
   // Best α per N via a grid search (the paper: "using the best possible
   // α"), run as one SoA batch: one lane per α candidate. A lane that
   // fails to converge gets a large penalty, keeping the search away from
-  // divergent settings. grid_select applies grid_minimize's exact tie
-  // rule, so the chosen α is the one the serial search would pick — and
-  // its lane's result IS the serial rerun's result (bit-identical), so
-  // the reported row reuses it directly.
+  // divergent settings. grid_select keeps the first of tied scores, so
+  // the chosen α is the one a serial scan would pick — and its lane's
+  // result IS the serial rerun's result (bit-identical), so the reported
+  // row reuses it directly.
   const std::vector<double> alphas = util::grid_points(0.05, 1.2, alpha_points);
   core::BatchAllocator batch;
   for (const double alpha : alphas) {

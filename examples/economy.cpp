@@ -8,9 +8,10 @@
 #include <cmath>
 #include <iostream>
 
+#include "core/allocator.hpp"
 #include "econ/price_directed.hpp"
-#include "econ/resource_directed.hpp"
 #include "econ/utility.hpp"
+#include "econ/utility_model.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -27,14 +28,17 @@ int main() {
   agents.push_back(econ::log_utility(0.5, 0.05));
   const double total = 1.0;
 
-  // Resource-directed planning.
-  econ::PlannerOptions plan_options;
+  // Resource-directed planning: the Section 5.2 allocator itself, run on
+  // the agents' social utility.
+  const econ::UtilityModel economy(agents, total);
+  core::AllocatorOptions plan_options;
   plan_options.alpha = 0.01;
   plan_options.epsilon = 1e-8;
   plan_options.max_iterations = 500000;
   plan_options.record_trace = true;
-  const econ::PlannerResult plan = econ::resource_directed_plan(
-      agents, std::vector<double>(5, 0.2), plan_options);
+  const core::AllocationResult plan =
+      core::ResourceDirectedAllocator(economy, plan_options)
+          .run(std::vector<double>(5, 0.2));
 
   // Price-directed tâtonnement.
   econ::TatonnementOptions market_options;
@@ -68,8 +72,8 @@ int main() {
   }
   bool monotone = true;
   for (std::size_t t = 1; t < plan.trace.size(); ++t) {
-    monotone = monotone && plan.trace[t].social_utility >=
-                               plan.trace[t - 1].social_utility - 1e-12;
+    monotone = monotone &&
+               plan.trace[t].cost <= plan.trace[t - 1].cost + 1e-12;
   }
   util::Table paths({"mechanism", "iterations", "path feasible",
                      "path monotone"},

@@ -50,32 +50,8 @@ ResourceDirectedAllocator::ResourceDirectedAllocator(const CostModel& model,
   FAP_EXPECTS(options_.max_iterations > 0, "need at least one iteration");
 }
 
-double ResourceDirectedAllocator::dynamic_alpha_bound(
-    const std::vector<double>& x,
-    const std::vector<std::size_t>& active) const {
-  const std::vector<double> du = model_.marginal_utilities(x);
-  const std::vector<double> d2c = model_.second_derivative(x);
-  const double avg = mean_over(du, active);
-  double numerator = 0.0;
-  double denominator = 0.0;
-  for (const std::size_t i : active) {
-    const double dev = du[i] - avg;
-    numerator += dev * dev;
-    denominator += std::fabs(d2c[i]) * dev * dev;
-  }
-  if (denominator <= 0.0) {
-    // Locally linear objective (e.g. on the delay model's tangent
-    // extension): the quadratic model imposes no bound; fall back to a
-    // conservative finite step.
-    return options_.alpha;
-  }
-  return 2.0 * numerator / denominator;
-}
-
 double ResourceDirectedAllocator::dynamic_alpha_bound_cached(
     const std::vector<std::size_t>& active) const {
-  // Same arithmetic as dynamic_alpha_bound, reading the derivatives already
-  // computed into the workspace for the current allocation.
   const double avg = mean_over(ws_.du, active);
   double numerator = 0.0;
   double denominator = 0.0;
@@ -85,6 +61,9 @@ double ResourceDirectedAllocator::dynamic_alpha_bound_cached(
     denominator += std::fabs(ws_.d2c[i]) * dev * dev;
   }
   if (denominator <= 0.0) {
+    // Locally linear objective (e.g. on the delay model's tangent
+    // extension): the quadratic model imposes no bound; fall back to a
+    // conservative finite step.
     return options_.alpha;
   }
   return 2.0 * numerator / denominator;

@@ -162,11 +162,6 @@ class ResourceDirectedAllocator {
 
   const AllocatorOptions& options() const noexcept { return options_; }
 
-  /// The per-iteration dynamic step bound (Eq. 5 evaluated at x over the
-  /// active variables `active`): 2 Σ (dU_i - avg)² / Σ |d²U_i| (dU_i - avg)².
-  double dynamic_alpha_bound(const std::vector<double>& x,
-                             const std::vector<std::size_t>& active) const;
-
  private:
   /// Reusable scratch memory. Every vector is sized on first use and then
   /// only ever shrunk/refilled in place, so steady-state step()/run()
@@ -209,8 +204,10 @@ class ResourceDirectedAllocator {
   void check_feasible_cached(const std::vector<double>& x,
                              double sum_tolerance = 1e-9) const;
 
-  /// dynamic_alpha_bound evaluated from the workspace's du/d2c (already
-  /// computed for the current x) instead of re-querying the model.
+  /// The per-iteration dynamic step bound (Eq. 5 over the active
+  /// variables `active`): 2 Σ (dU_i - avg)² / Σ |d²U_i| (dU_i - avg)²,
+  /// evaluated from the workspace's du/d2c (already computed for the
+  /// current x).
   double dynamic_alpha_bound_cached(
       const std::vector<std::size_t>& active) const;
 

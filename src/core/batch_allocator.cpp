@@ -55,33 +55,22 @@ BatchAllocator::BatchAllocator(std::size_t width) : width_(width) {
 
 std::size_t BatchAllocator::submit(const SingleFileModel& model,
                                    const AllocatorOptions& options,
-                                   std::vector<double> start) {
-  // Same validations as the ResourceDirectedAllocator constructor + run().
-  FAP_EXPECTS(options.alpha > 0.0, "step size must be positive");
-  FAP_EXPECTS(options.epsilon > 0.0, "epsilon must be positive");
-  FAP_EXPECTS(options.max_iterations > 0, "need at least one iteration");
-  FAP_EXPECTS(!options.record_trace,
-              "BatchAllocator does not record traces; use the serial "
-              "ResourceDirectedAllocator for traced runs");
-  FAP_EXPECTS(!options.use_reference_active_set,
-              "BatchAllocator always uses the fast active set");
-  model.check_feasible(start);
-
-  Instance inst;
-  inst.n = model.dimension();
-  inst.alpha = options.alpha;
-  inst.epsilon = options.epsilon;
-  inst.dynamic_rule = options.step_rule == StepRule::kDynamic;
-  inst.max_iterations = options.max_iterations;
-  inst.total_rate = model.total_rate();
-  inst.k = model.problem().k;
-  inst.delay = model.problem().delay;
-  inst.access_cost = model.access_costs();
-  inst.mu = model.problem().mu;
-  inst.caps = model.problem().storage_capacity;
-  inst.start = std::move(start);
-  pending_.push_back(std::move(inst));
-  return pending_.size() - 1;
+                                   const std::vector<double>& start) {
+  FAP_EXPECTS(start.size() == model.dimension(),
+              "allocation has wrong dimension");
+  const SingleFileProblem& problem = model.problem();
+  RawInstance raw;
+  raw.n = model.dimension();
+  raw.total_rate = model.total_rate();
+  raw.k = problem.k;
+  raw.delay = problem.delay;
+  raw.access_cost = model.access_costs().data();
+  raw.mu = problem.mu.data();
+  raw.caps = problem.storage_capacity.empty()
+                 ? nullptr
+                 : problem.storage_capacity.data();
+  raw.start = start.data();
+  return submit(raw, options);
 }
 
 std::size_t BatchAllocator::submit(const RawInstance& raw,

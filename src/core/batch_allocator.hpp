@@ -76,13 +76,14 @@ class BatchAllocator {
   explicit BatchAllocator(std::size_t width = kDefaultWidth);
 
   /// Enqueues one instance; returns its index into run_all()'s result
-  /// vector. Copies everything it needs from `model` (the reference need
-  /// not outlive the call). Throws PreconditionError on infeasible
+  /// vector. Submits the model's access costs, μ and caps as a
+  /// RawInstance, so the copy and every check happen there (the reference
+  /// need not outlive the call). Throws PreconditionError on infeasible
   /// `start`, invalid options, or options requesting trace recording /
   /// the reference active set.
   std::size_t submit(const SingleFileModel& model,
                      const AllocatorOptions& options,
-                     std::vector<double> start);
+                     const std::vector<double>& start);
 
   /// A submission without the SingleFileModel wrapper: exactly the fields
   /// run_all() consumes, by pointer into caller-owned storage (borrowed
@@ -102,12 +103,11 @@ class BatchAllocator {
     const double* start = nullptr;        ///< feasible start, length n
   };
 
-  /// Raw-field twin of submit(model, ...): applies the same validations
+  /// The one submission path: applies the option checks of the
+  /// ResourceDirectedAllocator constructor and the validations
   /// SingleFileModel's constructor and check_feasible() would (positive
   /// rates, stability under pure delay models, capacity admits a whole
-  /// file, feasible start) and queues an instance that run_all() treats
-  /// identically — submitting the model's own access_costs()/μ/caps here
-  /// yields bitwise the same results.
+  /// file, feasible start), then copies the fields into the queue.
   std::size_t submit(const RawInstance& raw, const AllocatorOptions& options);
 
   /// Runs every pending submission to completion and returns their

@@ -4,15 +4,16 @@
 #include <cmath>
 #include <limits>
 
+#include "core/active_set.hpp"
 #include "util/contracts.hpp"
 
 namespace fap::core {
 
 namespace {
 
-// Boundary threshold for active-set exclusion; see the matching constant in
-// allocator.cpp — interior overshoots are θ-clipped, not frozen.
-constexpr double kBoundaryTol = 1e-12;
+// Boundary threshold shared with the first-order allocator; the rationale
+// lives with its definition in core/active_set.hpp.
+using detail::kBoundaryTol;
 
 // Curvatures below this floor (relative to the largest curvature in the
 // group) are clamped, so the update stays bounded on the delay model's

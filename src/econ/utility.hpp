@@ -27,7 +27,8 @@ struct ConcaveUtility {
 ConcaveUtility log_utility(double weight, double shift = 1e-9);
 /// Quadratic: u(x) = a x - b x² / 2 (b > 0).
 ConcaveUtility quadratic_utility(double a, double b);
-/// Power: u(x) = w x^p with p in (0, 1).
+/// Power: u(x) = w x^p with p in (0, 1). Its marginal utility at the
+/// boundary is u'(0) = +inf, which UtilityModel::gradient rejects.
 ConcaveUtility power_utility(double weight, double exponent);
 
 /// Social utility Σ u_i(x_i).

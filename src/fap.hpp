@@ -21,8 +21,8 @@
 #include "core/trace_export.hpp"             // IWYU pragma: export
 #include "core/volume_model.hpp"             // IWYU pragma: export
 #include "econ/price_directed.hpp"           // IWYU pragma: export
-#include "econ/resource_directed.hpp"        // IWYU pragma: export
 #include "econ/utility.hpp"                  // IWYU pragma: export
+#include "econ/utility_model.hpp"            // IWYU pragma: export
 #include "fs/directory.hpp"                  // IWYU pragma: export
 #include "fs/fragment_map.hpp"               // IWYU pragma: export
 #include "fs/lock_manager.hpp"               // IWYU pragma: export

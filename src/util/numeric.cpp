@@ -41,47 +41,6 @@ double numeric_second_derivative(
   return (fp - 2.0 * f0 + fm) / (h * h);
 }
 
-ScalarMinimum golden_section_minimize(const std::function<double(double)>& f,
-                                      double lo, double hi, double tol) {
-  FAP_EXPECTS(hi > lo, "bracket must be non-empty");
-  FAP_EXPECTS(tol > 0.0, "tolerance must be positive");
-  constexpr double kInvPhi = 0.6180339887498949;  // 1/phi
-  double a = lo;
-  double b = hi;
-  double c = b - kInvPhi * (b - a);
-  double d = a + kInvPhi * (b - a);
-  double fc = f(c);
-  double fd = f(d);
-  while (b - a > tol) {
-    if (fc < fd) {
-      b = d;
-      d = c;
-      fd = fc;
-      c = b - kInvPhi * (b - a);
-      fc = f(c);
-    } else {
-      a = c;
-      c = d;
-      fc = fd;
-      d = a + kInvPhi * (b - a);
-      fd = f(d);
-    }
-  }
-  const double x = 0.5 * (a + b);
-  return ScalarMinimum{x, f(x)};
-}
-
-GridMinimum grid_minimize(const std::function<double(double)>& f, double lo,
-                          double hi, std::size_t points) {
-  const std::vector<double> xs = grid_points(lo, hi, points);
-  std::vector<double> values;
-  values.reserve(xs.size());
-  for (const double x : xs) {
-    values.push_back(f(x));
-  }
-  return grid_select(xs, values);
-}
-
 std::vector<double> grid_points(double lo, double hi, std::size_t points) {
   FAP_EXPECTS(points >= 2, "grid needs at least two points");
   FAP_EXPECTS(hi > lo, "grid range must be non-empty");

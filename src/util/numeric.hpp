@@ -1,6 +1,7 @@
 // Small numerical toolkit: finite differences (used by tests to cross-check
-// the closed-form gradients of the cost models), scalar minimization (used
-// to find the empirically best step size for Figure 6), and float helpers.
+// the closed-form gradients of the cost models), grid search (the
+// empirically best step size of Figure 6 and ablation A1), and float
+// helpers.
 #pragma once
 
 #include <cmath>
@@ -26,41 +27,21 @@ double numeric_second_derivative(
     const std::function<double(const std::vector<double>&)>& f,
     std::vector<double> x, std::size_t i, double h = 1e-4);
 
-/// Result of a scalar minimization.
-struct ScalarMinimum {
-  double x = 0.0;
-  double value = 0.0;
-};
-
-/// Golden-section search for the minimum of a unimodal f over [lo, hi].
-/// Runs until the bracket is narrower than tol. If f is not unimodal this
-/// still converges to *a* local minimum inside the bracket.
-ScalarMinimum golden_section_minimize(const std::function<double(double)>& f,
-                                      double lo, double hi,
-                                      double tol = 1e-4);
-
-/// Minimizes an integer-argument objective f over [lo, hi] by exhaustive
-/// evaluation; ties broken toward the smaller argument. Used for "best
-/// iteration count over a grid of step sizes" style searches.
+/// The best point of a grid search. Used for "best iteration count over
+/// a grid of step sizes" style searches.
 struct GridMinimum {
   double x = 0.0;
   double value = 0.0;
   std::size_t index = 0;  ///< grid index of x (x == grid_points(...)[index])
 };
-GridMinimum grid_minimize(const std::function<double(double)>& f, double lo,
-                          double hi, std::size_t points);
 
-/// The abscissas grid_minimize evaluates, in evaluation order:
-/// x_i = lo + (hi - lo)/(points - 1) * i. Exposed so callers can evaluate
-/// the objective at every point themselves (e.g. batched across the grid)
-/// and reduce with grid_select.
+/// The grid abscissas x_i = lo + (hi - lo)/(points - 1) * i, in order.
+/// Callers evaluate the objective at every point themselves (e.g. batched
+/// across the grid) and reduce with grid_select.
 std::vector<double> grid_points(double lo, double hi, std::size_t points);
 
-/// The reduction half of grid_minimize: picks the minimum of
-/// (xs[i], values[i]) with grid_minimize's exact tie rule (strictly
-/// smaller value wins, so the FIRST — lowest x — of tied values is kept).
-/// grid_select(grid_points(lo, hi, p), values) == grid_minimize(f, lo, hi,
-/// p) whenever values[i] == f(xs[i]) bit for bit.
+/// Picks the minimum of (xs[i], values[i]). A strictly smaller value wins,
+/// so of tied values the FIRST (lowest x on a grid_points grid) is kept.
 GridMinimum grid_select(const std::vector<double>& xs,
                         const std::vector<double>& values);
 

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <numeric>
 
 #include "baselines/projected_gradient.hpp"
 #include "core/single_file.hpp"
@@ -266,10 +265,15 @@ TEST(Allocator, DynamicStepRuleConvergesFastOnThePaperRing) {
 
 TEST(Allocator, DynamicAlphaBoundIsPositiveAwayFromOptimum) {
   const core::SingleFileModel model = paper_model();
-  const core::ResourceDirectedAllocator allocator(model, paper_options(0.1));
-  std::vector<std::size_t> all(model.dimension());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  EXPECT_GT(allocator.dynamic_alpha_bound({0.8, 0.1, 0.1, 0.0}, all), 0.0);
+  core::AllocatorOptions options = paper_options(0.1);
+  options.step_rule = core::StepRule::kDynamic;
+  const core::ResourceDirectedAllocator allocator(model, options);
+  // Away from the optimum the Eq. 5 bound over the full active set, and so
+  // the step the dynamic rule takes, is positive.
+  const auto outcome = allocator.step({0.8, 0.1, 0.1, 0.0});
+  EXPECT_FALSE(outcome.terminal);
+  EXPECT_EQ(outcome.active_set_size, 4u);
+  EXPECT_GT(outcome.alpha_used, 0.0);
 }
 
 // --- Mechanics ------------------------------------------------------------

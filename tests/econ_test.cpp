@@ -1,18 +1,25 @@
 // Tests for the generic microeconomic mechanisms of Section 2: Heal's
-// resource-directed planner and Walrasian tâtonnement, including the
-// comparative properties the paper lists.
+// resource-directed planner (the core allocator over a UtilityModel) and
+// Walrasian tâtonnement, including the comparative properties the paper
+// lists.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
 
+#include "core/allocator.hpp"
 #include "econ/price_directed.hpp"
-#include "econ/resource_directed.hpp"
 #include "econ/utility.hpp"
+#include "econ/utility_model.hpp"
 #include "util/contracts.hpp"
 #include "util/numeric.hpp"
 
 namespace {
 
+namespace core = fap::core;
 namespace econ = fap::econ;
 
 TEST(Utilities, DerivativesMatchNumeric) {
@@ -50,18 +57,120 @@ std::vector<econ::ConcaveUtility> log_agents(const std::vector<double>& w,
   return agents;
 }
 
+// Heal's planner: the Section 5.2 allocator on the agents' social
+// utility, sharing a resource total of 1.
+core::AllocationResult plan(std::vector<econ::ConcaveUtility> agents,
+                            std::vector<double> start,
+                            const core::AllocatorOptions& options) {
+  const econ::UtilityModel model(std::move(agents), 1.0);
+  return core::ResourceDirectedAllocator(model, options).run(std::move(start));
+}
+
+// The five agents of the economy example.
+std::vector<econ::ConcaveUtility> economy_agents() {
+  return {econ::log_utility(1.0, 0.05), econ::log_utility(3.0, 0.05),
+          econ::quadratic_utility(4.0, 6.0), econ::power_utility(2.0, 0.5),
+          econ::log_utility(0.5, 0.05)};
+}
+
+TEST(UtilityModel, CostIsNegatedSocialUtility) {
+  const auto agents = log_agents({1.0, 2.0, 3.0}, 0.1);
+  const econ::UtilityModel model(agents, 2.0);
+  const std::vector<double> x{0.5, 1.0, 0.5};
+  EXPECT_EQ(model.dimension(), 3u);
+  const std::vector<core::ConstraintGroup> groups = model.constraint_groups();
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_EQ(groups[0].indices, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(groups[0].total, 2.0);
+  EXPECT_EQ(model.cost(x), -econ::social_utility(agents, x));
+  const std::vector<double> grad = model.gradient(x);
+  const std::vector<double> curvature = model.second_derivative(x);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(grad[i], -agents[i].derivative(x[i]));
+    EXPECT_EQ(curvature[i], -agents[i].second_derivative(x[i]));
+  }
+  EXPECT_THROW(econ::UtilityModel({}, 1.0), fap::util::PreconditionError);
+  EXPECT_THROW(econ::UtilityModel(agents, 0.0), fap::util::PreconditionError);
+  EXPECT_THROW(model.gradient({0.5, 1.5}), fap::util::PreconditionError);
+}
+
+TEST(UtilityModel, InfiniteMarginalUtilityFailsLoudly) {
+  // The power agent starts at x = 0, where u'(0) = +inf: no finite
+  // averaging step exists. The run must throw rather than average inf
+  // against inf and drain every agent to 0.
+  const econ::UtilityModel model(economy_agents(), 1.0);
+  core::AllocatorOptions options;
+  options.alpha = 0.01;
+  const core::ResourceDirectedAllocator allocator(model, options);
+  try {
+    allocator.run({0.25, 0.25, 0.25, 0.0, 0.25});
+    FAIL() << "expected PreconditionError";
+  } catch (const fap::util::PreconditionError& error) {
+    EXPECT_NE(std::string(error.what()).find("marginal utility must be finite"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+/// FNV-1a over a planner result: x by bit pattern, then the iteration
+/// count and the converged flag.
+std::uint64_t plan_digest(const core::AllocationResult& result) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (const double xi : result.x) {
+    mix(std::bit_cast<std::uint64_t>(xi));
+  }
+  mix(result.iterations);
+  mix(result.converged ? 1u : 0u);
+  return hash;
+}
+
+// Golden pins recorded from econ's former stand-alone copy of the §5.2
+// loop, which the core allocator over UtilityModel replaced: the economy
+// example's plan (200 iterations, agent 2 ends at 0) and the instance of
+// ResourceDirected.BoundaryAgentsReceiveNothing (7 iterations).
+TEST(UtilityModel, PlannerGoldenPin) {
+  core::AllocatorOptions options;
+  options.alpha = 0.01;
+  options.epsilon = 1e-8;
+  options.max_iterations = 500000;
+  const core::AllocationResult economy =
+      plan(economy_agents(), std::vector<double>(5, 0.2), options);
+  EXPECT_TRUE(economy.converged);
+  EXPECT_EQ(economy.iterations, 200u);
+  EXPECT_EQ(economy.x[2], 0.0);
+  EXPECT_EQ(plan_digest(economy), 0x1710b14f2d62c0c3ULL)
+      << std::hex << "0x" << plan_digest(economy);
+
+  options.max_iterations = 200000;
+  const core::AllocationResult boundary =
+      plan({econ::quadratic_utility(10.0, 1.0),
+            econ::quadratic_utility(10.0, 1.0),
+            econ::quadratic_utility(0.01, 1.0)},
+           {0.3, 0.3, 0.4}, options);
+  EXPECT_TRUE(boundary.converged);
+  EXPECT_EQ(boundary.iterations, 7u);
+  EXPECT_EQ(plan_digest(boundary), 0x52fbc27d888a6e63ULL)
+      << std::hex << "0x" << plan_digest(boundary);
+}
+
 TEST(ResourceDirected, ConvergesToClosedFormLogOptimum) {
   const std::vector<double> weights{1.0, 2.0, 3.0, 4.0};
   const double shift = 0.05;
   const double total = 1.0;
   const auto agents = log_agents(weights, shift);
 
-  econ::PlannerOptions options;
+  core::AllocatorOptions options;
   options.alpha = 0.01;
   options.epsilon = 1e-9;
   options.max_iterations = 500000;
-  const econ::PlannerResult result = econ::resource_directed_plan(
-      agents, {0.25, 0.25, 0.25, 0.25}, options);
+  const core::AllocationResult result =
+      plan(agents, {0.25, 0.25, 0.25, 0.25}, options);
   ASSERT_TRUE(result.converged);
 
   // KKT: w_i / (x_i + s) equal for all i => x_i = w_i (total + 4s)/Σw - s.
@@ -75,13 +184,13 @@ TEST(ResourceDirected, ConvergesToClosedFormLogOptimum) {
 
 TEST(ResourceDirected, FeasibleAndMonotoneEveryIteration) {
   const auto agents = log_agents({1.0, 5.0, 2.0}, 0.1);
-  econ::PlannerOptions options;
+  core::AllocatorOptions options;
   options.alpha = 0.02;
   options.epsilon = 1e-7;
   options.record_trace = true;
   options.max_iterations = 100000;
-  const econ::PlannerResult result =
-      econ::resource_directed_plan(agents, {0.9, 0.05, 0.05}, options);
+  const core::AllocationResult result =
+      plan(agents, {0.9, 0.05, 0.05}, options);
   ASSERT_TRUE(result.converged);
   for (std::size_t t = 0; t < result.trace.size(); ++t) {
     EXPECT_NEAR(fap::util::sum(result.trace[t].x), 1.0, 1e-9);
@@ -89,8 +198,7 @@ TEST(ResourceDirected, FeasibleAndMonotoneEveryIteration) {
       EXPECT_GE(xi, 0.0);
     }
     if (t > 0) {
-      EXPECT_GE(result.trace[t].social_utility,
-                result.trace[t - 1].social_utility - 1e-12);
+      EXPECT_LE(result.trace[t].cost, result.trace[t - 1].cost + 1e-12);
     }
   }
 }
@@ -102,12 +210,11 @@ TEST(ResourceDirected, BoundaryAgentsReceiveNothing) {
       econ::quadratic_utility(10.0, 1.0),
       econ::quadratic_utility(10.0, 1.0),
       econ::quadratic_utility(0.01, 1.0)};  // marginal utility ~0 at x=0
-  econ::PlannerOptions options;
+  core::AllocatorOptions options;
   options.alpha = 0.01;
   options.epsilon = 1e-8;
   options.max_iterations = 200000;
-  const econ::PlannerResult result =
-      econ::resource_directed_plan(agents, {0.3, 0.3, 0.4}, options);
+  const core::AllocationResult result = plan(agents, {0.3, 0.3, 0.4}, options);
   ASSERT_TRUE(result.converged);
   EXPECT_NEAR(result.x[2], 0.0, 1e-6);
   EXPECT_NEAR(result.x[0], 0.5, 1e-5);
@@ -186,15 +293,15 @@ TEST(WalrasianEquilibrium, MatchesResourceDirectedOptimum) {
   const auto agents = log_agents(weights, 0.1);
   const econ::Equilibrium eq =
       econ::walrasian_equilibrium(agents, 1.0, 1.0);
-  econ::PlannerOptions options;
+  core::AllocatorOptions options;
   options.alpha = 0.01;
   options.epsilon = 1e-9;
   options.max_iterations = 500000;
-  const econ::PlannerResult plan = econ::resource_directed_plan(
-      agents, {0.34, 0.33, 0.33}, options);
-  ASSERT_TRUE(plan.converged);
+  const core::AllocationResult planned =
+      plan(agents, {0.34, 0.33, 0.33}, options);
+  ASSERT_TRUE(planned.converged);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR(eq.x[i], plan.x[i], 1e-4) << "agent " << i;
+    EXPECT_NEAR(eq.x[i], planned.x[i], 1e-4) << "agent " << i;
   }
   EXPECT_NEAR(fap::util::sum(eq.x), 1.0, 1e-6);
 }

@@ -38,36 +38,28 @@ TEST(NumericSecondDerivative, MatchesPolynomial) {
   EXPECT_NEAR(util::numeric_second_derivative(f, {2.0}, 0), 48.0, 1e-3);
 }
 
-TEST(GoldenSection, FindsQuadraticMinimum) {
-  const auto f = [](double x) { return (x - 1.7) * (x - 1.7) + 0.3; };
-  const util::ScalarMinimum result =
-      util::golden_section_minimize(f, -10.0, 10.0, 1e-8);
-  EXPECT_NEAR(result.x, 1.7, 1e-6);
-  EXPECT_NEAR(result.value, 0.3, 1e-10);
-}
-
-TEST(GoldenSection, HandlesBoundaryMinimum) {
-  const auto f = [](double x) { return x; };  // minimum at the left edge
-  const util::ScalarMinimum result =
-      util::golden_section_minimize(f, 2.0, 5.0, 1e-8);
-  EXPECT_NEAR(result.x, 2.0, 1e-6);
-}
-
-TEST(GoldenSection, RejectsBadBracket) {
-  EXPECT_THROW(util::golden_section_minimize([](double x) { return x; }, 1.0,
-                                             1.0, 1e-6),
-               fap::util::PreconditionError);
+// f evaluated at every abscissa, in order.
+template <typename F>
+std::vector<double> values_at(const std::vector<double>& xs, F f) {
+  std::vector<double> values;
+  values.reserve(xs.size());
+  for (const double x : xs) {
+    values.push_back(f(x));
+  }
+  return values;
 }
 
 TEST(GridMinimize, FindsBestGridPoint) {
-  const auto f = [](double x) { return std::fabs(x - 0.42); };
-  const util::GridMinimum result = util::grid_minimize(f, 0.0, 1.0, 101);
+  const std::vector<double> xs = util::grid_points(0.0, 1.0, 101);
+  const util::GridMinimum result = util::grid_select(
+      xs, values_at(xs, [](double x) { return std::fabs(x - 0.42); }));
   EXPECT_NEAR(result.x, 0.42, 0.005 + 1e-12);
 }
 
 TEST(GridMinimize, EvaluatesEndpoints) {
-  const auto f = [](double x) { return -x; };
-  const util::GridMinimum result = util::grid_minimize(f, 0.0, 2.0, 5);
+  const std::vector<double> xs = util::grid_points(0.0, 2.0, 5);
+  const util::GridMinimum result =
+      util::grid_select(xs, values_at(xs, [](double x) { return -x; }));
   EXPECT_DOUBLE_EQ(result.x, 2.0);
   EXPECT_DOUBLE_EQ(result.value, -2.0);
 }
