@@ -80,9 +80,11 @@ void BM_AllocatorStep(benchmark::State& state) {
 }
 BENCHMARK(BM_AllocatorStep)->Arg(4)->Arg(20)->Arg(100)->Arg(1000);
 
-// The active-set procedure in isolation, on an allocation with most nodes
-// pinned at the floor — the shape that made the reference procedure's
-// re-admission scans quadratic.
+// The active-set procedure in isolation from a two-node start. Every empty
+// node's marginal utility lies above the group average that the two
+// loaded nodes pull down, so nobody is pinned and each call takes the
+// all-active path: step (i) and a sort. BM_ActiveSetPointMass below times
+// the boundary case.
 void BM_ActiveSet(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const core::SingleFileModel& model = cached_model(n);
@@ -97,6 +99,49 @@ void BM_ActiveSet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ActiveSet)->Arg(100)->Arg(1000);
+
+// The active-set procedure on catalog lanes, the boundary case nearly
+// every catalog inner step takes: each call gets one object's point-mass
+// start and marginal utilities, built as the catalog's batch task builds
+// them (object_access_cost and object_start at zero prices), so all but a
+// few nodes are pinned at the floor. One iteration is one call; the calls
+// cycle over 64 objects of one synthetic catalog.
+void BM_ActiveSetPointMass(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  catalog::SyntheticCatalogOptions synth;
+  synth.objects = 64;
+  synth.nodes = n;
+  const catalog::CatalogSpec spec = catalog::make_synthetic_catalog(synth, 7);
+  const catalog::CatalogSolver solver(spec, catalog::CatalogOptions{});
+  const std::vector<double> prices(n, 0.0);
+  const auto lane_model = [&](std::size_t o) {
+    std::vector<double> lambda(n, 0.0);
+    lambda[spec.home[o]] = spec.rate[o];
+    return core::SingleFileModel(core::SingleFileProblem{
+        nullptr, std::move(lambda), spec.mu, spec.k, spec.delay, {}, {},
+        solver.object_access_cost(o, prices)});
+  };
+  std::vector<std::vector<double>> xs;
+  std::vector<std::vector<double>> dus;
+  for (std::size_t o = 0; o < spec.object_count(); ++o) {
+    xs.push_back(solver.object_start(o, prices));
+    dus.push_back(lane_model(o).marginal_utilities(xs.back()));
+  }
+  // The lanes share one allocator: a catalog lane has no storage caps, so
+  // the procedure reads nothing from the model beyond the dimension.
+  const core::SingleFileModel model = lane_model(0);
+  const core::ResourceDirectedAllocator allocator(
+      model, solver.options().inner);
+  const core::ConstraintGroup group = model.constraint_groups().front();
+  const double alpha = solver.options().inner.alpha;
+  std::size_t lane = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        allocator.active_set(group, xs[lane], dus[lane], alpha));
+    lane = lane + 1 == xs.size() ? 0 : lane + 1;
+  }
+}
+BENCHMARK(BM_ActiveSetPointMass)->Arg(10)->Arg(100);
 
 // One instance family shared by the batch-vs-serial comparison below:
 // lane k descends the n = 16 complete-graph model from a lane-specific

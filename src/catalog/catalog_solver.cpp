@@ -142,6 +142,11 @@ std::vector<CatalogSolver::ObjectAllocation> CatalogSolver::solve_round(
           batch.submit(raw, options_.inner);
         }
         std::vector<core::BatchRunResult> solved = batch.run_all();
+        runtime::add_task_metric(
+            "lane_steps", static_cast<double>(batch.stats().lane_steps));
+        runtime::add_task_metric(
+            "boundary_lane_steps",
+            static_cast<double>(batch.stats().boundary_lane_steps));
         std::vector<ObjectAllocation> out;
         out.reserve(solved.size());
         for (const core::BatchRunResult& run : solved) {

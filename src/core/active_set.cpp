@@ -49,61 +49,15 @@ void active_set_fast(const ConstraintGroup& group, const std::vector<double>& x,
   // round 0 is then a provable no-op — no outsiders exist to re-admit, and
   // its drop pass recomputes the same left-to-right group sum and repeats
   // exactly the pinned() checks step (i) just passed — so A is the whole
-  // group and the heaps are never needed. This is the steady state of an
-  // interior trajectory, which makes the per-iteration cost O(m) there.
+  // group and no outsider bookkeeping is needed. This is the steady state
+  // of an interior trajectory.
   if (active.size() == m) {
     std::sort(active.begin(), active.end());
     return;
   }
 
-  // Second fast path: step (i)'s survivors are often already the fixed
-  // point. The typical lane of a large catalog is a point mass whose
-  // active set is one interior node with every other node pinned at the
-  // floor below the average; the reference's round 0 then re-admits
-  // nobody (no excluded candidate's gap clears the active average — the
-  // first peek of either heap comes back empty-handed, which is exactly
-  // "no eligible outsider strictly beats the average") and its drop pass
-  // pins nobody, so it exits with the active set unchanged. Detecting
-  // that is two O(m) scans over the same sums and pinned() arithmetic
-  // the reference would evaluate — bit-identical decisions — and skips
-  // the O(dim) bitmask and the two heap builds below.
-  if (!active.empty()) {
-    double sum_active = 0.0;
-    for (const std::size_t i : active) {
-      sum_active += marginal_u[i];
-    }
-    const double avg = sum_active / static_cast<double>(active.size());
-    bool settled = true;
-    for (const std::size_t i : members) {
-      if (pinned(i, alpha * (marginal_u[i] - avg_full))) {
-        // Excluded by step (i): would round 0's re-admission take it?
-        const double gap = marginal_u[i] - avg;
-        if ((gap > 0.0 && x[i] < cap_of(i) - kBoundaryTol) ||
-            (gap < 0.0 && x[i] > kBoundaryTol)) {
-          settled = false;
-          break;
-        }
-      } else if (pinned(i, alpha * (marginal_u[i] - avg))) {
-        // Active member round 0's drop pass would pin.
-        settled = false;
-        break;
-      }
-    }
-    if (settled) {
-      std::sort(active.begin(), active.end());
-      return;
-    }
-  }
-
-  // Membership bitmask (replaces the reference's std::find scans) and the
-  // variable -> group-position map used to re-enqueue dropped nodes.
+  // Membership bitmask (replaces the reference's std::find scans).
   ws.in_active.assign(dim, 0);
-  if (ws.pos_in_group.size() != dim) {
-    ws.pos_in_group.resize(dim);
-  }
-  for (std::size_t p = 0; p < m; ++p) {
-    ws.pos_in_group[members[p]] = p;
-  }
   for (const std::size_t i : active) {
     ws.in_active[i] = 1;
   }
@@ -121,56 +75,38 @@ void active_set_fast(const ConstraintGroup& group, const std::vector<double>& x,
     ws.in_active[best] = 1;
   }
 
-  // Lazy re-admission heaps over group positions. Eligibility is a static
-  // property of x (strictly inside the respective bound), so each heap is
-  // built once; entries already re-admitted are skipped on pop. For the
-  // gainer heap (candidates with marginal > average) the re-admission gap
-  // grows with the marginal utility, so the best gainer is the max-du
-  // candidate; dually the best loser is the min-du candidate. Ties broken
-  // toward the earlier group position — the element the reference's
-  // position-ordered strict-improvement scan would settle on.
-  const auto gainer_less = [&](std::size_t a, std::size_t b) {
-    const double da = marginal_u[members[a]];
-    const double db = marginal_u[members[b]];
-    if (da != db) {
-      return da < db;
-    }
-    return a > b;
+  // Re-admission candidates are the outsiders that would move away from
+  // their bound: floor-side gainers (x < cap) and cap-side losers (x > 0).
+  // Eligibility is a static property of x, and the largest gap of each
+  // class belongs to its extreme marginal utility — a rounded difference
+  // is monotone in ∂U — so two running extremes over the outsiders replace
+  // a scan per candidate. They are exact, so each gap below is the very
+  // subtraction the reference's scan makes for its winner.
+  const auto floor_side = [&](std::size_t j) {
+    return x[j] < cap_of(j) - kBoundaryTol;
   };
-  const auto loser_less = [&](std::size_t a, std::size_t b) {
-    const double da = marginal_u[members[a]];
-    const double db = marginal_u[members[b]];
-    if (da != db) {
-      return da > db;
+  const auto cap_side = [&](std::size_t j) { return x[j] > kBoundaryTol; };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double top_gainer = -kInf;  // max ∂U over floor-side outsiders
+  double top_loser = kInf;    // min ∂U over cap-side outsiders
+  const auto add_outsider = [&](std::size_t j) {
+    if (floor_side(j)) {
+      top_gainer = std::max(top_gainer, marginal_u[j]);
     }
-    return a > b;
+    if (cap_side(j)) {
+      top_loser = std::min(top_loser, marginal_u[j]);
+    }
   };
-  std::vector<std::size_t>& gainers = ws.gainer_heap;
-  std::vector<std::size_t>& losers = ws.loser_heap;
-  gainers.clear();
-  losers.clear();
-  for (std::size_t p = 0; p < m; ++p) {
-    const std::size_t j = members[p];
-    if (x[j] < cap_of(j) - kBoundaryTol) {
-      gainers.push_back(p);
+  const auto rescan_outsiders = [&] {
+    top_gainer = -kInf;
+    top_loser = kInf;
+    for (const std::size_t j : members) {
+      if (ws.in_active[j] == 0) {
+        add_outsider(j);
+      }
     }
-    if (x[j] > kBoundaryTol) {
-      losers.push_back(p);
-    }
-  }
-  std::make_heap(gainers.begin(), gainers.end(), gainer_less);
-  std::make_heap(losers.begin(), losers.end(), loser_less);
-
-  // Pops stale (already-active) entries, then returns the top position, or
-  // m when the heap has no live candidate.
-  const auto peek = [&](std::vector<std::size_t>& heap,
-                        const auto& less) -> std::size_t {
-    while (!heap.empty() && ws.in_active[members[heap.front()]] != 0) {
-      std::pop_heap(heap.begin(), heap.end(), less);
-      heap.pop_back();
-    }
-    return heap.empty() ? m : heap.front();
   };
+  rescan_outsiders();
 
   const std::size_t round_limit = 2 * m + 2;
   std::vector<std::size_t>& survivors = ws.survivors;
@@ -187,50 +123,43 @@ void active_set_fast(const ConstraintGroup& group, const std::vector<double>& x,
       sum_active += marginal_u[i];
     }
 
-    // Re-admission: largest |marginal - average| eligible node first.
+    // Re-admission: largest |marginal - average| eligible node first. An
+    // empty class leaves its extreme at ∓inf, whose gap never qualifies.
     for (;;) {
       const double avg = sum_active / static_cast<double>(active.size());
-      const std::size_t gp = peek(gainers, gainer_less);
-      const std::size_t lp = peek(losers, loser_less);
-      double gainer_gap = 0.0;
-      double loser_gap = 0.0;
-      if (gp < m) {
-        const double gap = marginal_u[members[gp]] - avg;
-        if (gap > 0.0) {
-          gainer_gap = gap;  // == fabs(gap)
-        }
-      }
-      if (lp < m) {
-        const double gap = marginal_u[members[lp]] - avg;
-        if (gap < 0.0) {
-          loser_gap = std::fabs(gap);
-        }
-      }
-      std::size_t best_pos = m;
-      if (gainer_gap > 0.0 || loser_gap > 0.0) {
-        if (gainer_gap > loser_gap) {
-          best_pos = gp;
-        } else if (loser_gap > gainer_gap) {
-          best_pos = lp;
-        } else {
-          // Exact cross-class tie: the reference's scan keeps the first
-          // (smallest-position) candidate attaining the maximum.
-          best_pos = std::min(gp, lp);
-        }
-      }
-      if (best_pos == m) {
+      const double up = top_gainer - avg;
+      const double down = top_loser - avg;
+      const double gainer_gap = up > 0.0 ? up : 0.0;
+      const double loser_gap = down < 0.0 ? std::fabs(down) : 0.0;
+      if (!(gainer_gap > 0.0 || loser_gap > 0.0)) {
         break;
       }
-      const std::size_t j = members[best_pos];
+      // The winner is the first outsider in group order whose gap equals
+      // the winning one, as the reference's strict-improvement scan keeps.
+      // Gaps are compared, not ∂U: distinct ∂U can round to one gap. On an
+      // exact cross-class tie either class may hold the first such node;
+      // that needs α < 0, since for α > 0 every floor-side outsider was
+      // pinned below an average that every cap-side one was pinned above.
+      const bool take_gainer = gainer_gap >= loser_gap;
+      const bool take_loser = loser_gap >= gainer_gap;
+      std::size_t j = members.front();
+      for (const std::size_t c : members) {
+        if (ws.in_active[c] == 0 &&
+            ((take_gainer && floor_side(c) && marginal_u[c] - avg == up) ||
+             (take_loser && cap_side(c) && marginal_u[c] - avg == down))) {
+          j = c;
+          break;
+        }
+      }
       active.push_back(j);
       ws.in_active[j] = 1;
       sum_active += marginal_u[j];
       changed = true;
+      rescan_outsiders();
     }
 
-    // Drop: members whose recomputed Δx pins them at a boundary. Dropped
-    // nodes go back into the candidate heaps (duplicates are fine — stale
-    // copies are skipped on pop).
+    // Drop: members whose recomputed Δx pins them at a boundary. A dropped
+    // node joins the outsiders, which only moves the extremes outward.
     const double avg = sum_active / static_cast<double>(active.size());
     survivors.clear();
     for (const std::size_t i : active) {
@@ -238,15 +167,7 @@ void active_set_fast(const ConstraintGroup& group, const std::vector<double>& x,
       if (pinned(i, d)) {
         changed = true;
         ws.in_active[i] = 0;
-        const std::size_t p = ws.pos_in_group[i];
-        if (x[i] < cap_of(i) - kBoundaryTol) {
-          gainers.push_back(p);
-          std::push_heap(gainers.begin(), gainers.end(), gainer_less);
-        }
-        if (x[i] > kBoundaryTol) {
-          losers.push_back(p);
-          std::push_heap(losers.begin(), losers.end(), loser_less);
-        }
+        add_outsider(i);
         continue;
       }
       survivors.push_back(i);
@@ -262,6 +183,7 @@ void active_set_fast(const ConstraintGroup& group, const std::vector<double>& x,
       }
       survivors.push_back(best);
       ws.in_active[best] = 1;
+      rescan_outsiders();
     }
     std::swap(active, survivors);
 

@@ -29,18 +29,13 @@ namespace fap::core::detail {
 inline constexpr double kBoundaryTol = 1e-12;
 
 /// Reusable scratch for active_set_fast. Sized on first use and refilled
-/// in place afterwards, so steady-state calls allocate nothing.
+/// in place afterwards, so steady-state calls allocate nothing. The
+/// re-admission candidates need no storage: the procedure keeps only the
+/// extreme marginal utility of each candidate class as a local.
 struct ActiveSetWorkspace {
-  std::vector<std::size_t> active;     ///< active set under construction
-  std::vector<std::size_t> survivors;  ///< drop-pass output
-  std::vector<unsigned char> in_active;   ///< membership bitmask by variable
-  std::vector<std::size_t> pos_in_group;  ///< variable -> group position
-  /// Lazy re-admission heaps: candidate positions into group.indices,
-  /// keyed on marginal utility (max-du for boundary gainers, min-du for
-  /// boundary losers), ties broken toward the earlier group position —
-  /// the reference scan order.
-  std::vector<std::size_t> gainer_heap;
-  std::vector<std::size_t> loser_heap;
+  std::vector<std::size_t> active;       ///< active set under construction
+  std::vector<std::size_t> survivors;    ///< drop-pass output
+  std::vector<unsigned char> in_active;  ///< membership bitmask by variable
 };
 
 /// Computes the paper's set A for one constraint group given the current
@@ -49,7 +44,8 @@ struct ActiveSetWorkspace {
 /// unbounded) and `dim` the variable-index space size (bitmask sizing).
 /// Decision-for-decision identical to
 /// ResourceDirectedAllocator::active_set_reference (pinned by
-/// core_allocator_test across 400+ randomized instances).
+/// core_allocator_test on randomized instances, traced catalog lanes,
+/// re-admission families and hand-built ties).
 void active_set_fast(const ConstraintGroup& group, const std::vector<double>& x,
                      const std::vector<double>& marginal_u, double alpha,
                      const std::vector<double>& caps, std::size_t dim,

@@ -70,7 +70,7 @@ struct AllocatorOptions {
   /// profiles of Figures 3, 4, 8, 9 come from this trace).
   bool record_trace = false;
   /// Use the O(n²)-per-round reference active-set procedure
-  /// (active_set_reference) instead of the incremental O(n log n) one.
+  /// (active_set_reference) instead of the incremental O(n) one.
   /// The two are decision-for-decision identical; this switch exists so
   /// the equivalence tests (and any future debugging) can pin the fast
   /// path against the literal Section 5.2 transcription.
@@ -142,11 +142,12 @@ class ResourceDirectedAllocator {
   /// `group.indices`' index space (i.e. variable indices).
   ///
   /// This is the fast path: a membership bitmask plus running sums of the
-  /// active marginal utilities (O(1) mean updates) and two lazy heaps over
-  /// the excluded nodes (O(log n) best-|gap| re-admission), replacing the
-  /// reference procedure's per-candidate linear scans. Its decisions —
-  /// and, by construction, the floating-point values every decision is
-  /// based on — are identical to active_set_reference.
+  /// active marginal utilities (O(1) mean updates) and the running
+  /// extremes of ∂U over the excluded nodes (an O(1) re-admission test per
+  /// round, one O(n) rescan per admission), replacing the reference
+  /// procedure's per-candidate linear scans. Its decisions — and, by
+  /// construction, the floating-point values every decision is based
+  /// on — are identical to active_set_reference.
   std::vector<std::size_t> active_set(const ConstraintGroup& group,
                                       const std::vector<double>& x,
                                       const std::vector<double>& marginal_u,

@@ -436,6 +436,7 @@ std::vector<BatchRunResult> BatchAllocator::run_all() {
   while (live_ > 0) {
     ++stats_.lockstep_iterations;
     const std::size_t live = live_;
+    stats_.lane_steps += live;
 
     compute_derivatives();
 
@@ -455,6 +456,7 @@ std::vector<BatchRunResult> BatchAllocator::run_all() {
       scalar_lane_[k] = 0;
       if (soa_.pinc[k] != 0) {
         scalar_lane_[k] = 1;
+        ++stats_.boundary_lane_steps;
         continue;
       }
       if (soa_.hi[k] - soa_.lo[k] < lane_eps_[k]) {

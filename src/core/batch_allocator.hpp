@@ -123,6 +123,11 @@ class BatchAllocator {
     std::size_t instances = 0;
     /// Lockstep iterations executed (each steps every live lane once).
     std::size_t lockstep_iterations = 0;
+    /// Lane steps taken: the live lanes summed over lockstep iterations.
+    std::size_t lane_steps = 0;
+    /// Of those, steps of lanes with a pinned node, which run the shared
+    /// active-set procedure on the gathered scalar path.
+    std::size_t boundary_lane_steps = 0;
     /// Name of the kernel set the run dispatched to ("scalar"/"avx2").
     const char* kernels = "";
   };

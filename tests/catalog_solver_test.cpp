@@ -31,6 +31,7 @@
 #include "net/hierarchy.hpp"
 #include "net/shortest_paths.hpp"
 #include "queueing/delay.hpp"
+#include "test_helpers.hpp"
 #include "util/contracts.hpp"
 #include "util/numeric.hpp"
 
@@ -46,7 +47,6 @@ using fap::catalog::SyntheticCatalogOptions;
 using fap::core::AllocationResult;
 using fap::core::ResourceDirectedAllocator;
 using fap::core::SingleFileModel;
-using fap::core::SingleFileProblem;
 using fap::util::PreconditionError;
 
 ::testing::AssertionResult BitsEqual(double a, double b) {
@@ -68,25 +68,13 @@ std::vector<double> dense_allocation(const CatalogSpec& spec,
   return x;
 }
 
-// The serial twin of catalog object o at the given prices: a
-// SingleFileModel fed the solver's own priced access-cost vector through
-// access_cost_override (no cost provider, λ concentrated anywhere — the
-// override makes the workload's spatial shape irrelevant), run by the
-// serial allocator from the solver's own deterministic start.
+// The serial twin of catalog object o at the given prices: its lane model
+// run by the serial allocator from the solver's own deterministic start.
 AllocationResult serial_reference(const CatalogSpec& spec,
                                   const CatalogSolver& solver, std::size_t o,
                                   const std::vector<double>& prices) {
-  std::vector<double> lambda(spec.node_count(), 0.0);
-  lambda[spec.home[o]] = spec.rate[o];
-  SingleFileProblem problem{/*comm=*/nullptr,
-                            std::move(lambda),
-                            spec.mu,
-                            spec.k,
-                            spec.delay,
-                            {},
-                            {},
-                            solver.object_access_cost(o, prices)};
-  const SingleFileModel model(std::move(problem));
+  const SingleFileModel model =
+      fap::testing::catalog_lane_model(spec, solver, o, prices);
   const ResourceDirectedAllocator serial(model, solver.options().inner);
   return serial.run(solver.object_start(o, prices));
 }
@@ -335,6 +323,43 @@ TEST(CatalogSolver, ContendedGoldenPin) {
     EXPECT_EQ(result.gamma, pin.gamma);
     EXPECT_EQ(result.repair_moves, pin.repair_moves);
     EXPECT_GT(result.pre_repair_residual, 0.0);
+    EXPECT_LE(result.residual, 1e-9);
+    EXPECT_EQ(price_loop_digest(result), pin.digest)
+        << std::hex << "0x" << price_loop_digest(result);
+  }
+}
+
+// Golden pins of two wide solves (K = 2000 over 100 nodes, 25% headroom),
+// the shape where nearly every inner step is a boundary lane: each object
+// starts as a point mass with 99 nodes at the floor, so the inner solves
+// run the active-set procedure on almost every iteration. The inner
+// iteration total and the capped-object count are pinned with the digest,
+// so a change to any active-set decision fails here by name.
+TEST(CatalogSolver, WideGoldenPin) {
+  struct Pin {
+    std::uint64_t seed;
+    std::size_t rounds;
+    std::uint64_t inner_iterations;
+    std::size_t unconverged_objects;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {1, 16, 220334, 50, 0x1b700a1852cc709dULL},
+      {2, 16, 184709, 44, 0x9be20672638de995ULL},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE("seed " + std::to_string(pin.seed));
+    SyntheticCatalogOptions synth;
+    synth.objects = 2000;
+    synth.nodes = 100;
+    synth.headroom = 0.25;
+    synth.zipf_s = 0.9;
+    synth.locality = 0.5;
+    const CatalogSpec spec = make_synthetic_catalog(synth, pin.seed);
+    const CatalogResult result = CatalogSolver(spec, CatalogOptions{}).solve();
+    EXPECT_EQ(result.rounds, pin.rounds);
+    EXPECT_EQ(result.inner_iterations, pin.inner_iterations);
+    EXPECT_EQ(result.unconverged_objects, pin.unconverged_objects);
     EXPECT_LE(result.residual, 1e-9);
     EXPECT_EQ(price_loop_digest(result), pin.digest)
         << std::hex << "0x" << price_loop_digest(result);

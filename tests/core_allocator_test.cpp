@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "baselines/projected_gradient.hpp"
 #include "core/single_file.hpp"
@@ -359,7 +362,7 @@ TEST(Allocator, ActiveSetExcludesOnlyBoundaryNodes) {
 
 // --- Fast active set ≡ reference transcription ---------------------------
 //
-// The O(n log n) incremental active-set procedure claims *decision*
+// The O(n) incremental active-set procedure claims *decision*
 // equivalence with the literal Section 5.2 transcription
 // (active_set_reference), not merely agreement in the limit. These
 // parameterized tests pin that claim across randomized instances: the two
@@ -491,6 +494,262 @@ TEST(Allocator, StepMatchesBetweenFastAndReferencePaths) {
   EXPECT_EQ(a.x, b.x);
   EXPECT_EQ(a.active_set_size, b.active_set_size);
   EXPECT_EQ(a.alpha_used, b.alpha_used);
+}
+
+// --- Fast ≡ reference where the fast procedure does its work --------------
+//
+// The random instances above re-admit almost nobody (an instrumented
+// build counted 5 admissions in 24,677 active-set calls across the tests
+// above), and none of them is a catalog lane. The families below pin the
+// equivalence where the fast procedure's outsider bookkeeping runs:
+// catalog lanes (a point mass with most nodes pinned at the floor, the
+// common case of every catalog solve), re-admissions of nodes step (i)
+// pinned, and exact ties between candidate gaps.
+
+// Step (i) of Section 5.2, computed here independently of both
+// procedures: which nodes sit on a bound that the full-group average
+// would push them through.
+std::vector<bool> pinned_at_step_one(const std::vector<double>& x,
+                                     const std::vector<double>& du,
+                                     const std::vector<double>& caps,
+                                     double alpha) {
+  constexpr double tol = core::detail::kBoundaryTol;
+  double sum = 0.0;
+  for (const double value : du) {
+    sum += value;
+  }
+  const double avg = sum / static_cast<double>(du.size());
+  std::vector<bool> pinned(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double d = alpha * (du[i] - avg);
+    const double cap =
+        caps.empty() ? std::numeric_limits<double>::infinity() : caps[i];
+    pinned[i] = (x[i] <= tol && d < 0.0 && x[i] + d <= 0.0) ||
+                (x[i] >= cap - tol && d > 0.0 && x[i] + d >= cap);
+  }
+  return pinned;
+}
+
+// Catalog lanes exactly as the catalog's batch task builds them (priced
+// access costs, point-mass start), at zero prices and at the final prices
+// of a contended solve; the two procedures must agree at the start and at
+// every step of each lane's traced run.
+class ActiveSetCatalogLaneTest
+    : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ActiveSetCatalogLaneTest, FastMatchesReferenceAlongTracedLanes) {
+  const std::size_t nodes = GetParam();
+  fap::catalog::SyntheticCatalogOptions synth;
+  synth.objects = 100;
+  synth.nodes = nodes;
+  synth.headroom = 0.05;
+  synth.zipf_s = 0.9;
+  synth.locality = 0.5;
+  const fap::catalog::CatalogSpec spec =
+      fap::catalog::make_synthetic_catalog(synth, nodes);
+  const fap::catalog::CatalogSolver solver(spec, {});
+  const std::vector<double> zero_prices(nodes, 0.0);
+  const std::vector<double> contended_prices = solver.solve().prices;
+  ASSERT_GT(*std::max_element(contended_prices.begin(),
+                              contended_prices.end()),
+            0.0);
+
+  core::AllocatorOptions options = solver.options().inner;
+  options.record_trace = true;
+  options.max_iterations = 150;
+  std::size_t calls = 0;
+  std::size_t boundary_calls = 0;
+  for (const std::vector<double>* prices :
+       {&zero_prices, &contended_prices}) {
+    for (std::size_t o = 0; o < spec.object_count(); o += 12) {
+      const core::SingleFileModel model =
+          fap::testing::catalog_lane_model(spec, solver, o, *prices);
+      const core::ResourceDirectedAllocator allocator(model, options);
+      const core::ConstraintGroup group = model.constraint_groups().front();
+      const core::AllocationResult run =
+          allocator.run(solver.object_start(o, *prices));
+      for (const core::IterationRecord& record : run.trace) {
+        const std::vector<double> du = model.marginal_utilities(record.x);
+        ASSERT_EQ(allocator.active_set(group, record.x, du, options.alpha),
+                  allocator.active_set_reference(group, record.x, du,
+                                                 options.alpha))
+            << "object " << o << " iteration " << record.iteration;
+        const std::vector<bool> pinned =
+            pinned_at_step_one(record.x, du, {}, options.alpha);
+        ++calls;
+        if (std::find(pinned.begin(), pinned.end(), true) != pinned.end()) {
+          ++boundary_calls;
+        }
+      }
+    }
+  }
+  // The lanes exercise the boundary path, not the all-active shortcut.
+  EXPECT_GT(2 * boundary_calls, calls) << boundary_calls << " of " << calls;
+}
+
+INSTANTIATE_TEST_SUITE_P(Nodes, ActiveSetCatalogLaneTest,
+                         ::testing::Values(10, 32, 64, 100, 128));
+
+// Random boundary-heavy allocations under storage caps: every node sits at
+// the floor, at its cap or strictly inside, with random marginal
+// utilities and a random step.
+struct BoundaryInstance {
+  core::SingleFileModel model;
+  std::vector<double> x;
+  std::vector<double> du;
+  double alpha = 0.0;
+};
+
+BoundaryInstance boundary_instance(std::uint64_t seed) {
+  const std::size_t nodes = 3 + seed % 14;
+  core::SingleFileProblem problem =
+      fap::testing::random_single_file_problem(seed, nodes);
+  fap::util::Rng rng(seed * 104729 + 3);
+  problem.storage_capacity.resize(nodes);
+  for (double& cap : problem.storage_capacity) {
+    cap = rng.uniform(0.4, 0.9);
+  }
+  BoundaryInstance inst{core::SingleFileModel(std::move(problem)),
+                        std::vector<double>(nodes),
+                        std::vector<double>(nodes), 0.0};
+  const std::vector<double>& caps = inst.model.upper_bounds();
+  for (std::size_t i = 0; i < nodes; ++i) {
+    const double where = rng.uniform();
+    inst.x[i] = where < 0.4 ? 0.0
+                : where < 0.8 ? caps[i]
+                              : rng.uniform(0.1, 0.9) * caps[i];
+    inst.du[i] = rng.uniform(-1.0, 1.0);
+  }
+  inst.alpha = rng.uniform(0.05, 1.0);
+  return inst;
+}
+
+// Each seed compares the two procedures, and every node step (i) pinned
+// that the reference's final set takes back is counted by class — floor
+// gainers and cap losers — so the family provably drives both
+// re-admission branches (185 and 215 of them over these seeds).
+TEST(Allocator, ActiveSetReadmissionsMatchReference) {
+  constexpr double tol = core::detail::kBoundaryTol;
+  std::size_t floor_readmissions = 0;
+  std::size_t cap_readmissions = 0;
+  for (std::uint64_t seed = 1; seed <= 1500; ++seed) {
+    const BoundaryInstance inst = boundary_instance(seed);
+    const core::ResourceDirectedAllocator allocator(inst.model, {});
+    const core::ConstraintGroup group =
+        inst.model.constraint_groups().front();
+    const std::vector<std::size_t> reference =
+        allocator.active_set_reference(group, inst.x, inst.du, inst.alpha);
+    ASSERT_EQ(allocator.active_set(group, inst.x, inst.du, inst.alpha),
+              reference)
+        << "seed=" << seed;
+    const std::vector<bool> pinned = pinned_at_step_one(
+        inst.x, inst.du, inst.model.upper_bounds(), inst.alpha);
+    for (const std::size_t i : reference) {
+      if (pinned[i]) {
+        ++(inst.x[i] <= tol ? floor_readmissions : cap_readmissions);
+      }
+    }
+  }
+  EXPECT_GE(floor_readmissions, 100u);
+  EXPECT_GE(cap_readmissions, 100u);
+}
+
+// The same family with the step negated. The allocators never pass α <= 0,
+// but active_set promises the reference's decisions for any input, and a
+// negative step is what mixes the two outsider classes: floor outsiders
+// are then pinned above an average and cap outsiders below it, so both
+// classes can be eligible at once, and a node the last drop pass removed
+// can be the next one admitted. Positive steps never reach the first case,
+// and no random positive-step input has reached the second.
+TEST(Allocator, ActiveSetMatchesReferenceAtNegativeSteps) {
+  for (std::uint64_t seed = 1; seed <= 1500; ++seed) {
+    const BoundaryInstance inst = boundary_instance(seed);
+    const core::ResourceDirectedAllocator allocator(inst.model, {});
+    const core::ConstraintGroup group =
+        inst.model.constraint_groups().front();
+    EXPECT_EQ(allocator.active_set(group, inst.x, inst.du, -inst.alpha),
+              allocator.active_set_reference(group, inst.x, inst.du,
+                                             -inst.alpha))
+        << "seed=" << seed;
+  }
+}
+
+// An exact cross-class tie: right after step (i), a floor-side outsider
+// sits as far above the active average as a cap-side outsider sits below
+// it, and the reference admits whichever comes first in group order.
+// With α > 0 the two classes are never eligible together (floor outsiders
+// were pinned below an average, cap outsiders above it), so a tie needs a
+// negative step; white-box callers may pass one. Either admission order
+// re-admits both nodes, but the running sums round differently, and here
+// that decides the final set: the other order returns {1} in both cases.
+TEST(Allocator, ActiveSetCrossClassTieGoesToTheEarlierPosition) {
+  struct Case {
+    std::vector<double> x;
+    std::vector<double> du;
+    std::size_t gainer;
+    std::size_t loser;
+    std::vector<std::size_t> expected;
+  };
+  const Case cases[] = {
+      {{0.5, 0.0, 0.5}, {0.1, 0.5, -0.3}, 1, 2, {0}},  // gainer first
+      {{0.5, 0.0, 0.0}, {-0.3, 0.5, 0.1}, 1, 0, {2}},  // loser first
+  };
+  constexpr double alpha = -1.0;
+  for (const Case& c : cases) {
+    core::SingleFileProblem problem =
+        fap::testing::random_single_file_problem(5, 3);
+    problem.storage_capacity = {0.5, 0.5, 0.5};
+    const core::SingleFileModel model(std::move(problem));
+    const core::ResourceDirectedAllocator allocator(model, {});
+    const core::ConstraintGroup group = model.constraint_groups().front();
+
+    // Step (i) keeps the one node that is neither the gainer nor the
+    // loser, and the two gaps to its marginal utility are equal.
+    const std::vector<bool> pinned =
+        pinned_at_step_one(c.x, c.du, model.upper_bounds(), alpha);
+    ASSERT_TRUE(pinned[c.gainer]);
+    ASSERT_TRUE(pinned[c.loser]);
+    const std::size_t kept = 3 - c.gainer - c.loser;
+    ASSERT_FALSE(pinned[kept]);
+    const double avg = c.du[kept];
+    ASSERT_GT(c.du[c.gainer] - avg, 0.0);
+    ASSERT_EQ(c.du[c.gainer] - avg, std::fabs(c.du[c.loser] - avg));
+
+    const std::vector<std::size_t> reference =
+        allocator.active_set_reference(group, c.x, c.du, alpha);
+    EXPECT_EQ(reference, c.expected);
+    EXPECT_EQ(allocator.active_set(group, c.x, c.du, alpha), reference);
+  }
+}
+
+// Equal gaps from distinct marginal utilities: 0.3 and the next double up
+// both sit 2.7 below the average of 3 once the subtraction rounds. Step
+// (i) pins every node here, so the degenerate rule keeps node 3 (∂U = 3);
+// the three cap-side nodes are then eligible losers, all three on the
+// same gap. The reference admits node 0, the first in group order, and
+// the admission order decides the final set: taking node 1 first, the
+// first holding the smallest ∂U, rounds the later average down and ends
+// at {1, 2}.
+TEST(Allocator, ActiveSetEqualGapsGoToTheEarlierPosition) {
+  core::SingleFileProblem problem =
+      fap::testing::random_single_file_problem(5, 5);
+  problem.storage_capacity.assign(5, 0.5);
+  const core::SingleFileModel model(std::move(problem));
+  const core::ResourceDirectedAllocator allocator(model, {});
+  const core::ConstraintGroup group = model.constraint_groups().front();
+  const std::vector<double> x{0.5, 0.5, 0.5, 0.5, 0.0};
+  const std::vector<double> du{0.30000000000000004, 0.3, 0.3, 3.0, -5.0};
+  constexpr double alpha = 0.5;
+  ASSERT_NE(du[0], du[1]);
+  ASSERT_EQ(du[0] - du[3], du[1] - du[3]);
+  const std::vector<bool> pinned =
+      pinned_at_step_one(x, du, model.upper_bounds(), alpha);
+  ASSERT_EQ(std::count(pinned.begin(), pinned.end(), true), 5);
+
+  const std::vector<std::size_t> reference =
+      allocator.active_set_reference(group, x, du, alpha);
+  EXPECT_EQ(reference, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(allocator.active_set(group, x, du, alpha), reference);
 }
 
 }  // namespace

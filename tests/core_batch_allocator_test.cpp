@@ -257,6 +257,35 @@ TEST(BatchAllocator, AlreadyConvergedLaneRetiresImmediately) {
   EXPECT_TRUE(BitsEqual(results[0].cost, serial.cost));
 }
 
+// The lane-step counters: a lane is live for one lockstep iteration per
+// step it takes, plus the one that finds it converged; boundary steps are
+// the subset that took the gathered active-set path.
+TEST(BatchAllocator, LaneStepCountersAddUp) {
+  BatchAllocator batch(8);
+  std::vector<RandomInstance> instances;
+  for (std::size_t i = 0; i < 40; ++i) {
+    instances.push_back(make_random_instance(3000 + i));
+    batch.submit(instances.back().model, instances.back().options,
+                 instances.back().start);
+  }
+  std::size_t expected = 0;
+  for (const BatchRunResult& result : batch.run_all()) {
+    expected += result.iterations + (result.converged ? 1 : 0);
+  }
+  EXPECT_EQ(batch.stats().lane_steps, expected);
+  EXPECT_GT(batch.stats().boundary_lane_steps, 0u);
+  EXPECT_LT(batch.stats().boundary_lane_steps, batch.stats().lane_steps);
+
+  // A start at the optimum: one live step, and nobody pinned.
+  const SingleFileModel model(fap::core::make_paper_ring_problem());
+  AllocatorOptions options;
+  options.epsilon = 1e-6;
+  batch.submit(model, options, std::vector<double>(4, 0.25));
+  batch.run_all();
+  EXPECT_EQ(batch.stats().lane_steps, 1u);
+  EXPECT_EQ(batch.stats().boundary_lane_steps, 0u);
+}
+
 TEST(BatchAllocator, RunAllOnEmptyQueueReturnsEmpty) {
   BatchAllocator batch;
   EXPECT_TRUE(batch.run_all().empty());

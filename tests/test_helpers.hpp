@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "catalog/catalog_solver.hpp"
+#include "catalog/catalog_spec.hpp"
 #include "core/multi_file.hpp"
 #include "core/ring_model.hpp"
 #include "core/single_file.hpp"
@@ -84,6 +86,20 @@ inline core::RingProblem random_ring_problem(std::uint64_t seed,
   problem.k = rng.uniform(0.3, 2.0);
   problem.delay = queueing::DelayModel::mm1(/*rho_max=*/0.95);
   return problem;
+}
+
+/// Catalog object o's inner problem at the given prices: a
+/// SingleFileModel fed the solver's own priced access-cost vector through
+/// access_cost_override (no cost provider, λ concentrated at the home node
+/// — the override makes the workload's spatial shape irrelevant).
+inline core::SingleFileModel catalog_lane_model(
+    const catalog::CatalogSpec& spec, const catalog::CatalogSolver& solver,
+    std::size_t o, const std::vector<double>& prices) {
+  std::vector<double> lambda(spec.node_count(), 0.0);
+  lambda[spec.home[o]] = spec.rate[o];
+  return core::SingleFileModel(core::SingleFileProblem{
+      nullptr, std::move(lambda), spec.mu, spec.k, spec.delay, {}, {},
+      solver.object_access_cost(o, prices)});
 }
 
 }  // namespace fap::testing
