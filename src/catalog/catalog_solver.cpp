@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <mutex>
 
 #include "catalog/capacity_price_loop.hpp"
 #include "runtime/sweep.hpp"
@@ -21,6 +23,47 @@ constexpr double kRepairMargin = 1e-12;
 constexpr std::size_t kMaxRepairPasses = 8;
 
 }  // namespace
+
+// The batch states of one solve: each is an allocator of the full batch
+// width plus the scratch its submissions are assembled in. A batch task
+// takes a state and gives it back when done, so a solve holds no more
+// states than batches ran at once, and later batches and rounds reuse
+// their planes and queues. Reuse keeps the heap flat: planes freed after
+// every batch would land between the round's live per-object results,
+// where they cannot coalesce. A task that throws drops its state.
+class CatalogSolver::BatchStatePool {
+ public:
+  struct State {
+    State(std::size_t width, std::size_t n)
+        : batch(width), access(n), start(n) {}
+    core::BatchAllocator batch;
+    std::vector<double> access;
+    std::vector<double> start;
+  };
+
+  BatchStatePool(std::size_t width, std::size_t n) : width_(width), n_(n) {}
+
+  std::unique_ptr<State> take() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (free_.empty()) {
+      return std::make_unique<State>(width_, n_);
+    }
+    std::unique_ptr<State> state = std::move(free_.back());
+    free_.pop_back();
+    return state;
+  }
+
+  void give_back(std::unique_ptr<State> state) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    free_.push_back(std::move(state));
+  }
+
+ private:
+  const std::size_t width_;
+  const std::size_t n_;
+  std::mutex mutex_;  // guards free_
+  std::vector<std::unique_ptr<State>> free_;
+};
 
 CatalogSolver::CatalogSolver(const CatalogSpec& spec, CatalogOptions options)
     : spec_(spec), options_(std::move(options)) {
@@ -107,7 +150,7 @@ std::vector<double> CatalogSolver::object_start(
 }
 
 std::vector<CatalogSolver::ObjectAllocation> CatalogSolver::solve_round(
-    const std::vector<double>& prices) const {
+    const std::vector<double>& prices, BatchStatePool& states) const {
   const std::size_t n = spec_.node_count();
   runtime::SweepOptions sweep_options;
   sweep_options.jobs = options_.jobs;
@@ -122,11 +165,12 @@ std::vector<CatalogSolver::ObjectAllocation> CatalogSolver::solve_round(
       [](std::size_t o, std::uint64_t) {
         return static_cast<std::uint32_t>(o);
       },
-      [this, n, &prices](std::size_t,
-                         const std::vector<std::uint32_t>& items) {
-        core::BatchAllocator batch(items.size());
-        std::vector<double> access(n);
-        std::vector<double> start(n);
+      [this, n, &prices, &states](std::size_t,
+                                  const std::vector<std::uint32_t>& items) {
+        std::unique_ptr<BatchStatePool::State> state = states.take();
+        core::BatchAllocator& batch = state->batch;
+        std::vector<double>& access = state->access;
+        std::vector<double>& start = state->start;
         for (const std::uint32_t o : items) {
           assemble_access(o, prices, access.data());
           std::fill(start.begin(), start.end(), 0.0);
@@ -147,6 +191,7 @@ std::vector<CatalogSolver::ObjectAllocation> CatalogSolver::solve_round(
         runtime::add_task_metric(
             "boundary_lane_steps",
             static_cast<double>(batch.stats().boundary_lane_steps));
+        states.give_back(std::move(state));
         std::vector<ObjectAllocation> out;
         out.reserve(solved.size());
         for (const core::BatchRunResult& run : solved) {
@@ -294,11 +339,12 @@ void CatalogSolver::repair(std::vector<ObjectAllocation>& allocations,
 CatalogResult CatalogSolver::solve() const {
   CapacityPriceLoop loop(spec_.node_capacity, price_scale_);
 
+  BatchStatePool states(options_.batch_width, spec_.node_count());
   CatalogResult result;
   std::vector<ObjectAllocation> allocations;
   std::vector<double> loads;
   while (true) {
-    allocations = solve_round(loop.prices());
+    allocations = solve_round(loop.prices(), states);
     ++result.rounds;
     loads = node_loads(allocations);
     if (loop.update(loads) || !loop.active()) {

@@ -139,9 +139,11 @@ class CatalogSolver {
     std::uint32_t iterations = 0;
     bool converged = false;
   };
+  /// The batch states of one solve() (defined in catalog_solver.cpp).
+  class BatchStatePool;
 
-  std::vector<ObjectAllocation> solve_round(
-      const std::vector<double>& prices) const;
+  std::vector<ObjectAllocation> solve_round(const std::vector<double>& prices,
+                                            BatchStatePool& states) const;
   std::vector<double> node_loads(
       const std::vector<ObjectAllocation>& allocations) const;
   void repair(std::vector<ObjectAllocation>& allocations,

@@ -91,8 +91,13 @@ std::size_t BatchAllocator::submit(const RawInstance& raw,
               "raw instance needs access costs, service rates and a start");
   FAP_EXPECTS(raw.total_rate > 0.0,
               "network-wide access rate must be positive");
+  FAP_EXPECTS(std::isfinite(raw.total_rate),
+              "network-wide access rate must be finite");
   FAP_EXPECTS(raw.k >= 0.0, "k must be non-negative");
+  FAP_EXPECTS(std::isfinite(raw.k), "k must be finite");
   for (std::size_t i = 0; i < raw.n; ++i) {
+    FAP_EXPECTS(std::isfinite(raw.access_cost[i]),
+                "access costs must be finite");
     FAP_EXPECTS(raw.mu[i] > 0.0, "service rates must be positive");
     if (raw.delay.rho_max() >= 1.0) {
       FAP_EXPECTS(raw.total_rate < raw.delay.capacity(raw.mu[i]),
@@ -129,6 +134,7 @@ std::size_t BatchAllocator::submit(const RawInstance& raw,
 
   Instance inst;
   inst.n = raw.n;
+  inst.offset = queue_start_.size();
   inst.alpha = options.alpha;
   inst.epsilon = options.epsilon;
   inst.dynamic_rule = options.step_rule == StepRule::kDynamic;
@@ -136,31 +142,37 @@ std::size_t BatchAllocator::submit(const RawInstance& raw,
   inst.total_rate = raw.total_rate;
   inst.k = raw.k;
   inst.delay = raw.delay;
-  inst.access_cost.assign(raw.access_cost, raw.access_cost + raw.n);
-  inst.mu.assign(raw.mu, raw.mu + raw.n);
+  queue_access_.insert(queue_access_.end(), raw.access_cost,
+                       raw.access_cost + raw.n);
+  queue_mu_.insert(queue_mu_.end(), raw.mu, raw.mu + raw.n);
   if (raw.caps != nullptr) {
-    inst.caps.assign(raw.caps, raw.caps + raw.n);
+    queue_cap_.insert(queue_cap_.end(), raw.caps, raw.caps + raw.n);
+  } else {
+    queue_cap_.insert(queue_cap_.end(), raw.n, kInf);
   }
-  inst.start.assign(raw.start, raw.start + raw.n);
-  pending_.push_back(std::move(inst));
+  queue_start_.insert(queue_start_.end(), raw.start, raw.start + raw.n);
+  pending_.push_back(inst);
   return pending_.size() - 1;
 }
 
 void BatchAllocator::load_lane(std::size_t lane, std::size_t instance_id) {
   const Instance& inst = pending_[instance_id];
+  const double* access = queue_access_.data() + inst.offset;
+  const double* mu = queue_mu_.data() + inst.offset;
+  const double* cap = queue_cap_.data() + inst.offset;
+  const double* start = queue_start_.data() + inst.offset;
   const std::size_t s = soa_.stride;
   for (std::size_t j = 0; j < node_cap_; ++j) {
     const bool real = j < inst.n;
-    const double m = real ? inst.mu[j] : 1.0;
-    soa_.x[j * s + lane] = real ? inst.start[j] : 0.0;
-    soa_.c[j * s + lane] = real ? inst.access_cost[j] : 0.0;
+    const double m = real ? mu[j] : 1.0;
+    soa_.x[j * s + lane] = real ? start[j] : 0.0;
+    soa_.c[j * s + lane] = real ? access[j] : 0.0;
     soa_.mu[j * s + lane] = m;
     // Cached quotient: 1/μ divides the same operands the delay-law
     // expression would every iteration, so reusing it is bitwise
     // reevaluation (division is deterministic).
     soa_.imu[j * s + lane] = 1.0 / m;
-    soa_.cap[j * s + lane] =
-        (real && !inst.caps.empty()) ? inst.caps[j] : kInf;
+    soa_.cap[j * s + lane] = real ? cap[j] : kInf;
   }
   lane_inst_[lane] = instance_id;
   lane_n_[lane] = inst.n;
@@ -540,6 +552,10 @@ std::vector<BatchRunResult> BatchAllocator::run_all() {
   }
 
   pending_.clear();
+  queue_access_.clear();
+  queue_mu_.clear();
+  queue_cap_.clear();
+  queue_start_.clear();
   return results;
 }
 

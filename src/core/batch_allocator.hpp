@@ -35,7 +35,10 @@
 // its termination criterion fires (converged) or its iteration cap is
 // reached, and its column is immediately backfilled from the pending
 // queue; when the queue is dry, live columns are compacted left so the
-// vector loops stay dense.
+// vector loops stay dense. run_all() sizes every plane and lane array
+// afresh and load_lane() rewrites every field of a lane, so an allocator
+// reused for any sequence of batches returns what a fresh one would;
+// only growth reallocates.
 //
 // Supported models: SingleFileModel (any delay discipline; single-server
 // disciplines take the vectorized derivative path, M/M/c lanes fall back
@@ -105,14 +108,16 @@ class BatchAllocator {
 
   /// The one submission path: applies the option checks of the
   /// ResourceDirectedAllocator constructor and the validations
-  /// SingleFileModel's constructor and check_feasible() would (positive
-  /// rates, stability under pure delay models, capacity admits a whole
-  /// file, feasible start), then copies the fields into the queue.
+  /// SingleFileModel's constructor and check_feasible() would (finite k,
+  /// rate and access costs, positive rates, stability under pure delay
+  /// models, capacity admits a whole file, feasible start), then copies
+  /// the fields into the queue.
   std::size_t submit(const RawInstance& raw, const AllocatorOptions& options);
 
   /// Runs every pending submission to completion and returns their
-  /// results in submission order. Clears the queue; the allocator can be
-  /// reused for a new round of submissions afterwards.
+  /// results in submission order. Clears the queue and keeps its storage;
+  /// the allocator can be reused for a new round of submissions
+  /// afterwards.
   std::vector<BatchRunResult> run_all();
 
   std::size_t width() const noexcept { return width_; }
@@ -134,9 +139,12 @@ class BatchAllocator {
   const Stats& stats() const noexcept { return stats_; }
 
  private:
-  /// One queued submission (AoS; transposed into the SoA planes on load).
+  /// One queued submission's scalars. Its per-node values sit at
+  /// [offset, offset + n) of the flat queue arrays; load_lane transposes
+  /// them into the SoA planes.
   struct Instance {
     std::size_t n = 0;
+    std::size_t offset = 0;
     double alpha = 0.0;
     double epsilon = 0.0;
     bool dynamic_rule = false;
@@ -144,10 +152,6 @@ class BatchAllocator {
     double total_rate = 0.0;
     double k = 0.0;
     queueing::DelayModel delay;
-    std::vector<double> access_cost;
-    std::vector<double> mu;
-    std::vector<double> caps;  ///< empty = unbounded
-    std::vector<double> start;
   };
 
   void load_lane(std::size_t lane, std::size_t instance_id);
@@ -161,6 +165,11 @@ class BatchAllocator {
 
   std::size_t width_;
   std::vector<Instance> pending_;
+  // The flat queue: submit() appends each instance's access costs, μ,
+  // caps (+inf when unbounded) and start here, and run_all() clears them
+  // with pending_. Both keep their capacity, so an allocator reused for
+  // batch after batch allocates nothing per instance.
+  std::vector<double> queue_access_, queue_mu_, queue_cap_, queue_start_;
   Stats stats_;
 
   // --- run_all() state. The planes, lane constants and per-iteration
@@ -184,7 +193,7 @@ class BatchAllocator {
   // any_dyn live in soa_ where the kernels read them).
   bool all_single_ = true;
   // Scalar-tail scratch (boundary lanes).
-  std::vector<double> gx_, gdu_, gd2c_, gcaps_, deltas_;
+  std::vector<double> gx_, gdu_, gcaps_, deltas_;
   detail::ActiveSetWorkspace aset_;
   std::unordered_map<std::size_t, ConstraintGroup> group_by_n_;
 };

@@ -9,6 +9,16 @@
 
 namespace fap::core {
 
+namespace {
+
+void expect_finite_access_costs(const std::vector<double>& access_costs) {
+  for (const double c : access_costs) {
+    FAP_EXPECTS(std::isfinite(c), "access costs must be finite");
+  }
+}
+
+}  // namespace
+
 double Workload::total() const noexcept {
   return util::sum(lambda);
 }
@@ -91,11 +101,14 @@ SingleFileModel::SingleFileModel(SingleFileProblem problem)
   }
   FAP_EXPECTS(problem_.mu.size() == n, "mu size must match node count");
   FAP_EXPECTS(problem_.k >= 0.0, "k must be non-negative");
+  FAP_EXPECTS(std::isfinite(problem_.k), "k must be finite");
   for (const double rate : problem_.lambda) {
     FAP_EXPECTS(rate >= 0.0, "access rates must be non-negative");
   }
   total_rate_ = util::sum(problem_.lambda);
   FAP_EXPECTS(total_rate_ > 0.0, "network-wide access rate must be positive");
+  FAP_EXPECTS(std::isfinite(total_rate_),
+              "network-wide access rate must be finite");
   for (const double mu : problem_.mu) {
     FAP_EXPECTS(mu > 0.0, "service rates must be positive");
     if (problem_.delay.rho_max() >= 1.0) {
@@ -123,6 +136,7 @@ SingleFileModel::SingleFileModel(SingleFileProblem problem)
 
   if (overridden) {
     access_cost_ = problem_.access_cost_override;
+    expect_finite_access_costs(access_cost_);
     return;
   }
 
@@ -148,6 +162,7 @@ SingleFileModel::SingleFileModel(SingleFileProblem problem)
   for (double& c : access_cost_) {
     c /= total_rate_;
   }
+  expect_finite_access_costs(access_cost_);
 }
 
 std::vector<ConstraintGroup> SingleFileModel::constraint_groups() const {

@@ -12,6 +12,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -67,8 +68,9 @@ fap::net::Topology random_topology(std::size_t n, Rng& rng) {
   }
 }
 
-DelayModel random_delay(Rng& rng) {
-  switch (rng.uniform_index(5)) {
+// `multi_server` = false leaves out the M/M/c law (the last case).
+DelayModel random_delay(Rng& rng, bool multi_server) {
+  switch (rng.uniform_index(multi_server ? 5 : 4)) {
     case 0:
       return DelayModel::mm1();
     case 1:
@@ -136,11 +138,10 @@ std::vector<double> random_start(std::size_t n, const std::vector<double>& caps,
   return x;
 }
 
-RandomInstance make_random_instance(std::uint64_t seed) {
-  Rng rng(seed);
-  const std::size_t n = 3 + rng.uniform_index(10);  // 3..12 nodes
+// The randomized mix on exactly `n` nodes.
+RandomInstance make_instance(Rng& rng, std::size_t n, bool multi_server) {
   const fap::net::Topology topology = random_topology(n, rng);
-  const DelayModel delay = random_delay(rng);
+  const DelayModel delay = random_delay(rng, multi_server);
   // Total rate 1, per-server mu comfortably above it: every reachable
   // allocation (x_i <= 1) is stable even for the pure rho_max = 1 models.
   const double mu = rng.uniform(1.3, 3.0);
@@ -179,6 +180,23 @@ RandomInstance make_random_instance(std::uint64_t seed) {
   RandomInstance inst{SingleFileModel(std::move(problem)), options, {}};
   inst.start = random_start(n, caps, rng);
   return inst;
+}
+
+RandomInstance make_random_instance(std::uint64_t seed) {
+  Rng rng(seed);
+  const std::size_t n = 3 + rng.uniform_index(10);  // 3..12 nodes
+  return make_instance(rng, n, /*multi_server=*/true);
+}
+
+void expect_bitwise_equal(const BatchRunResult& expected,
+                          const BatchRunResult& actual) {
+  EXPECT_EQ(expected.converged, actual.converged);
+  EXPECT_EQ(expected.iterations, actual.iterations);
+  EXPECT_TRUE(BitsEqual(expected.cost, actual.cost));
+  ASSERT_EQ(expected.x.size(), actual.x.size());
+  for (std::size_t j = 0; j < expected.x.size(); ++j) {
+    EXPECT_TRUE(BitsEqual(expected.x[j], actual.x[j])) << "node " << j;
+  }
 }
 
 void expect_matches_serial(const RandomInstance& inst,
@@ -292,20 +310,67 @@ TEST(BatchAllocator, RunAllOnEmptyQueueReturnsEmpty) {
   EXPECT_EQ(batch.stats().instances, 0u);
 }
 
-// The allocator is reusable: a second round of submissions after
-// run_all() behaves like a fresh instance.
+// One allocator reused for batch after batch — the node count growing
+// and shrinking (3, then up to 12 mixed, 100, 3), one live lane and then
+// all 64, an M/M/c lane present and then absent, capped and uncapped
+// instances, fixed and dynamic steps — returns every run bitwise equal to
+// a fresh allocator of the same width and to the serial allocator:
+// run_all() must leave nothing behind that the next batch can see, and
+// the flat queue must hand each lane its own instance's values.
 TEST(BatchAllocator, ReusableAcrossRounds) {
-  const RandomInstance inst = make_random_instance(42);
-  BatchAllocator batch(4);
-  batch.submit(inst.model, inst.options, inst.start);
-  const std::vector<BatchRunResult> first = batch.run_all();
-  EXPECT_EQ(batch.pending(), 0u);
-  batch.submit(inst.model, inst.options, inst.start);
-  const std::vector<BatchRunResult> second = batch.run_all();
-  ASSERT_EQ(first.size(), 1u);
-  ASSERT_EQ(second.size(), 1u);
-  EXPECT_TRUE(BitsEqual(first[0].cost, second[0].cost));
-  EXPECT_EQ(first[0].iterations, second[0].iterations);
+  struct Shape {
+    std::size_t min_nodes;
+    std::size_t max_nodes;
+    std::size_t instances;
+    bool multi_server;
+  };
+  const Shape shapes[] = {{3, 3, 1, false},
+                          {3, 12, 80, true},
+                          {100, 100, 64, false},
+                          {3, 3, 72, true}};
+  BatchAllocator reused(BatchAllocator::kDefaultWidth);
+  std::uint64_t seed = 42;
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE("nodes " + std::to_string(shape.max_nodes) +
+                 ", instances " + std::to_string(shape.instances));
+    BatchAllocator fresh(BatchAllocator::kDefaultWidth);
+    std::vector<RandomInstance> instances;
+    std::size_t multi_server = 0;
+    std::size_t capped = 0;
+    std::size_t dynamic = 0;
+    for (std::size_t i = 0; i < shape.instances; ++i) {
+      Rng rng(seed++);
+      const std::size_t n =
+          shape.min_nodes +
+          rng.uniform_index(shape.max_nodes - shape.min_nodes + 1);
+      instances.push_back(make_instance(rng, n, shape.multi_server));
+      const RandomInstance& inst = instances.back();
+      multi_server += inst.model.problem().delay.discipline() ==
+                      fap::queueing::Discipline::kMMc;
+      capped += !inst.model.problem().storage_capacity.empty();
+      dynamic += inst.options.step_rule == StepRule::kDynamic;
+      fresh.submit(inst.model, inst.options, inst.start);
+      reused.submit(inst.model, inst.options, inst.start);
+    }
+    if (shape.instances > 1) {
+      // The mix this test is about, not an accident of the seeds.
+      EXPECT_EQ(multi_server > 0, shape.multi_server);
+      EXPECT_GT(capped, 0u);
+      EXPECT_LT(capped, shape.instances);
+      EXPECT_GT(dynamic, 0u);
+      EXPECT_LT(dynamic, shape.instances);
+    }
+    const std::vector<BatchRunResult> expected = fresh.run_all();
+    const std::vector<BatchRunResult> actual = reused.run_all();
+    EXPECT_EQ(reused.pending(), 0u);
+    ASSERT_EQ(expected.size(), shape.instances);
+    ASSERT_EQ(actual.size(), shape.instances);
+    for (std::size_t i = 0; i < shape.instances; ++i) {
+      SCOPED_TRACE("instance " + std::to_string(i));
+      expect_bitwise_equal(expected[i], actual[i]);
+      expect_matches_serial(instances[i], actual[i], i);
+    }
+  }
 }
 
 // RawInstance is the model-free submit path the catalog engine feeds
@@ -343,14 +408,7 @@ TEST(BatchAllocator, RawSubmitMatchesModelSubmitBitwise) {
     ASSERT_EQ(actual.size(), kInstances);
     for (std::size_t i = 0; i < kInstances; ++i) {
       SCOPED_TRACE("instance " + std::to_string(i));
-      EXPECT_EQ(expected[i].converged, actual[i].converged);
-      EXPECT_EQ(expected[i].iterations, actual[i].iterations);
-      EXPECT_TRUE(BitsEqual(expected[i].cost, actual[i].cost));
-      ASSERT_EQ(expected[i].x.size(), actual[i].x.size());
-      for (std::size_t j = 0; j < expected[i].x.size(); ++j) {
-        EXPECT_TRUE(BitsEqual(expected[i].x[j], actual[i].x[j]))
-            << "node " << j;
-      }
+      expect_bitwise_equal(expected[i], actual[i]);
     }
   }
 }
@@ -412,14 +470,7 @@ TEST(BatchAllocator, Avx2KernelsBitIdenticalToScalarKernels) {
     for (std::size_t i = 0; i < kInstances; ++i) {
       SCOPED_TRACE("width " + std::to_string(width) + " instance " +
                    std::to_string(i));
-      EXPECT_EQ(scalar_results[i].converged, avx2_results[i].converged);
-      EXPECT_EQ(scalar_results[i].iterations, avx2_results[i].iterations);
-      EXPECT_TRUE(BitsEqual(scalar_results[i].cost, avx2_results[i].cost));
-      ASSERT_EQ(scalar_results[i].x.size(), avx2_results[i].x.size());
-      for (std::size_t j = 0; j < scalar_results[i].x.size(); ++j) {
-        EXPECT_TRUE(BitsEqual(scalar_results[i].x[j], avx2_results[i].x[j]))
-            << "node " << j;
-      }
+      expect_bitwise_equal(scalar_results[i], avx2_results[i]);
     }
   }
 }
@@ -474,6 +525,22 @@ TEST(BatchAllocator, RawSubmitValidates) {
   EXPECT_THROW(batch.submit(bad, options), fap::util::PreconditionError);
   bad = raw;
   bad.k = -1.0;
+  EXPECT_THROW(batch.submit(bad, options), fap::util::PreconditionError);
+  // Non-finite inputs fail here, as SingleFileModel's constructor fails
+  // them, not later inside run_all().
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  bad = raw;
+  bad.k = kInf;
+  EXPECT_THROW(batch.submit(bad, options), fap::util::PreconditionError);
+  for (const double cost : {std::numeric_limits<double>::quiet_NaN(), kInf}) {
+    const std::vector<double> non_finite = {1.0, cost, 3.0};
+    bad = raw;
+    bad.access_cost = non_finite.data();
+    EXPECT_THROW(batch.submit(bad, options), fap::util::PreconditionError);
+  }
+  bad = raw;
+  bad.delay = DelayModel::mm1(0.9);  // no stability bound on the rate
+  bad.total_rate = kInf;
   EXPECT_THROW(batch.submit(bad, options), fap::util::PreconditionError);
   bad = raw;
   bad.total_rate = 2.5;  // >= mu under the pure M/M/1 model: unstable

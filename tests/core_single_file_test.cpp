@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 
 #include "core/cost_model.hpp"
@@ -225,6 +226,21 @@ TEST(SingleFileModel, RejectsInvalidConstruction) {
   problem.comm = std::make_shared<fap::net::RowCostProvider>(
       fap::net::make_ring(5, 1.0));
   EXPECT_THROW(core::SingleFileModel{problem}, PreconditionError);
+  // Non-finite inputs fail here, as BatchAllocator::submit fails them,
+  // not as a converged +inf cost or a negative allocation one step later.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  problem = core::make_paper_ring_problem();
+  problem.k = kInf;
+  EXPECT_THROW(core::SingleFileModel{problem}, PreconditionError);
+  problem = core::make_paper_ring_problem();
+  problem.delay = fap::queueing::DelayModel::mm1(0.9);  // no rate bound
+  problem.lambda[0] = kInf;
+  EXPECT_THROW(core::SingleFileModel{problem}, PreconditionError);
+  for (const double cost : {std::numeric_limits<double>::quiet_NaN(), kInf}) {
+    problem = core::make_paper_ring_problem();
+    problem.access_cost_override = {1.0, cost, 3.0, 4.0};
+    EXPECT_THROW(core::SingleFileModel{problem}, PreconditionError);
+  }
 }
 
 TEST(SingleFileModel, CheckFeasibleValidates) {
