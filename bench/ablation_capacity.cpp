@@ -39,25 +39,17 @@ int main(int argc, char** argv) {
   // --jobs AND batch width; lanes are bit-identical to serial runs). The
   // per-cap models copy the ring problem built above (one APSP).
   const std::vector<double> caps{0.25, 0.2, 0.15, 0.1, 0.05, 0.01};
-  struct Submission {
-    core::SingleFileModel model;
-    std::vector<double> start;
-  };
   const std::vector<core::BatchRunResult> capped_results =
       runtime::batch_sweep(
           caps.size(), core::BatchAllocator::kDefaultWidth,
           bench::sweep_options("ablation_capacity"),
-          [&](std::size_t index, std::uint64_t /*seed*/) {
-            core::SingleFileProblem problem = ring;
-            problem.storage_capacity = {caps[index], 1.0, 1.0, 1.0};
-            core::SingleFileModel model(std::move(problem));
-            std::vector<double> start = core::uniform_allocation(model);
-            return Submission{std::move(model), std::move(start)};
-          },
-          [&](std::size_t /*first*/, std::vector<Submission> items) {
+          [&](std::size_t first, std::size_t last) {
             core::BatchAllocator batch;
-            for (const Submission& item : items) {
-              batch.submit(item.model, options, item.start);
+            for (std::size_t i = first; i < last; ++i) {
+              core::SingleFileProblem problem = ring;
+              problem.storage_capacity = {caps[i], 1.0, 1.0, 1.0};
+              const core::SingleFileModel model(std::move(problem));
+              batch.submit(model, options, core::uniform_allocation(model));
             }
             return batch.run_all();
           });

@@ -82,7 +82,8 @@ inline std::vector<ExtraStringFlag>& extra_string_flags() {
   out << "usage: " << binary << " [options]\n"
       << "  --csv            emit tables as CSV instead of aligned ASCII\n"
       << "  --jobs N         worker threads for parallel sweeps "
-         "(default 1, 0 = all cores)\n"
+         "(default 1, 0 = all cores, at most "
+      << runtime::kMaxJobs << ")\n"
       << "  --seed S         master seed for stochastic sweep points\n"
       << "  --metrics PATH   write per-task JSONL metrics to PATH\n";
   for (const ExtraNumericFlag& flag : extra_numeric_flags()) {
@@ -166,8 +167,13 @@ inline void init(int argc, char** argv) {
     if (std::strcmp(argv[i], "--csv") == 0) {
       detail::csv_mode() = true;
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      detail::jobs_setting() =
-          static_cast<std::size_t>(detail::numeric_flag_value(argc, argv, i));
+      const std::uint64_t jobs = detail::numeric_flag_value(argc, argv, i);
+      if (jobs > runtime::kMaxJobs) {
+        std::cerr << argv[0] << ": --jobs " << jobs << " exceeds the limit of "
+                  << runtime::kMaxJobs << " worker threads\n";
+        detail::usage(argv[0], 2);
+      }
+      detail::jobs_setting() = static_cast<std::size_t>(jobs);
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       detail::seed_setting() = detail::numeric_flag_value(argc, argv, i);
       detail::seed_overridden() = true;

@@ -8,8 +8,8 @@
 // The 45 α points are independent allocator runs on the same model, so
 // they go through runtime::batch_sweep + core::BatchAllocator: the whole
 // sweep steps in SoA lockstep (bit-identical to the serial allocator),
-// `--jobs N` distributes whole batches, and every task's model copies one
-// problem built before the sweep (one APSP for the whole sweep).
+// `--jobs N` distributes whole batches, and every batch submits the one
+// model built before the sweep (one APSP for the whole sweep).
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -31,25 +31,18 @@ int main(int argc, char** argv) {
     alphas.push_back(alpha);
   }
 
-  struct Submission {
-    core::SingleFileModel model;
-    core::AllocatorOptions options;
-  };
-  const core::SingleFileProblem ring = core::make_paper_ring_problem();
+  const core::SingleFileModel ring(core::make_paper_ring_problem());
   const std::vector<core::BatchRunResult> results = runtime::batch_sweep(
       alphas.size(), core::BatchAllocator::kDefaultWidth,
       bench::sweep_options("fig5_alpha_sweep"),
-      [&](std::size_t i, std::uint64_t /*seed*/) {
-        core::AllocatorOptions options;
-        options.alpha = alphas[i];
-        options.epsilon = 1e-3;
-        options.max_iterations = 20000;
-        return Submission{core::SingleFileModel(ring), options};
-      },
-      [&](std::size_t /*first*/, std::vector<Submission> items) {
+      [&](std::size_t first, std::size_t last) {
         core::BatchAllocator batch;
-        for (const Submission& item : items) {
-          batch.submit(item.model, item.options, start);
+        for (std::size_t i = first; i < last; ++i) {
+          core::AllocatorOptions options;
+          options.alpha = alphas[i];
+          options.epsilon = 1e-3;
+          options.max_iterations = 20000;
+          batch.submit(ring, options, start);
         }
         return batch.run_all();
       });

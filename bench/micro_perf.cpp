@@ -25,7 +25,6 @@
 #include "net/hierarchy.hpp"
 #include "net/shortest_paths.hpp"
 #include "runtime/sweep.hpp"
-#include "runtime/thread_pool.hpp"
 #include "serve/trace_server.hpp"
 #include "sim/des.hpp"
 #include "sim/des_system.hpp"
@@ -343,20 +342,6 @@ void BM_AllPairsShortestPaths(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AllPairsShortestPaths)->Arg(20)->Arg(100)->Arg(300)->Arg(1000);
-
-// Pool-parallel APSP (byte-identical rows, fanned over workers). The pool
-// is built outside the timing loop: the steady-state cost is what matters
-// for the pipeline, which reuses one pool across a whole sweep.
-void BM_AllPairsShortestPathsParallel(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(7);
-  const net::Topology topology = net::make_random_metric(n, 4, rng);
-  runtime::ThreadPool pool(runtime::ThreadPool::hardware_jobs());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net::all_pairs_shortest_paths(topology, pool));
-  }
-}
-BENCHMARK(BM_AllPairsShortestPathsParallel)->Arg(300)->Arg(1000);
 
 // The row-provider miss path: every request asks for a new source row
 // (stride 7919 is coprime to n, so the walk cycles through all sources

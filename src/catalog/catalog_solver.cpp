@@ -157,21 +157,17 @@ std::vector<CatalogSolver::ObjectAllocation> CatalogSolver::solve_round(
   sweep_options.base_seed = options_.base_seed;
   sweep_options.metrics = options_.metrics;
   sweep_options.run_id = options_.run_id;
-  // make() tags items with their object index; all per-object state is a
-  // pure function of (index, prices), so the sweep seed is unused here —
-  // it exists so --metrics records line up with the repo's other sweeps.
+  // All per-object state is a pure function of (index, prices), so the
+  // batch seeds are unused here — they exist so --metrics records line up
+  // with the repo's other sweeps.
   return runtime::batch_sweep(
       spec_.object_count(), options_.batch_width, sweep_options,
-      [](std::size_t o, std::uint64_t) {
-        return static_cast<std::uint32_t>(o);
-      },
-      [this, n, &prices, &states](std::size_t,
-                                  const std::vector<std::uint32_t>& items) {
+      [this, n, &prices, &states](std::size_t first, std::size_t last) {
         std::unique_ptr<BatchStatePool::State> state = states.take();
         core::BatchAllocator& batch = state->batch;
         std::vector<double>& access = state->access;
         std::vector<double>& start = state->start;
-        for (const std::uint32_t o : items) {
+        for (std::size_t o = first; o < last; ++o) {
           assemble_access(o, prices, access.data());
           std::fill(start.begin(), start.end(), 0.0);
           start[start_node(o, access.data())] = 1.0;

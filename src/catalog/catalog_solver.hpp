@@ -5,8 +5,8 @@
 //   1. Post per-node capacity prices p (CapacityPriceLoop, starting at 0).
 //   2. Solve K independent single-file subproblems, object o seeing the
 //      priced access costs C_i^o + v_o p_i — fed in 64-lane batches
-//      through core::BatchAllocator, sharded across runtime::ThreadPool
-//      via runtime::batch_sweep.
+//      through core::BatchAllocator, sharded across the sweep's worker
+//      threads via runtime::batch_sweep.
 //   3. Account the resulting node loads Σ_o v_o x_i^o (compensated
 //      summation in canonical object order) and let the price loop step;
 //      repeat from 2 until the relative overload is within tolerance or
@@ -41,8 +41,8 @@
 namespace fap::catalog {
 
 struct CatalogOptions {
-  /// Sweep workers for the inner-solve rounds (0 = hardware); the result
-  /// is bit-identical for every value.
+  /// Sweep workers for the inner-solve rounds (0 = hardware, at most
+  /// runtime::kMaxJobs); the result is bit-identical for every value.
   std::size_t jobs = 1;
   /// Base seed of the runtime::sweep seed-splitting scheme. The solver
   /// itself is deterministic given the spec; the seed is threaded through

@@ -243,12 +243,8 @@ ResourceDirectedAllocator::StepStats ResourceDirectedAllocator::step_into(
       alpha = kDynamicSafety * dynamic_alpha_bound_cached(group.indices);
     }
     std::vector<std::size_t>& active = ws_.group_active[g];
-    if (options_.use_reference_active_set) {
-      active = active_set_reference(group, x, ws_.du, alpha);
-    } else {
-      detail::active_set_fast(group, x, ws_.du, alpha, caps_, dim_, ws_.aset);
-      active = ws_.aset.active;
-    }
+    detail::active_set_fast(group, x, ws_.du, alpha, caps_, dim_, ws_.aset);
+    active = ws_.aset.active;
     if (options_.step_rule == StepRule::kDynamic) {
       alpha = kDynamicSafety * dynamic_alpha_bound_cached(active);
     }

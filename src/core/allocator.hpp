@@ -69,12 +69,6 @@ struct AllocatorOptions {
   /// Record the allocation/cost at every iteration (the convergence
   /// profiles of Figures 3, 4, 8, 9 come from this trace).
   bool record_trace = false;
-  /// Use the O(n²)-per-round reference active-set procedure
-  /// (active_set_reference) instead of the incremental O(n) one.
-  /// The two are decision-for-decision identical; this switch exists so
-  /// the equivalence tests (and any future debugging) can pin the fast
-  /// path against the literal Section 5.2 transcription.
-  bool use_reference_active_set = false;
 };
 
 /// State of one iteration, as recorded in the trace. Entry 0 describes the
@@ -155,8 +149,7 @@ class ResourceDirectedAllocator {
 
   /// The literal steps (i)-(v) transcription (linear membership scans,
   /// re-averaged means): O(n²) per drop/re-admit round. Kept as the
-  /// equivalence oracle for active_set; not used on any hot path unless
-  /// AllocatorOptions::use_reference_active_set is set.
+  /// equivalence oracle for active_set; no step runs it.
   std::vector<std::size_t> active_set_reference(
       const ConstraintGroup& group, const std::vector<double>& x,
       const std::vector<double>& marginal_u, double alpha) const;

@@ -81,8 +81,6 @@ std::size_t BatchAllocator::submit(const RawInstance& raw,
   FAP_EXPECTS(!options.record_trace,
               "BatchAllocator does not record traces; use the serial "
               "ResourceDirectedAllocator for traced runs");
-  FAP_EXPECTS(!options.use_reference_active_set,
-              "BatchAllocator always uses the fast active set");
 
   // Model-level validations, mirroring the SingleFileModel constructor.
   FAP_EXPECTS(raw.n >= 1, "problem needs at least one node");

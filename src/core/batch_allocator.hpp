@@ -43,8 +43,8 @@
 // Supported models: SingleFileModel (any delay discipline; single-server
 // disciplines take the vectorized derivative path, M/M/c lanes fall back
 // to per-lane scalar evaluation), fixed or dynamic step rule, optional
-// storage capacities. Trace recording and the reference active set are
-// not supported (use the serial allocator for those).
+// storage capacities. Trace recording is not supported (use the serial
+// allocator for that).
 #pragma once
 
 #include <cstddef>
@@ -82,8 +82,7 @@ class BatchAllocator {
   /// vector. Submits the model's access costs, μ and caps as a
   /// RawInstance, so the copy and every check happen there (the reference
   /// need not outlive the call). Throws PreconditionError on infeasible
-  /// `start`, invalid options, or options requesting trace recording /
-  /// the reference active set.
+  /// `start`, invalid options, or options requesting trace recording.
   std::size_t submit(const SingleFileModel& model,
                      const AllocatorOptions& options,
                      const std::vector<double>& start);

@@ -35,9 +35,7 @@
 #include "net/virtual_ring.hpp"              // IWYU pragma: export
 #include "queueing/delay.hpp"                // IWYU pragma: export
 #include "runtime/metrics.hpp"               // IWYU pragma: export
-#include "runtime/parallel_for.hpp"          // IWYU pragma: export
 #include "runtime/sweep.hpp"                 // IWYU pragma: export
-#include "runtime/thread_pool.hpp"           // IWYU pragma: export
 #include "sim/async_protocol.hpp"            // IWYU pragma: export
 #include "sim/des.hpp"                       // IWYU pragma: export
 #include "sim/des_system.hpp"                // IWYU pragma: export

@@ -5,8 +5,6 @@
 #include <functional>
 #include <queue>
 
-#include "runtime/parallel_for.hpp"
-#include "runtime/thread_pool.hpp"
 #include "util/contracts.hpp"
 
 namespace fap::net {
@@ -72,8 +70,7 @@ void dijkstra_impl(const Topology& topology, NodeId source,
 // ~3x cheaper — shallower tree, sequential child reads, hole-copy instead
 // of swaps. Settle order among equal-priority entries differs from the
 // std heap's, which is harmless: final Dijkstra labels are the unique
-// fixed point min over predecessors, independent of settle order (the
-// same argument that makes the pool-parallel overloads byte-identical).
+// fixed point min over predecessors, independent of settle order.
 // `before(a, b)` returns true when `a` must leave the heap before `b`.
 template <typename Entry, typename Before>
 inline void dary_push(std::vector<Entry>& heap, Entry entry,
@@ -339,24 +336,6 @@ CostMatrix all_pairs_shortest_paths(const Topology& topology) {
                  source, matrix.mutable_row(source), heap_dist, heap_node,
                  pos);
   }
-  return matrix;
-}
-
-CostMatrix all_pairs_shortest_paths(const Topology& topology,
-                                    runtime::ThreadPool& pool) {
-  FAP_EXPECTS(topology.connected(),
-              "topology must be connected for file access to be possible");
-  const std::size_t n = topology.node_count();
-  const CsrAdjacency adj(topology);
-  CostMatrix matrix(n);
-  runtime::parallel_for(pool, n, [&](std::size_t source) {
-    thread_local std::vector<double> heap_dist;
-    thread_local std::vector<NodeId> heap_node;
-    thread_local std::vector<std::int32_t> pos;
-    dijkstra_csr(adj.offsets.data(), adj.targets.data(), adj.costs.data(), n,
-                 source, matrix.mutable_row(source), heap_dist, heap_node,
-                 pos);
-  });
   return matrix;
 }
 

@@ -11,10 +11,6 @@
 
 #include "net/topology.hpp"
 
-namespace fap::runtime {
-class ThreadPool;
-}  // namespace fap::runtime
-
 namespace fap::net {
 
 /// Dense communication-cost matrix: cost(i, j) is the cost of one access
@@ -86,12 +82,6 @@ class SingleSourceDijkstra {
 /// Dijkstra's algorithm from every source. Requires a connected topology
 /// (disconnected pairs would make file access impossible).
 CostMatrix all_pairs_shortest_paths(const Topology& topology);
-
-/// Parallel variant: fans the per-source Dijkstra runs over the pool's
-/// workers. Each source writes a disjoint row, so the result is
-/// byte-identical to the serial overload for every topology.
-CostMatrix all_pairs_shortest_paths(const Topology& topology,
-                                    runtime::ThreadPool& pool);
 
 /// Next-hop routing table entry for store-and-forward simulation: for each
 /// destination, the neighbor to forward to on a least-cost path.

@@ -1,8 +1,13 @@
 #include "runtime/sweep.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <exception>
+#include <mutex>
+#include <thread>
 
+#include "util/contracts.hpp"
 #include "util/rng.hpp"
 
 namespace fap::runtime {
@@ -33,7 +38,13 @@ std::uint64_t task_seed(std::uint64_t base_seed, std::size_t task_index) {
 }
 
 std::size_t resolve_jobs(std::size_t jobs) {
-  return jobs == 0 ? ThreadPool::hardware_jobs() : jobs;
+  FAP_EXPECTS(jobs <= kMaxJobs,
+              "jobs exceeds runtime::kMaxJobs worker threads");
+  if (jobs != 0) {
+    return jobs;
+  }
+  // The standard permits hardware_concurrency() to report 0.
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
 void run_sweep(std::size_t count, const SweepOptions& options,
@@ -67,16 +78,45 @@ void run_sweep(std::size_t count, const SweepOptions& options,
       options.metrics->record(record);
     }
   };
-  if (jobs == 1 || count <= 1) {
+  // No more workers than tasks: a short sweep under --jobs 0 on a wide
+  // host would otherwise start and join threads that never get work.
+  const std::size_t workers = std::min(jobs, count);
+  if (workers <= 1) {
     for (std::size_t i = 0; i < count; ++i) {
       run_task(i);
     }
     return;
   }
-  // No more workers than tasks: a short sweep under --jobs 0 on a wide
-  // host would otherwise start and join threads that never get work.
-  ThreadPool pool(std::min(jobs, count));
-  parallel_for(pool, count, run_task);
+  // Each worker claims the next unclaimed index as it frees up, so one
+  // that drew heavy indices never holds back light ones behind them.
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::exception_ptr first_error;
+  const auto work = [&] {
+    try {
+      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+           i < count; i = next.fetch_add(1, std::memory_order_relaxed)) {
+        run_task(i);
+      }
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(error_mutex);
+      if (!first_error) {
+        first_error = std::current_exception();
+      }
+    }
+  };
+  {
+    // Declared after everything `work` uses, so the jthreads join first,
+    // also when starting a later one throws.
+    std::vector<std::jthread> threads;
+    threads.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+      threads.emplace_back(work);
+    }
+  }
+  if (first_error) {
+    std::rethrow_exception(first_error);
+  }
 }
 
 }  // namespace fap::runtime

@@ -19,6 +19,7 @@
 // wall-clock.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -27,14 +28,19 @@
 #include <vector>
 
 #include "runtime/metrics.hpp"
-#include "runtime/parallel_for.hpp"
 #include "util/rng.hpp"
 
 namespace fap::runtime {
 
+/// Most worker threads a sweep may be asked for; resolve_jobs rejects a
+/// larger SweepOptions::jobs. run_sweep starts min(jobs, count) threads
+/// and a catalog round has thousands of batches, so a mistyped --jobs
+/// would otherwise ask the OS for thousands of threads.
+inline constexpr std::size_t kMaxJobs = 256;
+
 struct SweepOptions {
-  /// Worker threads. 1 runs inline on the calling thread (no pool);
-  /// 0 asks for ThreadPool::hardware_jobs().
+  /// Worker threads, at most kMaxJobs. 1 runs inline on the calling
+  /// thread; 0 asks for std::thread::hardware_concurrency() (at least 1).
   std::size_t jobs = 1;
   /// Master seed of the experiment; task i derives task_seed(base_seed, i).
   std::uint64_t base_seed = 1;
@@ -68,14 +74,21 @@ class TaskSeedSequence {
 };
 
 /// Resolves SweepOptions::jobs (0 -> hardware) and never returns 0.
+/// Throws util::PreconditionError when jobs exceeds kMaxJobs.
 std::size_t resolve_jobs(std::size_t jobs);
 
 /// Type-erased core: runs body(i, task_seed(base_seed, i)) for all
-/// i in [0, count), serially when resolve_jobs(options.jobs) == 1 or
-/// count <= 1, and otherwise on a fresh ThreadPool of
-/// min(resolve_jobs(options.jobs), count) workers, recording metrics per
-/// task if attached.
-/// Exceptions from `body` propagate to the caller (first one wins).
+/// i in [0, count), recording metrics per task if attached. With
+/// W = min(resolve_jobs(options.jobs), count) workers, W <= 1 runs every
+/// body inline on the calling thread; otherwise run_sweep starts W
+/// threads, each claiming the next unclaimed index as it frees up, and
+/// blocks until all have joined. Which thread runs which index depends on
+/// timing, so the output is schedule-free only because every index is
+/// self-contained: its seed derives from the index and its result lands
+/// in a per-index slot.
+/// A throwing body ends its own worker's loop while the others finish
+/// the remaining indices; the first exception is rethrown once every
+/// worker has joined.
 void run_sweep(std::size_t count, const SweepOptions& options,
                const std::function<void(std::size_t, std::uint64_t)>& body);
 
@@ -99,25 +112,20 @@ auto sweep(std::size_t count, const SweepOptions& options, Fn&& fn)
   return results;
 }
 
-/// Batch-submission sweep: packs `count` items into contiguous batches of
-/// at most `width` and runs each batch as ONE sweep task (so --jobs
-/// distributes whole batches and --metrics gets one record per batch,
-/// automatically carrying a "batch_size" value). Designed for
-/// core::BatchAllocator: `make(i, task_seed(base_seed, i))` builds item
-/// i's submission; `run(first_index, items)` consumes one batch and
-/// returns a vector of per-item results in item order, which batch_sweep
-/// flattens back into global item order. Because every item's seed
-/// derives from its global index and `run` must treat items
-/// independently, the flattened result is byte-identical across jobs
-/// AND width choices — partitioning cannot be observed.
-template <typename Make, typename Run>
+/// Batch-submission sweep: splits items [0, count) into contiguous
+/// batches of at most `width` and runs each batch as ONE sweep task (so
+/// --jobs distributes whole batches and --metrics gets one record per
+/// batch, automatically carrying a "batch_size" value). Designed for
+/// core::BatchAllocator: `run(first, last)` solves items [first, last)
+/// and returns their results in item order, which batch_sweep
+/// concatenates in global item order. Because `run` must treat items
+/// independently, the result is byte-identical across jobs AND width
+/// choices — partitioning cannot be observed.
+template <typename Run>
 auto batch_sweep(std::size_t count, std::size_t width,
-                 const SweepOptions& options, Make&& make, Run&& run)
-    -> decltype(run(std::size_t{0},
-                    std::declval<std::vector<std::decay_t<decltype(make(
-                        std::size_t{0}, std::uint64_t{0}))>>>())) {
-  using Item = std::decay_t<decltype(make(std::size_t{0}, std::uint64_t{0}))>;
-  using Results = decltype(run(std::size_t{0}, std::declval<std::vector<Item>>()));
+                 const SweepOptions& options, Run&& run)
+    -> decltype(run(std::size_t{0}, std::size_t{0})) {
+  using Results = decltype(run(std::size_t{0}, std::size_t{0}));
   if (width == 0) {
     width = 1;
   }
@@ -125,25 +133,12 @@ auto batch_sweep(std::size_t count, std::size_t width,
     return Results{};
   }
   const std::size_t batches = (count + width - 1) / width;
-  // Item seeds enumerated up front in one O(count) stream walk — the
-  // per-call task_seed(base, i) is O(i), which is quadratic over a
-  // million-item catalog. Values are identical by construction.
-  std::vector<std::uint64_t> item_seeds(count);
-  TaskSeedSequence seeds(options.base_seed);
-  for (std::uint64_t& s : item_seeds) {
-    s = seeds.next();
-  }
   std::vector<Results> parts(batches);
   run_sweep(batches, options, [&](std::size_t b, std::uint64_t) {
     const std::size_t first = b * width;
     const std::size_t last = std::min(count, first + width);
-    std::vector<Item> items;
-    items.reserve(last - first);
-    for (std::size_t i = first; i < last; ++i) {
-      items.push_back(make(i, item_seeds[i]));
-    }
     add_task_metric("batch_size", static_cast<double>(last - first));
-    parts[b] = run(first, std::move(items));
+    parts[b] = run(first, last);
   });
   Results flat;
   flat.reserve(count);

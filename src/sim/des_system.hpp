@@ -172,8 +172,8 @@ struct ReplicatedDesResult {
 /// Runs `replications` independent copies of the configuration, seeding
 /// copy r with runtime::task_seed(options.base_seed, r) (config.seed is
 /// ignored) and executing them through runtime::run_sweep — serial when
-/// options.jobs == 1, on a worker pool otherwise, bit-identical either
-/// way. `config.k` weights the pooled measured cost.
+/// options.jobs == 1, on the sweep's worker threads otherwise,
+/// bit-identical either way. `config.k` weights the pooled measured cost.
 ReplicatedDesResult run_des_replications(const DesConfig& config,
                                          std::size_t replications,
                                          const runtime::SweepOptions& options);

@@ -573,10 +573,6 @@ TEST(BatchAllocator, RejectsUnsupportedOptionsAndInfeasibleStarts) {
   EXPECT_THROW(batch.submit(model, options, std::vector<double>(4, 0.25)),
                fap::util::PreconditionError);
   options.record_trace = false;
-  options.use_reference_active_set = true;
-  EXPECT_THROW(batch.submit(model, options, std::vector<double>(4, 0.25)),
-               fap::util::PreconditionError);
-  options.use_reference_active_set = false;
   EXPECT_THROW(batch.submit(model, options, std::vector<double>(4, 0.5)),
                fap::util::PreconditionError);  // mass 2 != 1: infeasible
   options.alpha = -1.0;

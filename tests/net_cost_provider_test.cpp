@@ -9,7 +9,7 @@
 #include "net/generators.hpp"
 #include "net/hierarchy.hpp"
 #include "net/shortest_paths.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/sweep.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 
@@ -115,6 +115,13 @@ TEST(RowCostProvider, HandlesSurviveEviction) {
   EXPECT_EQ(std::memcmp(again.data(), row0.data(), 6 * sizeof(double)), 0);
 }
 
+// Readers run as sweep indices, on as many worker threads as readers.
+fap::runtime::SweepOptions readers(std::size_t workers) {
+  fap::runtime::SweepOptions options;
+  options.jobs = workers;
+  return options;
+}
+
 // Single-flight under contention: many workers hammering a row set no
 // larger than the cache must compute each row exactly once and always
 // read consistent data. Run under TSan in CI.
@@ -127,20 +134,17 @@ TEST(RowCostProvider, ConcurrentRequestsComputeEachRowOnce) {
   constexpr std::size_t kRows = 4;  // << capacity: no eviction noise
   constexpr std::size_t kRequests = 64;
   std::atomic<int> mismatches{0};
-  fap::runtime::ThreadPool pool(kWorkers);
-  for (std::size_t w = 0; w < kWorkers; ++w) {
-    pool.submit([&, w] {
-      for (std::size_t r = 0; r < kRequests; ++r) {
-        const std::size_t i = (w + r) % kRows;
-        const net::CostRow row = provider.row(i);
-        if (std::memcmp(row.data(), dense.row(i),
-                        row.size() * sizeof(double)) != 0) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
+  fap::runtime::run_sweep(
+      kWorkers, readers(kWorkers), [&](std::size_t w, std::uint64_t) {
+        for (std::size_t r = 0; r < kRequests; ++r) {
+          const std::size_t i = (w + r) % kRows;
+          const net::CostRow row = provider.row(i);
+          if (std::memcmp(row.data(), dense.row(i),
+                          row.size() * sizeof(double)) != 0) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
         }
-      }
-    });
-  }
-  pool.wait();
+      });
   EXPECT_EQ(mismatches.load(), 0);
   const auto stats = provider.cache_stats();
   EXPECT_EQ(stats.misses, kRows);  // single-flight: one fill per row
@@ -158,20 +162,17 @@ TEST(RowCostProvider, CapacityOneStormStaysCorrect) {
   const net::RowCostProvider provider(topology, /*row_cache_capacity=*/1);
   constexpr std::size_t kWorkers = 8;
   std::atomic<int> mismatches{0};
-  fap::runtime::ThreadPool pool(kWorkers);
-  for (std::size_t w = 0; w < kWorkers; ++w) {
-    pool.submit([&, w] {
-      for (std::size_t r = 0; r < 48; ++r) {
-        const std::size_t i = (w * 5 + r * 7) % 24;
-        const net::CostRow row = provider.row(i);
-        if (std::memcmp(row.data(), dense.row(i),
-                        row.size() * sizeof(double)) != 0) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
+  fap::runtime::run_sweep(
+      kWorkers, readers(kWorkers), [&](std::size_t w, std::uint64_t) {
+        for (std::size_t r = 0; r < 48; ++r) {
+          const std::size_t i = (w * 5 + r * 7) % 24;
+          const net::CostRow row = provider.row(i);
+          if (std::memcmp(row.data(), dense.row(i),
+                          row.size() * sizeof(double)) != 0) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
         }
-      }
-    });
-  }
-  pool.wait();
+      });
   EXPECT_EQ(mismatches.load(), 0);
 }
 

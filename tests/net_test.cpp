@@ -109,6 +109,19 @@ TEST(ShortestPaths, NextHopsFollowLeastCostRoutes) {
   EXPECT_EQ(hops[3], 1u);
 }
 
+TEST(CostMatrix, UncheckedAccessorsAgreeWithCheckedOnes) {
+  fap::util::Rng rng(13);
+  const net::Topology topology = net::make_random_metric(12, 3, rng);
+  const net::CostMatrix matrix = net::all_pairs_shortest_paths(topology);
+  for (std::size_t i = 0; i < matrix.node_count(); ++i) {
+    const double* row = matrix.row(i);
+    for (std::size_t j = 0; j < matrix.node_count(); ++j) {
+      ASSERT_EQ(matrix.cost(i, j), matrix(i, j));
+      ASSERT_EQ(matrix.cost(i, j), row[j]);
+    }
+  }
+}
+
 struct GeneratorCase {
   const char* name;
   std::size_t nodes;

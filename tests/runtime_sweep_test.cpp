@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -15,10 +19,13 @@
 #include "net/generators.hpp"
 #include "sim/des.hpp"
 #include "sim/des_system.hpp"
+#include "util/contracts.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
+using fap::runtime::MetricsRecord;
+using fap::runtime::MetricsSink;
 using fap::runtime::SweepOptions;
 using fap::runtime::task_seed;
 
@@ -28,6 +35,192 @@ SweepOptions options_with_jobs(std::size_t jobs, std::uint64_t seed = 7) {
   options.base_seed = seed;
   return options;
 }
+
+// --- run_sweep as a parallel loop over indices ---------------------------
+
+TEST(ParallelFor, VisitsEachIndexExactlyOnce) {
+  for (const std::size_t count : {std::size_t{0}, std::size_t{2},
+                                  std::size_t{64}}) {
+    std::vector<std::atomic<int>> visits(count);
+    fap::runtime::run_sweep(
+        count, options_with_jobs(3),
+        [&](std::size_t i, std::uint64_t) { visits[i].fetch_add(1); });
+    for (const std::atomic<int>& visit : visits) {
+      EXPECT_EQ(visit.load(), 1) << "count " << count;
+    }
+  }
+}
+
+TEST(ParallelFor, IdleWorkerClaimsRemainingIndices) {
+  // Index 0 blocks its worker until every other index has run, so the
+  // loop finishes only if the second worker claims indices 1-7 itself; a
+  // schedule fixed up front that queues 1-3 behind 0 on one worker fails.
+  constexpr std::size_t kCount = 8;
+  std::atomic<std::size_t> others_done{0};
+  fap::runtime::run_sweep(
+      kCount, options_with_jobs(2), [&](std::size_t i, std::uint64_t) {
+        if (i != 0) {
+          others_done.fetch_add(1);
+          return;
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (others_done.load() < kCount - 1) {
+          ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+              << "indices 1-7 never ran while index 0 held its worker";
+          std::this_thread::yield();
+        }
+      });
+  EXPECT_EQ(others_done.load(), kCount - 1);
+}
+
+TEST(ParallelFor, BodiesRunConcurrentlyAcrossWorkers) {
+  // Two bodies that each need the other to start before finishing can
+  // only complete if the sweep genuinely runs them on distinct threads.
+  std::atomic<int> arrivals{0};
+  fap::runtime::run_sweep(
+      2, options_with_jobs(2), [&](std::size_t, std::uint64_t) {
+        arrivals.fetch_add(1);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (arrivals.load() < 2) {
+          ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+              << "bodies never overlapped; the sweep is not parallel";
+          std::this_thread::yield();
+        }
+      });
+  EXPECT_EQ(arrivals.load(), 2);
+}
+
+TEST(ParallelFor, RunsOnMinOfJobsAndCountThreads) {
+  // The set of threads that ran a body. Every body waits until
+  // `overlap` bodies have started, which takes that many threads.
+  const auto threads_used = [](std::size_t count, std::size_t jobs,
+                               int overlap) {
+    std::mutex mutex;
+    std::set<std::thread::id> ids;
+    std::atomic<int> arrivals{0};
+    fap::runtime::run_sweep(
+        count, options_with_jobs(jobs), [&](std::size_t, std::uint64_t) {
+          {
+            std::lock_guard<std::mutex> lock(mutex);
+            ids.insert(std::this_thread::get_id());
+          }
+          arrivals.fetch_add(1);
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(30);
+          while (arrivals.load() < overlap) {
+            ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+                << overlap << " bodies never overlapped";
+            std::this_thread::yield();
+          }
+        });
+    return ids;
+  };
+  const std::thread::id caller = std::this_thread::get_id();
+  // One worker: every body runs inline on the calling thread.
+  EXPECT_EQ(threads_used(16, 1, 1), std::set<std::thread::id>{caller});
+  EXPECT_EQ(threads_used(1, 8, 1), std::set<std::thread::id>{caller});
+  // Several: exactly min(jobs, count) workers, and the caller only waits.
+  const std::set<std::thread::id> three = threads_used(3, 8, 3);
+  EXPECT_EQ(three.size(), 3u);
+  EXPECT_EQ(three.count(caller), 0u);
+  const std::set<std::thread::id> two = threads_used(16, 2, 2);
+  EXPECT_EQ(two.size(), 2u);
+  EXPECT_EQ(two.count(caller), 0u);
+}
+
+TEST(ParallelFor, RethrowsOnlyAfterEveryWorkerHasJoined) {
+  // Index 0 throws at once; index 1 is still running and returns later.
+  // The exception must reach the caller only after index 1 has returned.
+  std::atomic<bool> thrown{false};
+  std::atomic<bool> other_returned{false};
+  try {
+    fap::runtime::run_sweep(
+        2, options_with_jobs(2), [&](std::size_t i, std::uint64_t) {
+          if (i == 0) {
+            thrown.store(true);
+            throw std::runtime_error("index 0 failed");
+          }
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(30);
+          while (!thrown.load()) {
+            ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+                << "index 0 never threw";
+            std::this_thread::yield();
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          other_returned.store(true);
+        });
+    FAIL() << "run_sweep returned without rethrowing";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "index 0 failed");
+    EXPECT_TRUE(other_returned.load());
+  }
+}
+
+TEST(ParallelFor, RejectsJobsAboveTheLimitBeforeAnyBodyRuns) {
+  std::atomic<int> calls{0};
+  EXPECT_THROW(fap::runtime::run_sweep(
+                   2, options_with_jobs(fap::runtime::kMaxJobs + 1),
+                   [&](std::size_t, std::uint64_t) { calls.fetch_add(1); }),
+               fap::util::PreconditionError);
+  EXPECT_EQ(calls.load(), 0);
+  EXPECT_EQ(fap::runtime::resolve_jobs(fap::runtime::kMaxJobs),
+            fap::runtime::kMaxJobs);
+}
+
+TEST(MetricsSink, WritesOneValidJsonLinePerRecord) {
+  const std::string path =
+      testing::TempDir() + "/runtime_metrics_test.jsonl";
+  MetricsSink sink(path);
+  fap::runtime::run_sweep(
+      32, options_with_jobs(4), [&sink](std::size_t i, std::uint64_t) {
+        MetricsRecord record;
+        record.run_id = "sink_test";
+        record.task = "task " + std::to_string(i);
+        record.task_index = i;
+        record.values.emplace_back("value", static_cast<double>(i));
+        sink.record(record);
+      });
+  EXPECT_EQ(sink.records_written(), 32u);
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.is_open());
+  std::string line;
+  std::set<std::string> tasks;
+  std::size_t lines = 0;
+  while (std::getline(in, line)) {
+    ++lines;
+    // Concurrent writers must not tear lines: every line is a complete
+    // object carrying the shared run id.
+    EXPECT_EQ(line.front(), '{');
+    EXPECT_EQ(line.back(), '}');
+    EXPECT_NE(line.find("\"run_id\":\"sink_test\""), std::string::npos);
+    const std::size_t task_pos = line.find("\"task\":\"task ");
+    ASSERT_NE(task_pos, std::string::npos);
+    tasks.insert(line.substr(task_pos, line.find('"', task_pos + 9)));
+  }
+  EXPECT_EQ(lines, 32u);
+  EXPECT_EQ(tasks.size(), 32u);  // all distinct tasks present
+}
+
+TEST(MetricsSink, JsonLineShapeIsStable) {
+  MetricsRecord record;
+  record.run_id = "fig6";
+  record.task = "N=12";
+  record.task_index = 8;
+  record.seed = 42;
+  record.wall_ms = 1.5;
+  record.values.emplace_back("iterations", 11.0);
+  record.series = {3.0, 2.5};
+  EXPECT_EQ(fap::runtime::to_json_line(record),
+            "{\"run_id\":\"fig6\",\"task\":\"N=12\",\"task_index\":8,"
+            "\"seed\":42,\"wall_ms\":1.5,\"values\":{\"iterations\":11},"
+            "\"series\":[3,2.5]}");
+}
+
+// --- seeds, ordered results, metrics ---------------------------------------
 
 TEST(TaskSeed, IsPureAndPerIndexDistinct) {
   EXPECT_EQ(task_seed(1, 0), task_seed(1, 0));
@@ -173,33 +366,28 @@ TEST(TaskMetrics, CoalesceByNameAndScopeToTheTask) {
 }
 
 TEST(BatchSweep, FlattenedResultsIndependentOfWidthAndJobs) {
-  // Each item's result depends only on (global index, derived seed), so
-  // any (width, jobs) combination must flatten to the same vector as the
+  // Each item's result depends only on its global index, so any
+  // (width, jobs) combination must flatten to the same vector as the
   // plain serial sweep.
-  const auto make = [](std::size_t i, std::uint64_t seed) {
-    return std::make_pair(i, seed);
-  };
   const auto run = [](std::size_t first,
-                      std::vector<std::pair<std::size_t, std::uint64_t>> items)
-      -> std::vector<double> {
+                      std::size_t last) -> std::vector<double> {
+    EXPECT_LT(first, last);  // batches are non-empty ranges
     std::vector<double> out;
-    out.reserve(items.size());
-    for (std::size_t j = 0; j < items.size(); ++j) {
-      EXPECT_EQ(items[j].first, first + j);  // contiguous global indices
-      out.push_back(static_cast<double>(items[j].first) +
-                    1e-9 * static_cast<double>(items[j].second % 1000));
+    out.reserve(last - first);
+    for (std::size_t i = first; i < last; ++i) {
+      out.push_back(static_cast<double>(i) +
+                    1e-9 * static_cast<double>(task_seed(7, i) % 1000));
     }
     return out;
   };
   const std::vector<double> reference = fap::runtime::sweep(
-      23, options_with_jobs(1), [&](std::size_t i, std::uint64_t seed) {
-        return run(i, {make(i, seed)})[0];
-      });
+      23, options_with_jobs(1),
+      [&](std::size_t i, std::uint64_t) { return run(i, i + 1)[0]; });
   for (const std::size_t width : {std::size_t{1}, std::size_t{4},
                                   std::size_t{16}, std::size_t{64}}) {
     for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
       const std::vector<double> batched = fap::runtime::batch_sweep(
-          23, width, options_with_jobs(jobs), make, run);
+          23, width, options_with_jobs(jobs), run);
       EXPECT_EQ(batched, reference) << "width=" << width << " jobs=" << jobs;
     }
   }
@@ -214,11 +402,14 @@ TEST(BatchSweep, EmitsBatchSizeMetricPerBatch) {
     options.metrics = &sink;
     options.run_id = "batch_sweep_test";
     // 10 items at width 4 -> batches of 4, 4, 2.
-    fap::runtime::batch_sweep(
-        10, 4, options, [](std::size_t i, std::uint64_t) { return i; },
-        [](std::size_t, std::vector<std::size_t> items) {
-          return std::vector<std::size_t>(items);
-        });
+    fap::runtime::batch_sweep(10, 4, options,
+                              [](std::size_t first, std::size_t last) {
+                                std::vector<std::size_t> items;
+                                for (std::size_t i = first; i < last; ++i) {
+                                  items.push_back(i);
+                                }
+                                return items;
+                              });
     records = sink.records_written();
   }
   EXPECT_EQ(records, 3u);
