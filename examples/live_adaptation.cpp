@@ -3,13 +3,13 @@
 //
 // Unlike examples/measurement_driven (epoch-based: stop, estimate,
 // redeploy), this example runs ONE continuous simulation. Every
-// observation window the controller estimates the workload from the live
-// log, runs a few iterations of the decentralized algorithm from the
-// currently deployed allocation (Section 5.3: intermediate allocations
-// are feasible and strictly better, so partial runs are always safe to
-// deploy), and rewires the running system in place — no draining, no
-// restart. Midway through, the (hidden) workload flips its hot spot, and
-// the measured per-access cost visibly recovers.
+// observation window the controller estimates the workload from the
+// window's access sums, runs a few iterations of the decentralized
+// algorithm from the currently deployed allocation (Section 5.3:
+// intermediate allocations are feasible and strictly better, so partial
+// runs are always safe to deploy), and rewires the running system in
+// place — no draining, no restart. Midway through, the (hidden) workload
+// flips its hot spot, and the measured per-access cost visibly recovers.
 #include <iostream>
 
 #include "core/allocator.hpp"
@@ -47,7 +47,6 @@ int main() {
   std::vector<double> deployed(6, 1.0 / 6.0);
   const core::SingleFileModel phase1_model(phase1);
   sim::DesConfig config = sim::des_config_for(phase1_model, deployed);
-  config.record_log = true;
   config.seed = 31337;
   sim::DesSystem system(config);
   system.advance_until(200.0);  // warm up
@@ -69,7 +68,6 @@ int main() {
       // exogenous arrival processes).
       const core::SingleFileModel model2(phase2);
       sim::DesConfig cfg2 = sim::des_config_for(model2, deployed);
-      cfg2.record_log = true;
       cfg2.seed = 77777;
       system = sim::DesSystem(cfg2);
       system.advance_until(200.0);
@@ -80,12 +78,13 @@ int main() {
     const sim::WindowStats& window = system.window();
     const double measured = window.measured_cost(/*k=*/1.0);
 
-    // Controller: estimate from the live log, improve the allocation with
-    // a *budgeted* run (8 iterations), deploy by rewiring in place.
+    // Controller: estimate from the window's access sums, improve the
+    // allocation with a *budgeted* run (8 iterations), deploy by rewiring
+    // in place.
     std::size_t iterations_used = 0;
-    if (!window.log.empty()) {
+    if (window.completions > 0) {
       const sim::EstimatedParameters estimates =
-          sim::estimate_parameters(window.log, 6);
+          sim::estimate_parameters(window.sums);
       const core::SingleFileModel estimated(sim::problem_from_estimates(
           estimates, comm, /*k=*/1.0, /*fallback_mu=*/1.4));
       core::AllocatorOptions options;

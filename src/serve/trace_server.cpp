@@ -395,7 +395,9 @@ TraceServeResult TraceServer::serve(std::size_t total_requests) {
   // it was solved for (record-granular, so quantization is included) —
   // the baseline the per-window drift test compares against.
   solved_shares_ = fs::node_access_shares(*layout_, generator.popularity());
-  window_counts_.assign(workload_.records, 0);
+  if (options_.mode == ServeMode::kOnline) {  // the other modes never count
+    window_counts_.assign(workload_.records, 0);
+  }
   // The first window is never cooldown-blocked.
   windows_since_realloc_ = options_.cooldown_windows;
   pending_.reset();
@@ -422,11 +424,11 @@ TraceServeResult TraceServer::serve(std::size_t total_requests) {
   if (options_.hop_latency > 0.0) {
     config.route_hops = net::route_hop_counts(topology_);
   }
-  config.record_log = options_.mode == ServeMode::kOnline;
   // Completion-time window attribution: the union of the estimation
   // windows is an exact partition of all completions, so the cumulative
   // statistics cover every injected request even though kOnline resets
-  // the window (to truncate the estimation log) while jobs are in flight.
+  // the window (to start the next estimation window) while jobs are in
+  // flight.
   config.window_by_completion = true;
   config.seed = workload_.seed ^ kEngineSeedSalt;
   engine_ = std::make_unique<sim::DesSystem>(std::move(config));
@@ -457,9 +459,9 @@ TraceServeResult TraceServer::serve(std::size_t total_requests) {
     }
     if (++epochs_in_window >= options_.estimation_epochs &&
         injected < total_requests) {
-      // Only kOnline consumes windowed state — the access log feeds the
-      // estimator, so the window must be truncated per period to bound
-      // memory. The passive modes keep ONE window for the whole run.
+      // Only kOnline consumes windowed state — the window's access sums
+      // feed the estimator, so each estimation period opens a fresh
+      // window. The passive modes keep ONE window for the whole run.
       // Either way, completion-time attribution (window_by_completion)
       // makes the harvested union exact: no request is ever dropped from
       // the statistics by a reset.
@@ -583,7 +585,7 @@ void TraceServer::maybe_reallocate(const sim::WindowStats& window, double now,
   // statistic has a ~1/sqrt(window) noise floor independent of the
   // record count (per-record empirical TV is noise-dominated at
   // realistic record counts and window sizes).
-  const std::vector<double> observed_shares =
+  std::vector<double> observed_shares =
       fs::node_access_shares(*layout_, observed);
   double tv = 0.0;
   for (std::size_t i = 0; i < n_; ++i) {
@@ -595,13 +597,13 @@ void TraceServer::maybe_reallocate(const sim::WindowStats& window, double now,
     ++result.suppressed_reallocations;
     return;
   }
-  if (window.log.empty()) {
+  if (window.completions == 0) {
     ++result.failed_estimations;
     return;
   }
   try {
     const sim::EstimatedParameters estimates =
-        sim::estimate_parameters(window.log, n_);
+        sim::estimate_parameters(window.sums);
     core::SingleFileProblem problem = sim::problem_from_estimates(
         estimates, comm_, options_.k, options_.mu,
         queueing::DelayModel::mm1(kRhoMax));
@@ -609,10 +611,11 @@ void TraceServer::maybe_reallocate(const sim::WindowStats& window, double now,
     const core::ResourceDirectedAllocator allocator(model,
                                                     options_.allocator);
     // Warm start from the shares the deployed layout serves under the
-    // OBSERVED popularity — the allocator walks from the system's actual
-    // operating point, not from scratch. Renormalized exactly so the
-    // simplex feasibility check passes regardless of counting rounding.
-    std::vector<double> warm = fs::node_access_shares(*layout_, observed);
+    // OBSERVED popularity (the drift statistic's shares) — the allocator
+    // walks from the system's actual operating point, not from scratch.
+    // Renormalized exactly so the simplex feasibility check passes
+    // regardless of counting rounding.
+    std::vector<double> warm = std::move(observed_shares);
     util::NeumaierSum warm_total;
     for (const double share : warm) {
       warm_total.add(share);

@@ -4,8 +4,8 @@
 // Everything before this module evaluates an allocation analytically or
 // against the engine's own Poisson generators; nothing ever *serves* a
 // workload against a deployed record layout. TraceServer does exactly
-// that (ROADMAP item 3): an open-loop trace generator (seeded Zipf record
-// popularity with rank-rotation drift and scripted flash crowds) drives
+// that: an open-loop trace generator (seeded Zipf record popularity with
+// rank-rotation drift and scripted flash crowds) drives
 // DesSystem::inject_access against a FragmentMap produced by the paper's
 // resource-directed allocator, under one of three serving policies:
 //
@@ -17,14 +17,15 @@
 //     layout actually served are compared against the shares it was
 //     solved to carry (total-variation distance, with hysteresis so
 //     sampling noise does not trigger spurious re-solves); past the
-//     threshold the window's
-//     access log is turned into λ̂/μ̂ via sim/estimation, the allocator
-//     re-runs warm-started from the currently deployed shares, and the
-//     layout delta is applied through fs::plan_migration /
-//     schedule_waves while traffic continues to flow — reads of records
-//     in the in-flight wave stall until the wave lands (modeled as extra
-//     response latency; fs::LockManager holds the corresponding
-//     exclusive locks and the waits-for graph is asserted acyclic).
+//     threshold the per-node access sums the engine kept for the window
+//     (WindowStats::sums; no per-access log is kept) are turned into
+//     λ̂/μ̂ via sim/estimation, the allocator re-runs warm-started from
+//     the currently deployed shares, and the layout delta is applied
+//     through fs::plan_migration / schedule_waves while traffic
+//     continues to flow — reads of records in the in-flight wave stall
+//     until the wave lands (modeled as extra response latency;
+//     fs::LockManager holds the corresponding exclusive locks and the
+//     waits-for graph is asserted acyclic).
 //   * kLru — the caching alternative (onlineJCCP-style baseline): record
 //     homes stay at the initial placement, but every node keeps an LRU
 //     cache of recently read records. Reads hit locally when cached;
@@ -180,8 +181,8 @@ struct TraceServeOptions {
 
   // --- kOnline ---
   /// Estimation window length in generator epochs: popularity counts,
-  /// the access log and the drift test accumulate over this many epochs
-  /// between re-solve decisions.
+  /// the engine's access sums and the drift test accumulate over this
+  /// many epochs between re-solve decisions.
   std::size_t estimation_epochs = 4;
   /// Hysteresis: re-solve only when the total-variation distance between
   /// the window's observed PER-NODE access shares (under the deployed
@@ -217,7 +218,7 @@ struct TraceServeResult {
   /// Completions counted in the statistics — equals requests_injected
   /// (minus failures) in EVERY mode: the engine runs with
   /// completion-time window attribution, so kOnline's periodic window
-  /// resets (which truncate the estimation log) never drop in-flight
+  /// resets (which open each estimation window) never drop in-flight
   /// requests from the cumulative statistics.
   std::size_t completions = 0;
   std::size_t failed = 0;

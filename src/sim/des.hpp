@@ -11,8 +11,10 @@
 // mean sojourn time — is compared against the analytic model.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/multi_file.hpp"
@@ -87,9 +89,10 @@ struct DesConfig {
   /// Number of measured (post-warmup) access completions to collect.
   std::size_t measured_accesses = 100000;
   std::uint64_t seed = 1;
-  /// When true, every measured access is appended to DesResult::log —
-  /// the raw material for measurement-driven parameter estimation
-  /// (sim/estimation.hpp, the Section 8 adaptive scheme).
+  /// When true, every measured access is appended to DesResult::log (and
+  /// WindowStats::log), 48 bytes per access. Estimation does not need it:
+  /// DesSystem windows always keep the AccessSums that
+  /// sim::estimate_parameters reads (the Section 8 adaptive scheme).
   bool record_log = false;
 
   /// Window attribution rule for DesSystem. Default (false): an access
@@ -111,6 +114,46 @@ struct AccessObservation {
   double service_start = 0.0;    ///< moment service began
   double departure_time = 0.0;   ///< service completion
   double comm_cost = 0.0;        ///< communication cost paid
+};
+
+/// Running sums over completed accesses, folded in completion order: all
+/// that sim::estimate_parameters reads (sim/estimation.hpp). DesSystem
+/// keeps them for every window, so estimating needs no per-access log;
+/// the log overload of estimate_parameters folds a log into the same sums.
+struct AccessSums {
+  std::vector<std::size_t> generated;  ///< completions per source node
+  std::vector<std::size_t> served;     ///< completions per serving node
+  /// Σ (departure − service_start) per serving node.
+  std::vector<double> service_time;
+  double comm_cost = 0.0;  ///< Σ communication cost
+  double first_arrival = std::numeric_limits<double>::infinity();
+  double last_departure = -std::numeric_limits<double>::infinity();
+  std::size_t samples = 0;
+
+  /// Zeroes the sums for `node_count` nodes, keeping their storage.
+  void reset(std::size_t node_count) {
+    generated.assign(node_count, 0);
+    served.assign(node_count, 0);
+    service_time.assign(node_count, 0.0);
+    comm_cost = 0.0;
+    first_arrival = std::numeric_limits<double>::infinity();
+    last_departure = -std::numeric_limits<double>::infinity();
+    samples = 0;
+  }
+
+  /// Adds one completion; its nodes must be below the node count of the
+  /// last reset(). Defined inline: DesSystem calls it at every counted
+  /// completion.
+  void add(const AccessObservation& access) noexcept {
+    first_arrival = std::min(first_arrival, access.arrival_time);
+    last_departure = std::max(last_departure, access.departure_time);
+    ++generated[access.source];
+    ++served[access.target];
+    service_time[access.target] +=
+        access.departure_time - access.service_start;
+    comm_cost += access.comm_cost;
+    ++samples;
+  }
 };
 
 struct NodeStats {

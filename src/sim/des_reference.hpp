@@ -28,7 +28,8 @@ namespace fap::sim {
 /// Mirror of the DesSystem API backed by the reference event engine.
 /// Behavior contract: for any sequence of calls, every observable —
 /// now(), window() statistics, logs, completion counts — is bit-identical
-/// to DesSystem's under the same DesConfig.
+/// to DesSystem's under the same DesConfig. WindowStats::sums is left
+/// empty: it is a fold of the log, which the reference does record.
 class DesReferenceSystem {
  public:
   explicit DesReferenceSystem(DesConfig config);

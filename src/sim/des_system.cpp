@@ -508,7 +508,7 @@ struct DesSystem::Impl {
 
 DesSystem::DesSystem(DesConfig config)
     : impl_(std::make_unique<Impl>(std::move(config))) {
-  window_.node.resize(impl_->config.lambda.size());
+  reset_window();
 }
 
 DesSystem::~DesSystem() = default;
@@ -711,10 +711,11 @@ void DesSystem::process_one_event() {
       window_.response_time.add(response);
       window_.response_hist.add(response);
       ++window_.completions;
+      const AccessObservation access{job.source, node, job.arrival_time,
+                                     service_start, now_, job.comm_cost};
+      window_.sums.add(access);
       if (impl.config.record_log) {
-        window_.log.push_back(AccessObservation{
-            job.source, node, job.arrival_time, service_start, now_,
-            job.comm_cost});
+        window_.log.push_back(access);
       }
     }
     impl.busy_accum[node] +=
@@ -759,15 +760,16 @@ std::size_t DesSystem::advance_completions(std::size_t count) {
 
 void DesSystem::reset_window() {
   // In-place equivalent of assigning a fresh WindowStats: every counter
-  // and accumulator returns to its default, but the node vector, log and
-  // histogram keep their capacity (zero steady-state allocation even for
-  // windowed workloads that reset every epoch).
+  // and accumulator returns to its default, but the node vector, sums, log
+  // and histogram keep their capacity (zero steady-state allocation even
+  // for windowed workloads that reset every epoch).
   const std::size_t n = impl_->config.lambda.size();
   window_.comm_cost = util::RunningStats();
   window_.sojourn = util::RunningStats();
   window_.response_time = util::RunningStats();
   window_.response_hist.clear();
   window_.node.assign(n, NodeStats());
+  window_.sums.reset(n);
   window_.log.clear();
   window_.start_time = now_;
   window_.span = 0.0;

@@ -51,6 +51,8 @@ struct WindowStats {
   /// heavy-tailed delays. Same parameters as DesResult::response_hist.
   util::LogHistogram response_hist{1e-4, 1e6, 512};
   std::vector<NodeStats> node;
+  /// Estimation inputs of the counted completions (always kept).
+  AccessSums sums;
   std::vector<AccessObservation> log;  ///< when record_log is set
   double start_time = 0.0;
   double span = 0.0;          ///< time elapsed since the window opened

@@ -5,14 +5,15 @@
 // scheme, however, would crucially depend on the ability of all nodes to
 // accurately estimate the values for changing system parameters."
 //
-// This module turns an access log (as recorded by the discrete-event
-// simulator, or by a real monitoring system) into estimates of exactly
-// those parameters: per-node access generation rates λ_i, per-node
-// service rates μ_i, and the realized routing mix. Together with the
-// (known) network costs they instantiate a SingleFileProblem, so
-// the optimizer can run on *measured* rather than assumed parameters —
-// closing the adaptive loop demonstrated in examples/measurement_driven
-// and tested in tests/sim_estimation_test.
+// This module turns per-node access sums (kept by every DesSystem window)
+// or an access log (from the discrete-event simulator, or a real
+// monitoring system) into estimates of exactly those parameters:
+// per-node access generation rates λ_i, per-node service rates μ_i, and
+// the realized routing mix. Together with the (known) network costs they
+// instantiate a SingleFileProblem, so the optimizer can run on *measured*
+// rather than assumed parameters — closing the adaptive loop demonstrated
+// in examples/measurement_driven and examples/live_adaptation and tested
+// in tests/sim_estimation_test.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +26,7 @@
 
 namespace fap::sim {
 
-/// Parameter estimates derived from an access log.
+/// Parameter estimates derived from observed accesses.
 struct EstimatedParameters {
   /// λ̂_i: accesses generated by node i per unit time.
   std::vector<double> lambda;
@@ -48,10 +49,16 @@ struct EstimatedParameters {
 /// Nodes with fewer served accesses than this get mu_observed = false.
 inline constexpr std::size_t kMinServiceSamples = 30;
 
-/// Estimates workload and service parameters for an n-node system from an
-/// access log. λ̂ by per-source counting over the window; μ̂ by the
+/// Estimates workload and service parameters for the sums' nodes. λ̂ by
+/// per-source counting over [first arrival, last departure]; μ̂ by the
 /// maximum-likelihood estimator for exponential service, total
-/// completions over total observed service time.
+/// completions over total observed service time. A DesSystem window's
+/// WindowStats::sums are the input; throws if they hold no completion.
+EstimatedParameters estimate_parameters(const AccessSums& sums);
+
+/// The same estimate from an access log of an n-node system: the log is
+/// folded into AccessSums in order, so the result is bit-identical to the
+/// sums a DesSystem window kept for the same completions.
 EstimatedParameters estimate_parameters(
     const std::vector<AccessObservation>& log, std::size_t node_count);
 

@@ -1,6 +1,7 @@
 // Tests for the incremental simulation engine: windowing semantics,
-// mid-run rewiring, consistency with the batch run_des wrapper, and a
-// golden pin of the open-loop (injected-access) path.
+// mid-run rewiring, consistency with the batch run_des wrapper, a golden
+// pin of the open-loop (injected-access) path, and the window's access
+// sums against the access log they summarise.
 #include "sim/des_system.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "net/generators.hpp"
 #include "net/shortest_paths.hpp"
 #include "queueing/delay.hpp"
+#include "sim/estimation.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 
@@ -500,6 +502,131 @@ TEST(DesSystem, RestartsBetweenConfigsWithAndWithoutMatrices) {
     EXPECT_GT(recycled.window().completions, 0u);
     expect_same_window(recycled.window(), fresh.window());
   }
+}
+
+std::vector<std::uint64_t> bit_patterns(const std::vector<double>& values) {
+  std::vector<std::uint64_t> patterns;
+  for (const double value : values) {
+    patterns.push_back(bits(value));
+  }
+  return patterns;
+}
+
+/// Every field of the estimate from the window's running sums equals the
+/// estimate folded from its access log, doubles by bit pattern.
+void expect_sums_estimate_like_log(const sim::WindowStats& window) {
+  ASSERT_GT(window.completions, 0u);
+  ASSERT_EQ(window.log.size(), window.completions);
+  const sim::EstimatedParameters from_sums =
+      sim::estimate_parameters(window.sums);
+  const sim::EstimatedParameters from_log =
+      sim::estimate_parameters(window.log, window.node.size());
+  EXPECT_EQ(from_sums.samples, from_log.samples);
+  EXPECT_EQ(bits(from_sums.window), bits(from_log.window));
+  EXPECT_EQ(bits(from_sums.mean_comm_cost), bits(from_log.mean_comm_cost));
+  EXPECT_EQ(bit_patterns(from_sums.lambda), bit_patterns(from_log.lambda));
+  EXPECT_EQ(bit_patterns(from_sums.mu), bit_patterns(from_log.mu));
+  EXPECT_EQ(from_sums.mu_observed, from_log.mu_observed);
+  EXPECT_EQ(bit_patterns(from_sums.service_mix),
+            bit_patterns(from_log.service_mix));
+}
+
+/// The paper ring with every node loaded to ρ between 0.42 and 0.83, so
+/// queues are rarely all empty when a window opens or a node fails.
+sim::DesConfig loaded_config(bool window_by_completion) {
+  sim::DesConfig config = paper_config({0.25, 0.25, 0.25, 0.25});
+  config.mu = {0.6, 0.5, 0.4, 0.3};
+  config.record_log = true;
+  config.window_by_completion = window_by_completion;
+  return config;
+}
+
+TEST(DesSystem, WindowSumsEstimateLikeTheLogUnderGeneratedTraffic) {
+  // Node 3 serves nothing, so both branches of the μ̂ rule are covered.
+  sim::DesConfig config = paper_config({0.5, 0.3, 0.2, 0.0});
+  config.record_log = true;
+  sim::DesSystem logged(config);
+  logged.advance_until(2000.0);
+  const sim::WindowStats& window = logged.window();
+  expect_sums_estimate_like_log(window);
+  const sim::EstimatedParameters estimates =
+      sim::estimate_parameters(window.sums);
+  EXPECT_TRUE(estimates.mu_observed[0]);
+  EXPECT_FALSE(estimates.mu_observed[3]);
+  // The sums do not depend on whether the log is kept.
+  config.record_log = false;
+  sim::DesSystem unlogged(config);
+  unlogged.advance_until(2000.0);
+  EXPECT_TRUE(unlogged.window().log.empty());
+  const sim::EstimatedParameters unlogged_estimates =
+      sim::estimate_parameters(unlogged.window().sums);
+  EXPECT_EQ(bit_patterns(unlogged_estimates.lambda),
+            bit_patterns(estimates.lambda));
+  EXPECT_EQ(bit_patterns(unlogged_estimates.mu), bit_patterns(estimates.mu));
+  EXPECT_EQ(bits(unlogged_estimates.mean_comm_cost),
+            bits(estimates.mean_comm_cost));
+}
+
+TEST(DesSystem, WindowSumsEstimateLikeTheLogUnderInjectedTraffic) {
+  // Per-hop transit and every 50th access's stall send accesses past the
+  // arrival stream's tail, through the out-of-order heap path.
+  sim::DesSystem system(open_loop_ring_config());
+  fap::util::Rng script(31);
+  inject_script(system, script, 0, 5000, 0.0);
+  expect_sums_estimate_like_log(system.window());
+  drain(system);
+  EXPECT_EQ(system.window().completions, 5000u);
+  expect_sums_estimate_like_log(system.window());
+}
+
+TEST(DesSystem, WindowSumsEstimateLikeTheLogAcrossResetsInFlight) {
+  for (const bool by_completion : {false, true}) {
+    SCOPED_TRACE(by_completion ? "by completion" : "by arrival");
+    sim::DesSystem system(loaded_config(by_completion));
+    system.advance_until(200.0);
+    for (int w = 0; w < 3; ++w) {
+      system.reset_window();
+      const std::size_t made = system.advance_completions(3000);
+      const sim::WindowStats& window = system.window();
+      if (by_completion) {
+        // Jobs in flight at the reset completed in this window.
+        EXPECT_EQ(window.completions, made);
+        EXPECT_LT(window.sums.first_arrival, window.start_time);
+      } else {
+        // Jobs in flight at the reset are not counted.
+        EXPECT_LT(window.completions, made);
+        EXPECT_GE(window.sums.first_arrival, window.start_time);
+      }
+      expect_sums_estimate_like_log(window);
+    }
+  }
+}
+
+TEST(DesSystem, WindowSumsEstimateLikeTheLogThroughANodeFailure) {
+  sim::DesSystem system(loaded_config(false));
+  system.advance_until(100.0);
+  system.reset_window();
+  system.advance_until(400.0);
+  system.set_node_failed(3, true);
+  system.advance_until(700.0);
+  system.set_node_failed(3, false);
+  system.advance_until(1000.0);
+  const sim::WindowStats& window = system.window();
+  EXPECT_GT(window.failed_accesses, 0u);
+  expect_sums_estimate_like_log(window);
+}
+
+TEST(DesSystem, EstimatingAWindowWithNoCompletionsThrows) {
+  sim::DesSystem system(loaded_config(false));
+  EXPECT_EQ(system.window().completions, 0u);
+  EXPECT_THROW(sim::estimate_parameters(system.window().sums),
+               fap::util::PreconditionError);
+  system.advance_until(200.0);
+  system.reset_window();
+  EXPECT_THROW(sim::estimate_parameters(system.window().sums),
+               fap::util::PreconditionError);
+  EXPECT_THROW(sim::estimate_parameters(sim::AccessSums{}),
+               fap::util::PreconditionError);
 }
 
 }  // namespace
