@@ -48,7 +48,6 @@ int main(int argc, char** argv) {
     config.algorithm.alpha = 0.3;
     config.algorithm.epsilon = 1e-5;
     config.algorithm.max_iterations = 5000;
-    config.unreliable.enabled = true;
     config.unreliable.faults.loss = point.loss;
     config.unreliable.faults.duplicate = 0.05;
     config.unreliable.faults.jitter_ticks = 2;

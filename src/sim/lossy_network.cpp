@@ -57,7 +57,6 @@ void LossyNetwork::send(Datagram datagram) {
     return;
   }
   ++stats_.sent;
-  stats_.payload_doubles_sent += datagram.payload.size();
   if (config_.loss > 0.0 && rng_.uniform() < config_.loss) {
     ++stats_.dropped_loss;
     return;

@@ -1,9 +1,10 @@
 // Deterministic fault-injecting virtual network.
 //
-// The protocol realization in protocol_sim.hpp historically assumed
-// perfect delivery; Section 8 of the paper imagines much looser
-// operation ("successive iterations of the algorithm can be run at
-// freely spaced intervals", nodes that come and go). This module is the
+// The protocol realization in protocol_sim.hpp exchanges its reports
+// over this network. With no fault configured it is the perfect delivery
+// of Section 5.1; Section 8 of the paper imagines much looser operation
+// ("successive iterations of the algorithm can be run at freely spaced
+// intervals", nodes that come and go). With faults this module is the
 // misbehaving medium for that regime: unicast datagrams between nodes
 // suffer per-transmission loss, duplication, and bounded random delay
 // (which yields reordering), and nodes crash and rejoin on a script.
@@ -64,7 +65,6 @@ struct NetworkStats {
   std::size_t dropped_loss = 0;
   std::size_t dropped_crash = 0;  ///< sender down at send or receiver at delivery
   std::size_t duplicates_injected = 0;
-  std::size_t payload_doubles_sent = 0;  ///< scalars in accepted sends
 };
 
 class LossyNetwork {

@@ -4,48 +4,21 @@
 #include <cmath>
 
 #include "util/contracts.hpp"
-#include "util/numeric.hpp"
 
 namespace fap::sim {
 
 namespace {
 
-// One node of the protocol. An agent owns its fragment x_i and a mailbox;
-// all knowledge of other fragments arrives through deliver().
-class Agent {
- public:
-  Agent(std::size_t id, std::size_t node_count, double fragment)
-      : id_(id), view_(node_count, 0.0), marginal_view_(node_count, 0.0) {
-    view_[id] = fragment;
+// Σ_{i ∈ group} x_i, added in index order: for the one group over all
+// variables this is util::sum(x) term for term.
+double group_sum(const core::ConstraintGroup& group,
+                 const std::vector<double>& x) {
+  double sum = 0.0;
+  for (const std::size_t i : group.indices) {
+    sum += x[i];
   }
-
-  std::size_t id() const noexcept { return id_; }
-  double fragment() const noexcept { return view_[id_]; }
-
-  /// Receive (x_j, ∂U/∂x_j) from node j.
-  void deliver(std::size_t from, double fragment, double marginal) {
-    view_[from] = fragment;
-    marginal_view_[from] = marginal;
-  }
-
-  /// Record this agent's own marginal utility (computed in compute_round).
-  void set_own_marginal(double marginal) { marginal_view_[id_] = marginal; }
-
-  /// The agent's current view of the full allocation (own fragment always
-  /// fresh; others as of the last delivery).
-  const std::vector<double>& view() const noexcept { return view_; }
-  const std::vector<double>& marginal_view() const noexcept {
-    return marginal_view_;
-  }
-
-  /// Apply the agent's own component of the jointly computed update.
-  void apply(double new_fragment) { view_[id_] = new_fragment; }
-
- private:
-  std::size_t id_;
-  std::vector<double> view_;           // x as known to this agent
-  std::vector<double> marginal_view_;  // ∂U/∂x as known to this agent
-};
+  return sum;
+}
 
 }  // namespace
 
@@ -82,132 +55,40 @@ RoundMessageCost round_message_cost(std::size_t nodes,
   return cost;
 }
 
-namespace {
-
-// The ideal synchronous network: lossless, in-order delivery, every
-// round completes. This is the historical run_protocol body, untouched
-// so the fault-injection path cannot perturb it (the trajectory test
-// pins it to the centralized driver bitwise).
-ProtocolResult run_protocol_ideal(const core::CostModel& model,
-                                  std::vector<double> initial,
-                                  const ProtocolConfig& config) {
-  model.check_feasible(initial);
-  const std::size_t n = model.dimension();
-
-  // Instantiate one agent per variable, seeded with only its own fragment.
-  std::vector<Agent> agents;
-  agents.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    agents.emplace_back(i, n, initial[i]);
-  }
-
-  const core::ResourceDirectedAllocator stepper(model, config.algorithm);
-  const RoundMessageCost per_round = round_message_cost(n, config);
-
-  ProtocolResult result;
-  result.x = initial;
-
-  for (std::size_t round = 0; round < config.algorithm.max_iterations;
-       ++round) {
-    // Phase (a): every agent evaluates its own marginal utility at the
-    // current allocation. For the single-file objective this needs only
-    // the agent's own fragment (C_i is static local knowledge); for the
-    // ring objective it needs the allocation view exchanged in previous
-    // rounds — both cases reduce to evaluating the model's gradient
-    // component at the assembled allocation.
-    std::vector<double> assembled(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      assembled[i] = agents[i].fragment();
-    }
-    const std::vector<double> marginals = model.marginal_utilities(assembled);
-    for (std::size_t i = 0; i < n; ++i) {
-      agents[i].set_own_marginal(marginals[i]);
-    }
-
-    // Phase (b): exchange. Both schemes result in every agent holding all
-    // (x_j, ∂U/∂x_j); they differ only in message/payload cost, accounted
-    // above. Delivery is lossless and in-order.
-    for (std::size_t from = 0; from < n; ++from) {
-      for (std::size_t to = 0; to < n; ++to) {
-        if (from != to) {
-          agents[to].deliver(from, agents[from].fragment(), marginals[from]);
-        }
-      }
-    }
-    result.point_to_point_messages += per_round.point_to_point;
-    result.broadcast_medium_messages += per_round.broadcast_medium;
-    result.payload_doubles += per_round.payload_doubles;
-
-    // Phase (c): every agent independently runs the identical
-    // deterministic update on its received view and keeps its own
-    // component.
-    std::vector<double> next(n, 0.0);
-    bool terminal = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      const core::ResourceDirectedAllocator::StepOutcome outcome =
-          stepper.step(agents[i].view());
-      if (i == 0) {
-        terminal = outcome.terminal;
-        next = outcome.x;
-      } else {
-        // Agreement invariant: identical inputs must give identical
-        // decisions at every agent.
-        FAP_ENSURES(outcome.terminal == terminal,
-                    "protocol agents disagree on termination");
-        FAP_ENSURES(outcome.x[i] == next[i],
-                    "protocol agents disagree on the next allocation");
-      }
-    }
-    ++result.rounds;
-    if (terminal) {
-      result.converged = true;
-      break;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      agents[i].apply(next[i]);
-    }
-    result.x = next;
-    if (config.record_cost_trace) {
-      result.cost_trace.push_back(model.cost(result.x));
-    }
-  }
-
-  result.cost = model.cost(result.x);
-  return result;
-}
-
-// Fault-injected execution: reports travel through ReliableTransport
-// over LossyNetwork, and a round is a fixed budget of transport ticks.
-// Reports that miss the deadline leave receivers stepping from stale
-// views (core::ResourceDirectedAllocator::step_with_drift), so Σx can
-// drift exactly as in sim/async_protocol; optional anti-entropy
-// renormalization restores it. With zero faults every report lands
-// inside its round, all views equal the true allocation, and the
-// trajectory is bitwise the ideal path's (pinned by test).
-ProtocolResult run_protocol_unreliable(const core::CostModel& model,
-                                       std::vector<double> initial,
-                                       const ProtocolConfig& config) {
+// Reports travel through ReliableTransport over LossyNetwork, and a
+// round is a fixed budget of transport ticks. Reports that miss the
+// deadline leave receivers stepping from stale views
+// (core::ResourceDirectedAllocator::step_with_drift), so Σx can drift
+// exactly as in sim/async_protocol; optional anti-entropy
+// renormalization restores it. With no fault configured every report
+// lands inside its round (the deadline covers the exchange by
+// precondition), every view equals the true allocation, and the
+// trajectory is bitwise the centralized driver's (pinned by test).
+ProtocolResult run_protocol(const core::CostModel& model,
+                            std::vector<double> initial,
+                            const ProtocolConfig& config) {
   model.check_feasible(initial);
   const std::size_t n = model.dimension();
   const std::vector<core::ConstraintGroup> groups = model.constraint_groups();
-  FAP_EXPECTS(groups.size() == 1 &&
-                  groups.front().indices.size() == n,
-              "fault-injected protocol execution requires a single "
-              "conservation constraint over all variables");
-  const double total = groups.front().total;
   const UnreliableNetworkConfig& un = config.unreliable;
+  const bool central = config.scheme == AggregationScheme::kCentralAgent;
   FAP_EXPECTS(un.round_ticks >= 1, "a round needs at least one tick");
-  FAP_EXPECTS(un.faults.min_delay_ticks <= un.round_ticks,
-              "the delivery floor must fit inside one round");
+  // A round must fit the exchange at the delivery floor: one delivery for
+  // kBroadcast, an upload and then the reply for kCentralAgent. A
+  // fault-free run therefore leaves every view fresh in every round.
+  FAP_EXPECTS(un.round_ticks >= (central ? 2 : 1) * un.faults.min_delay_ticks,
+              "the exchange's delivery floor must fit inside one round");
+  const bool faulty = un.faults.loss > 0.0 || un.faults.duplicate > 0.0 ||
+                      un.faults.jitter_ticks > 0 ||
+                      !un.faults.crashes.empty();
 
   LossyNetwork network(n, un.faults);
   ReliableTransport transport(network, un.transport);
   const core::ResourceDirectedAllocator stepper(model, config.algorithm);
-  const bool central = config.scheme == AggregationScheme::kCentralAgent;
 
   // Agent state. The starting allocation is globally known (exactly as
-  // the centralized driver and the ideal path assume), so every view
-  // begins at `initial`; view[i][i] is agent i's authoritative fragment.
+  // the centralized driver assumes), so every view begins at `initial`;
+  // view[i][i] is agent i's authoritative fragment.
   std::vector<std::vector<double>> view(n, initial);
   // Freshness of i's knowledge of j (last applied report tag; a report
   // sent in round r carries tag r + 1, so 0 means "initial knowledge").
@@ -227,18 +108,33 @@ ProtocolResult run_protocol_unreliable(const core::CostModel& model,
       x_true[i] = view[i][i];
     }
   };
-  // Model preconditions require feasibility; evaluate cost on the
-  // renormalized shadow of a drifted allocation (async convention).
+  // A faulty run costs the renormalized shadow of its possibly drifted
+  // allocation, group by group (async convention); a fault-free run
+  // costs the true allocation, as the centralized driver does.
   std::vector<double> shadow(n, 0.0);
-  const auto shadow_cost = [&]() {
+  const auto reported_cost = [&]() {
+    if (!faulty) {
+      return model.cost(x_true);
+    }
     shadow = x_true;
-    const double sum = util::sum(shadow);
-    if (sum > 0.0) {
-      for (double& xi : shadow) {
-        xi *= total / sum;
+    for (const core::ConstraintGroup& group : groups) {
+      const double sum = group_sum(group, shadow);
+      if (sum > 0.0) {
+        for (const std::size_t i : group.indices) {
+          shadow[i] *= group.total / sum;
+        }
       }
     }
     return model.cost(shadow);
+  };
+  // max over groups of |Σ_group x − total|.
+  const auto feasibility_drift = [&]() {
+    double drift = 0.0;
+    for (const core::ConstraintGroup& group : groups) {
+      drift =
+          std::max(drift, std::fabs(group_sum(group, x_true) - group.total));
+    }
+    return drift;
   };
 
   std::vector<bool> up(n, true);
@@ -261,25 +157,25 @@ ProtocolResult run_protocol_unreliable(const core::CostModel& model,
       advanced[i] = false;
     }
 
-    // Phase (a) + (b): every live agent evaluates its own marginal
-    // utility on its (possibly stale) view and reports (x_i, ∂U/∂x_i) —
-    // to everyone (kBroadcast) or to the central agent (kCentralAgent).
-    // A fresh report supersedes anything still in flight from earlier
-    // rounds.
+    // Phase (a) + (b): every live agent reports its fragment x_i — to
+    // everyone (kBroadcast) or to the central agent (kCentralAgent). A
+    // receiver evaluates every ∂U/∂x_j on its own view, so the datagram
+    // carries x_i alone; the message columns bill the paper's report
+    // (round_message_cost). A fresh report supersedes anything still in
+    // flight from earlier rounds.
     for (std::size_t i = 0; i < n; ++i) {
       if (!up[i]) {
         continue;
       }
       transport.cancel_older(i, tag);
-      const double marginal = model.marginal_utilities(view[i])[i];
       if (central) {
         if (i != 0) {
-          transport.send(i, 0, tag, {view[i][i], marginal});
+          transport.send(i, 0, tag, {view[i][i]});
         }
       } else {
         for (std::size_t to = 0; to < n; ++to) {
           if (to != i) {
-            transport.send(i, to, tag, {view[i][i], marginal});
+            transport.send(i, to, tag, {view[i][i]});
           }
         }
       }
@@ -292,6 +188,7 @@ ProtocolResult run_protocol_unreliable(const core::CostModel& model,
     // arrived — or at mid-round, whichever comes first — so replies can
     // still land before the deadline.
     bool replied = central && n == 1;
+    bool stale_reply = false;  // replied before every live upload was in
     const auto all_uploads_in = [&]() {
       for (std::size_t j = 1; j < n; ++j) {
         if (up[j] && !got[0][j]) {
@@ -316,7 +213,7 @@ ProtocolResult run_protocol_unreliable(const core::CostModel& model,
           }
           continue;
         }
-        // A report (x_j, ∂U/∂x_j) from d.from.
+        // A report of x_j from d.from.
         if (d.tag > report_tag[d.to][d.from]) {
           report_tag[d.to][d.from] = d.tag;
           view[d.to][d.from] = d.payload[0];
@@ -324,11 +221,14 @@ ProtocolResult run_protocol_unreliable(const core::CostModel& model,
           advanced[d.to] = true;
         }
       }
-      if (central && !replied && network.node_up(0) &&
-          (all_uploads_in() || t + 1 >= un.round_ticks / 2)) {
-        replied = true;
-        for (std::size_t to = 1; to < n; ++to) {
-          transport.send(0, to, tag, view[0]);
+      if (central && !replied && network.node_up(0)) {
+        const bool complete = all_uploads_in();
+        if (complete || t + 1 >= un.round_ticks / 2) {
+          replied = true;
+          stale_reply = !complete;
+          for (std::size_t to = 1; to < n; ++to) {
+            transport.send(0, to, tag, view[0]);
+          }
         }
       }
     }
@@ -354,10 +254,21 @@ ProtocolResult run_protocol_unreliable(const core::CostModel& model,
       ++result.robustness.rounds_with_missing_reports;
     }
 
+    // Agreement: once every live agent has heard every peer's word from
+    // this round (for kCentralAgent, through a reply sent after every
+    // upload was in), every live view is the true allocation, so all
+    // agents take the identical step.
+    assemble_true();
+    if (!missing && !stale_reply) {
+      for (std::size_t i = 0; i < n; ++i) {
+        FAP_ENSURES(!up[i] || view[i] == x_true,
+                    "protocol agents disagree on the allocation");
+      }
+    }
+
     // Phase (c): termination is judged at the true allocation (the
     // omniscient-observer criterion the acceptance tests measure); each
     // live agent then steps from its own view and keeps its component.
-    assemble_true();
     ++result.rounds;
     if (stepper.step_with_drift(x_true, un.max_view_drift).terminal) {
       result.converged = true;
@@ -374,67 +285,56 @@ ProtocolResult run_protocol_unreliable(const core::CostModel& model,
       view[i][i] = next_own[i];
     }
 
-    // Anti-entropy: an occasional synchronized renormalization over the
-    // live nodes (crashed fragments are frozen and unreachable).
+    // Anti-entropy: an occasional synchronized renormalization of each
+    // group over its live nodes (crashed fragments are frozen and
+    // unreachable).
     if (un.correction_interval > 0 &&
         (round + 1) % un.correction_interval == 0) {
-      double sum_up = 0.0;
-      double sum_down = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        (up[i] ? sum_up : sum_down) += view[i][i];
-      }
-      const double target = total - sum_down;
-      if (sum_up > 0.0 && target > 0.0) {
-        for (std::size_t i = 0; i < n; ++i) {
-          if (up[i]) {
-            view[i][i] *= target / sum_up;
+      for (const core::ConstraintGroup& group : groups) {
+        double sum_up = 0.0;
+        double sum_down = 0.0;
+        for (const std::size_t i : group.indices) {
+          (up[i] ? sum_up : sum_down) += view[i][i];
+        }
+        const double target = group.total - sum_down;
+        if (sum_up > 0.0 && target > 0.0) {
+          for (const std::size_t i : group.indices) {
+            if (up[i]) {
+              view[i][i] *= target / sum_up;
+            }
           }
         }
       }
     }
 
     assemble_true();
-    const double drift = std::fabs(util::sum(x_true) - total);
     result.robustness.max_feasibility_drift =
-        std::max(result.robustness.max_feasibility_drift, drift);
+        std::max(result.robustness.max_feasibility_drift, feasibility_drift());
     if (config.record_cost_trace) {
-      result.cost_trace.push_back(shadow_cost());
+      result.cost_trace.push_back(reported_cost());
     }
   }
 
   assemble_true();
   result.x = x_true;
-  result.robustness.final_feasibility_drift =
-      std::fabs(util::sum(x_true) - total);
-  result.cost = shadow_cost();
+  result.robustness.final_feasibility_drift = feasibility_drift();
+  result.cost = reported_cost();
 
-  // Message accounting over the faulty network counts what was actually
-  // transmitted: every unicast the network accepted (first sends,
-  // retransmissions, acks, central replies) and every scalar they
-  // carried. No physical broadcast is modeled, so both message columns
-  // coincide.
+  // The message columns are the §5.1/§7.3 bill of the rounds run;
+  // RobustnessStats records what the network actually carried.
+  const RoundMessageCost per_round = round_message_cost(n, config);
+  result.point_to_point_messages = result.rounds * per_round.point_to_point;
+  result.broadcast_medium_messages =
+      result.rounds * per_round.broadcast_medium;
+  result.payload_doubles = result.rounds * per_round.payload_doubles;
   const NetworkStats& net_stats = network.stats();
   const TransportStats& tx_stats = transport.stats();
-  result.point_to_point_messages = net_stats.sent;
-  result.broadcast_medium_messages = net_stats.sent;
-  result.payload_doubles = net_stats.payload_doubles_sent;
   result.robustness.data_messages_sent = tx_stats.data_sent;
   result.robustness.retransmissions = tx_stats.retransmissions;
   result.robustness.duplicates_suppressed = tx_stats.duplicates_suppressed;
   result.robustness.messages_dropped =
       net_stats.dropped_loss + net_stats.dropped_crash;
   return result;
-}
-
-}  // namespace
-
-ProtocolResult run_protocol(const core::CostModel& model,
-                            std::vector<double> initial,
-                            const ProtocolConfig& config) {
-  if (config.unreliable.enabled) {
-    return run_protocol_unreliable(model, std::move(initial), config);
-  }
-  return run_protocol_ideal(model, std::move(initial), config);
 }
 
 }  // namespace fap::sim

@@ -4,29 +4,32 @@
 // exchange of marginal utilities: every node broadcasts to every other
 // node (and each computes the average locally), or every node sends to a
 // designated central agent which replies with the average. This module
-// executes the algorithm *as that protocol*: each node is a separate
-// Agent object holding only its own allocation fragment; each round the
-// agents exchange messages through a virtual network, then every agent
-// independently runs the identical deterministic update on the
-// information it received.
+// executes the algorithm *as that protocol*: each node holds only its own
+// allocation fragment and a view of the others; each round the nodes
+// exchange reports through a virtual network, then every node
+// independently runs the identical deterministic update on the view it
+// received.
 //
-// Two network regimes are supported:
-//   * the default ideal network — lossless, in-order, synchronous. A run
-//     asserts the agreement invariant (all agents compute the same next
-//     allocation) and a test pins the protocol's trajectory to the
-//     centralized driver's, bitwise;
-//   * a fault-injected network (ProtocolConfig::unreliable): per-message
-//     loss, duplication, and bounded reordering plus scripted node
-//     crash/rejoin (sim/lossy_network.hpp), bridged by an
-//     ack/retransmit transport (sim/reliable_transport.hpp). Reports
-//     that miss a round's deadline leave the receivers stepping from
-//     stale views — the Section-8 regime measured by sim/async_protocol
-//     — so feasibility (Σx = total) drifts; optional anti-entropy
-//     renormalization bounds the drift, and per-run robustness metrics
-//     (retransmissions, drops, duplicates suppressed, rounds with
-//     missing reports, drift) are reported in ProtocolResult. A node
-//     that hears nothing at all in a round holds its fragment — a total
-//     blackout (e.g. the central agent down) stalls the protocol
+// There is one network: LossyNetwork (sim/lossy_network.hpp) bridged by
+// an ack/retransmit transport (sim/reliable_transport.hpp), configured by
+// ProtocolConfig::unreliable. Its FaultConfig may inject per-message
+// loss, duplication and bounded reordering plus scripted node
+// crash/rejoin:
+//   * with none of them configured it is the paper's ideal network —
+//     lossless and in order. The round deadline must cover the exchange
+//     (one delivery floor for kBroadcast, two for kCentralAgent's upload
+//     and reply; the default is 16 ticks against a 1-tick floor), so
+//     every report lands inside its round, every round leaves every view
+//     equal to the true allocation (asserted), and a test pins the
+//     trajectory to the centralized driver's, bitwise;
+//   * with faults, reports that miss a round's deadline leave the
+//     receivers stepping from stale views — the Section-8 regime measured
+//     by sim/async_protocol — so each constraint group's Σx drifts;
+//     optional anti-entropy renormalization bounds the drift, and per-run
+//     robustness metrics (retransmissions, drops, duplicates suppressed,
+//     rounds with missing reports, drift) are reported in ProtocolResult.
+//     A node that hears nothing at all in a round holds its fragment — a
+//     total blackout (e.g. the central agent down) stalls the protocol
 //     instead of diverging it.
 //
 // The module also accounts for message and payload costs, reproducing two
@@ -40,6 +43,9 @@
 //     from one scalar (∂U/∂x_i) to the pair (∂U/∂x_i, x_i), and the
 //     central agent's reply grows from one scalar to the full allocation
 //     vector.
+// Those columns are the paper's bill, rounds × round_message_cost. The
+// simulated datagrams carry each report's fragment alone: every agent
+// evaluates the marginal utilities on its own view.
 #pragma once
 
 #include <cstddef>
@@ -58,20 +64,21 @@ enum class AggregationScheme {
   kCentralAgent,  ///< star exchange through node 0
 };
 
-/// Fault-injected execution mode. When `enabled`, run_protocol exchanges
-/// reports through ReliableTransport over LossyNetwork instead of the
-/// ideal synchronous network; `faults.seed` makes the run reproducible.
+/// The network run_protocol exchanges reports over: ReliableTransport on
+/// LossyNetwork. The default FaultConfig injects no fault, which is the
+/// ideal synchronous network; `faults.seed` makes a faulty run
+/// reproducible.
 struct UnreliableNetworkConfig {
-  bool enabled = false;
   FaultConfig faults;
   TransportConfig transport;
   /// Transport ticks per protocol round — the round deadline. Reports
   /// (and, for kCentralAgent, the reply) that are not delivered within
-  /// the round leave the receivers on stale views for this update.
+  /// the round leave the receivers on stale views for this update. Must
+  /// be at least faults.min_delay_ticks, twice that for kCentralAgent.
   std::uint64_t round_ticks = 16;
   /// Every this many rounds, one synchronized exact renormalization
-  /// restores Σx = total over the live nodes (0 disables anti-entropy;
-  /// same remedy as sim/async_protocol).
+  /// restores each group's Σx = total over its live nodes (0 disables
+  /// anti-entropy; same remedy as sim/async_protocol).
   std::size_t correction_interval = 0;
   /// How much conservation-sum drift an agent's stale view may carry
   /// into core::ResourceDirectedAllocator::step_with_drift before the
@@ -87,13 +94,12 @@ struct ProtocolConfig {
   /// ring model); affects payload accounting.
   bool needs_full_allocation = false;
   bool record_cost_trace = false;
-  /// Fault injection; default-disabled, which preserves the ideal
-  /// network's behavior byte for byte.
+  /// The network and its faults; the default injects none.
   UnreliableNetworkConfig unreliable;
 };
 
-/// Per-run robustness accounting of a fault-injected execution (all zero
-/// when fault injection is disabled).
+/// What the network actually carried, and how far the allocation drifted
+/// from each group's total.
 struct RobustnessStats {
   std::size_t data_messages_sent = 0;   ///< first transmissions
   std::size_t retransmissions = 0;      ///< timer-driven re-sends
@@ -102,8 +108,9 @@ struct RobustnessStats {
   /// Rounds where some live node missed at least one expected fresh
   /// report (or reply) by the round deadline.
   std::size_t rounds_with_missing_reports = 0;
-  double max_feasibility_drift = 0.0;    ///< max_t |Σx(t) - total|
-  double final_feasibility_drift = 0.0;  ///< |Σx(final) - total|
+  /// max_t of the largest |Σ_group x(t) - total| over the groups.
+  double max_feasibility_drift = 0.0;
+  double final_feasibility_drift = 0.0;  ///< the same at the final x
 };
 
 struct ProtocolResult {
@@ -111,6 +118,8 @@ struct ProtocolResult {
   double cost = 0.0;
   bool converged = false;
   std::size_t rounds = 0;
+  // The three message columns are the Section 5.1/7.3 bill of the rounds
+  // run (rounds × round_message_cost), under any network.
   /// Unicast messages if every transmission is point-to-point.
   std::size_t point_to_point_messages = 0;
   /// Transmissions if the medium supports physical broadcast (LAN).
@@ -132,10 +141,9 @@ struct RoundMessageCost {
 RoundMessageCost round_message_cost(std::size_t nodes,
                                     const ProtocolConfig& config);
 
-/// Executes the decentralized protocol on `model` from `initial`.
-/// With fault injection enabled the model must be single-group (one
-/// conservation constraint over all variables), the regime where drift
-/// accounting and anti-entropy renormalization are defined.
+/// Executes the decentralized protocol on `model` from `initial`, one
+/// agent per variable. Drift, anti-entropy and the renormalized shadow
+/// are kept per constraint group.
 ProtocolResult run_protocol(const core::CostModel& model,
                             std::vector<double> initial,
                             const ProtocolConfig& config);

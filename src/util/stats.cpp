@@ -53,35 +53,6 @@ double RunningStats::ci95_halfwidth() const noexcept {
   return 1.96 * stddev() / std::sqrt(static_cast<double>(count_));
 }
 
-void TimeWeightedStats::record(double time, double value) noexcept {
-  if (!started_) {
-    started_ = true;
-    start_time_ = time;
-    last_time_ = time;
-  } else {
-    // Clamp out-of-order timestamps to the last seen time instead of
-    // rewinding last_time_: a rewind would make the next in-order record
-    // re-accumulate the already-counted [time, last_time_] span into
-    // weighted_sum_. record() is noexcept, so clamping (not throwing) is
-    // the only available response.
-    const double t = std::max(time, last_time_);
-    weighted_sum_ += value_ * (t - last_time_);
-    last_time_ = t;
-  }
-  value_ = value;
-}
-
-double TimeWeightedStats::average(double until) const noexcept {
-  if (!started_ || until <= start_time_) {
-    return 0.0;
-  }
-  double sum = weighted_sum_;
-  if (until > last_time_) {
-    sum += value_ * (until - last_time_);
-  }
-  return sum / (until - start_time_);
-}
-
 LogHistogram::LogHistogram(double lo, double hi, std::size_t buckets)
     : lo_(lo), hi_(hi), counts_(buckets, 0) {
   FAP_EXPECTS(lo > 0.0, "log histogram needs a positive lower edge");

@@ -53,30 +53,6 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Time-weighted average of a piecewise-constant signal, e.g. queue length
-/// over simulated time. Call record(t, value) whenever the signal changes;
-/// the value is held until the next record.
-///
-/// Timestamps are expected to be non-decreasing. A record whose time lies
-/// before the previous one is clamped to the previous time (the change is
-/// treated as simultaneous with the last one): the signal value updates,
-/// no interval is accumulated, and — crucially — the clock never rewinds,
-/// so a later in-order record cannot double-count the overlapped span.
-class TimeWeightedStats {
- public:
-  void record(double time, double value) noexcept;
-  /// Average of the signal over [first record time, `until`].
-  double average(double until) const noexcept;
-  double last_value() const noexcept { return value_; }
-
- private:
-  bool started_ = false;
-  double start_time_ = 0.0;
-  double last_time_ = 0.0;
-  double value_ = 0.0;
-  double weighted_sum_ = 0.0;
-};
-
 /// Histogram with exponentially spaced bucket edges over [lo, hi), lo > 0:
 /// bucket b covers [lo·r^b, lo·r^(b+1)) with r = (hi/lo)^(1/buckets), so
 /// relative resolution is constant across the range. This is what makes

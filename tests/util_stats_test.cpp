@@ -13,7 +13,6 @@ namespace {
 
 using fap::util::LogHistogram;
 using fap::util::RunningStats;
-using fap::util::TimeWeightedStats;
 
 TEST(RunningStats, EmptyIsZero) {
   RunningStats stats;
@@ -80,48 +79,6 @@ TEST(RunningStats, Ci95ShrinksWithSamples) {
     large.add(x);
   }
   EXPECT_GT(small.ci95_halfwidth(), large.ci95_halfwidth());
-}
-
-TEST(TimeWeightedStats, PiecewiseConstantAverage) {
-  TimeWeightedStats stats;
-  stats.record(0.0, 2.0);   // value 2 over [0, 1)
-  stats.record(1.0, 4.0);   // value 4 over [1, 3)
-  stats.record(3.0, 0.0);   // value 0 over [3, 5]
-  EXPECT_NEAR(stats.average(5.0), (2.0 * 1 + 4.0 * 2 + 0.0 * 2) / 5.0, 1e-12);
-  EXPECT_DOUBLE_EQ(stats.last_value(), 0.0);
-}
-
-TEST(TimeWeightedStats, ExtendsLastValueToQueryTime) {
-  TimeWeightedStats stats;
-  stats.record(0.0, 1.0);
-  EXPECT_NEAR(stats.average(10.0), 1.0, 1e-12);
-}
-
-TEST(TimeWeightedStats, EmptyAverageIsZero) {
-  TimeWeightedStats stats;
-  EXPECT_EQ(stats.average(10.0), 0.0);
-}
-
-// Regression: an out-of-order record used to rewind last_time_, so the
-// next in-order record re-accumulated the overlapped span. The sequence
-// below then reported average(4) = (2·2 + 7·3) / 4 = 6.25 instead of the
-// correct 4.5 — the rewind stretched the value-7 span back over [1, 2],
-// which the value-5 record had already paid for.
-TEST(TimeWeightedStats, OutOfOrderRecordDoesNotDoubleCount) {
-  TimeWeightedStats stats;
-  stats.record(0.0, 2.0);  // value 2 over [0, 2)
-  stats.record(2.0, 5.0);  // value 5 over [2, ...)
-  stats.record(1.0, 7.0);  // out of order: clamped to t = 2, value -> 7
-  stats.record(4.0, 0.0);  // value 7 over [2, 4)
-  EXPECT_NEAR(stats.average(4.0), (2.0 * 2 + 7.0 * 2) / 4.0, 1e-12);
-  EXPECT_DOUBLE_EQ(stats.last_value(), 0.0);
-}
-
-TEST(TimeWeightedStats, OutOfOrderFirstRecordStillAnchorsStart) {
-  TimeWeightedStats stats;
-  stats.record(5.0, 1.0);
-  stats.record(3.0, 3.0);  // clamped to t = 5; value becomes 3
-  EXPECT_NEAR(stats.average(7.0), 3.0, 1e-12);
 }
 
 TEST(LogHistogram, BucketEdgesAreGeometric) {
