@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 
@@ -22,15 +23,49 @@ namespace {
 constexpr double kRepairMargin = 1e-12;
 constexpr std::size_t kMaxRepairPasses = 8;
 
+// The objects the repair pass moved onto a node they did not hold, each
+// with a growable copy of its placements, keyed in object order.
+using GrownPlacements = std::map<std::uint32_t, std::vector<Placement>>;
+
+// Writes the grown copies into the CSR in place of their objects' slices,
+// objects in index order, and empties `grown`.
+void merge_grown(GrownPlacements& grown, std::vector<std::uint32_t>& offsets,
+                 std::vector<Placement>& placements) {
+  if (grown.empty()) {
+    return;
+  }
+  std::size_t size = placements.size();
+  for (const auto& [o, copy] : grown) {
+    size += copy.size() - (offsets[o + 1] - offsets[o]);
+  }
+  std::vector<Placement> merged;
+  merged.reserve(size);
+  auto next = grown.begin();
+  for (std::size_t o = 0; o + 1 < offsets.size(); ++o) {
+    const std::uint32_t begin = offsets[o];
+    const std::uint32_t end = offsets[o + 1];
+    offsets[o] = static_cast<std::uint32_t>(merged.size());
+    if (next != grown.end() && next->first == o) {
+      merged.insert(merged.end(), next->second.begin(), next->second.end());
+      ++next;
+    } else {
+      merged.insert(merged.end(), placements.begin() + begin,
+                    placements.begin() + end);
+    }
+  }
+  offsets.back() = static_cast<std::uint32_t>(merged.size());
+  placements = std::move(merged);
+  grown.clear();
+}
+
 }  // namespace
 
 // The batch states of one solve: each is an allocator of the full batch
 // width plus the scratch its submissions are assembled in. A batch task
 // takes a state and gives it back when done, so a solve holds no more
 // states than batches ran at once, and later batches and rounds reuse
-// their planes and queues. Reuse keeps the heap flat: planes freed after
-// every batch would land between the round's live per-object results,
-// where they cannot coalesce. A task that throws drops its state.
+// their planes and queues instead of allocating and zeroing them per
+// batch. A task that throws drops its state.
 class CatalogSolver::BatchStatePool {
  public:
   struct State {
@@ -149,7 +184,7 @@ std::vector<double> CatalogSolver::object_start(
   return start;
 }
 
-std::vector<CatalogSolver::ObjectAllocation> CatalogSolver::solve_round(
+CatalogSolver::RoundAllocation CatalogSolver::solve_round(
     const std::vector<double>& prices, BatchStatePool& states) const {
   const std::size_t n = spec_.node_count();
   runtime::SweepOptions sweep_options;
@@ -159,8 +194,9 @@ std::vector<CatalogSolver::ObjectAllocation> CatalogSolver::solve_round(
   sweep_options.run_id = options_.run_id;
   // All per-object state is a pure function of (index, prices), so the
   // batch seeds are unused here — they exist so --metrics records line up
-  // with the repo's other sweeps.
-  return runtime::batch_sweep(
+  // with the repo's other sweeps. Each batch returns its objects' slice
+  // as its one result, so the slices come back in batch order.
+  std::vector<RoundAllocation> slices = runtime::batch_sweep(
       spec_.object_count(), options_.batch_width, sweep_options,
       [this, n, &prices, &states](std::size_t first, std::size_t last) {
         std::unique_ptr<BatchStatePool::State> state = states.take();
@@ -188,35 +224,66 @@ std::vector<CatalogSolver::ObjectAllocation> CatalogSolver::solve_round(
             "boundary_lane_steps",
             static_cast<double>(batch.stats().boundary_lane_steps));
         states.give_back(std::move(state));
-        std::vector<ObjectAllocation> out;
-        out.reserve(solved.size());
+        std::size_t nonzero = 0;
         for (const core::BatchRunResult& run : solved) {
-          ObjectAllocation alloc;
-          alloc.iterations = static_cast<std::uint32_t>(run.iterations);
-          alloc.converged = run.converged;
+          nonzero += static_cast<std::size_t>(
+              std::count_if(run.x.begin(), run.x.end(),
+                            [](double x) { return x != 0.0; }));
+        }
+        std::vector<RoundAllocation> slice(1);
+        RoundAllocation& out = slice.front();
+        out.offsets.reserve(solved.size() + 1);
+        out.offsets.push_back(0);
+        out.placements.reserve(nonzero);
+        for (const core::BatchRunResult& run : solved) {
+          out.inner_iterations += run.iterations;
+          out.unconverged_objects += run.converged ? 0 : 1;
           for (std::size_t i = 0; i < n; ++i) {
             if (run.x[i] != 0.0) {
-              alloc.placements.push_back(
+              out.placements.push_back(
                   Placement{static_cast<std::uint32_t>(i), run.x[i]});
             }
           }
-          out.push_back(std::move(alloc));
+          out.offsets.push_back(
+              static_cast<std::uint32_t>(out.placements.size()));
         }
-        return out;
+        return slice;
       });
+
+  std::size_t total = 0;
+  for (const RoundAllocation& part : slices) {
+    total += part.placements.size();
+  }
+  FAP_EXPECTS(total <= std::numeric_limits<std::uint32_t>::max(),
+              "a round's placements must fit 32-bit offsets");
+  RoundAllocation round;
+  round.offsets.reserve(spec_.object_count() + 1);
+  round.offsets.push_back(0);
+  round.placements.reserve(total);
+  for (const RoundAllocation& part : slices) {
+    const auto base = static_cast<std::uint32_t>(round.placements.size());
+    for (std::size_t o = 1; o < part.offsets.size(); ++o) {
+      round.offsets.push_back(base + part.offsets[o]);
+    }
+    round.placements.insert(round.placements.end(), part.placements.begin(),
+                            part.placements.end());
+    round.inner_iterations += part.inner_iterations;
+    round.unconverged_objects += part.unconverged_objects;
+  }
+  return round;
 }
 
 std::vector<double> CatalogSolver::node_loads(
-    const std::vector<ObjectAllocation>& allocations) const {
+    const RoundAllocation& round) const {
   // Canonical accounting: objects in index order, Neumaier-compensated
   // per node, so the loads (and every residual decision made from them)
   // are independent of how the solve was sharded and accurate to O(eps)
   // at a million addends.
   std::vector<util::NeumaierSum> acc(spec_.node_count());
-  for (std::size_t o = 0; o < allocations.size(); ++o) {
+  for (std::size_t o = 0; o < spec_.object_count(); ++o) {
     const double v = spec_.volume[o];
-    for (const Placement& placement : allocations[o].placements) {
-      acc[placement.node].add(v * placement.fraction);
+    for (std::uint32_t p = round.offsets[o]; p < round.offsets[o + 1]; ++p) {
+      acc[round.placements[p].node].add(v * round.placements[p].fraction);
     }
   }
   std::vector<double> loads(spec_.node_count());
@@ -226,8 +293,7 @@ std::vector<double> CatalogSolver::node_loads(
   return loads;
 }
 
-void CatalogSolver::repair(std::vector<ObjectAllocation>& allocations,
-                           std::vector<double>& loads,
+void CatalogSolver::repair(RoundAllocation& round, std::vector<double>& loads,
                            const std::vector<double>& prices,
                            CatalogResult& result) const {
   const std::size_t n = spec_.node_count();
@@ -238,6 +304,19 @@ void CatalogSolver::repair(std::vector<ObjectAllocation>& allocations,
   for (std::size_t i = 0; i < n; ++i) {
     target[i] = spec_.node_capacity[i] * (1.0 - kRepairMargin);
   }
+  // Moves edit fractions in the CSR in place. A move onto a node the
+  // object does not hold appends to the object's grown copy, and the
+  // copies go back into the CSR before every canonical recompute, so each
+  // load adds an object's solved placements first, then its appended ones
+  // in the order they were appended.
+  GrownPlacements grown;
+  const auto settle = [&] {
+    merge_grown(grown, round.offsets, round.placements);
+    loads = node_loads(round);
+  };
+  const auto on_node = [](std::size_t node) {
+    return [node](const Placement& p) { return p.node == node; };
+  };
 
   for (std::size_t pass = 0; pass < kMaxRepairPasses; ++pass) {
     bool any_overloaded = false;
@@ -253,8 +332,10 @@ void CatalogSolver::repair(std::vector<ObjectAllocation>& allocations,
     // highest-index — object under the synthetic generator's
     // rate-descending ordering, and a deterministic choice regardless).
     std::vector<std::vector<std::uint32_t>> holders(n);
-    for (std::size_t o = 0; o < allocations.size(); ++o) {
-      for (const Placement& placement : allocations[o].placements) {
+    for (std::size_t o = 0; o < spec_.object_count(); ++o) {
+      for (std::uint32_t p = round.offsets[o]; p < round.offsets[o + 1];
+           ++p) {
+        const Placement& placement = round.placements[p];
         if (placement.fraction > 0.0 &&
             loads[placement.node] > spec_.node_capacity[placement.node]) {
           holders[placement.node].push_back(static_cast<std::uint32_t>(o));
@@ -266,11 +347,17 @@ void CatalogSolver::repair(std::vector<ObjectAllocation>& allocations,
       while (loads[i] > target[i] && !holders[i].empty()) {
         const std::uint32_t o = holders[i].back();
         holders[i].pop_back();
-        std::vector<Placement>& placements = allocations[o].placements;
-        auto source = std::find_if(
-            placements.begin(), placements.end(),
-            [i](const Placement& p) { return p.node == i; });
-        if (source == placements.end() || source->fraction <= 0.0) {
+        // Object o's placements: its grown copy if it has one, else its
+        // slice of the CSR.
+        const auto copy = grown.find(o);
+        Placement* first = copy != grown.end()
+                               ? copy->second.data()
+                               : round.placements.data() + round.offsets[o];
+        Placement* last = copy != grown.end()
+                              ? first + copy->second.size()
+                              : round.placements.data() + round.offsets[o + 1];
+        Placement* source = std::find_if(first, last, on_node(i));
+        if (source == last || source->fraction <= 0.0) {
           continue;
         }
         const double v = spec_.volume[o];
@@ -293,7 +380,7 @@ void CatalogSolver::repair(std::vector<ObjectAllocation>& allocations,
           if (best == n) {
             // No slack anywhere: nothing more this pass (or any later
             // one) can move. Settle the books and report what remains.
-            loads = node_loads(allocations);
+            settle();
             return;
           }
           double move = std::min(source->fraction,
@@ -308,15 +395,15 @@ void CatalogSolver::repair(std::vector<ObjectAllocation>& allocations,
           } else {
             source->fraction -= move;
           }
-          auto sink = std::find_if(
-              placements.begin(), placements.end(),
-              [best](const Placement& p) { return p.node == best; });
-          if (sink == placements.end()) {
+          Placement* sink = std::find_if(first, last, on_node(best));
+          if (sink == last) {
+            std::vector<Placement>& placements =
+                grown.try_emplace(o, first, last).first->second;
             placements.push_back(
                 Placement{static_cast<std::uint32_t>(best), move});
-            source = std::find_if(
-                placements.begin(), placements.end(),
-                [i](const Placement& p) { return p.node == i; });
+            first = placements.data();
+            last = first + placements.size();
+            source = std::find_if(first, last, on_node(i));
           } else {
             sink->fraction += move;
           }
@@ -328,7 +415,7 @@ void CatalogSolver::repair(std::vector<ObjectAllocation>& allocations,
     }
     // Canonical recompute: the incremental adds above are bookkeeping;
     // decisions for the next pass use the compensated ground truth.
-    loads = node_loads(allocations);
+    settle();
   }
 }
 
@@ -337,12 +424,13 @@ CatalogResult CatalogSolver::solve() const {
 
   BatchStatePool states(options_.batch_width, spec_.node_count());
   CatalogResult result;
-  std::vector<ObjectAllocation> allocations;
+  RoundAllocation round;
   std::vector<double> loads;
   while (true) {
-    allocations = solve_round(loop.prices(), states);
+    round = RoundAllocation{};  // released before the next round is solved
+    round = solve_round(loop.prices(), states);
     ++result.rounds;
-    loads = node_loads(allocations);
+    loads = node_loads(round);
     if (loop.update(loads) || !loop.active()) {
       break;
     }
@@ -359,7 +447,7 @@ CatalogResult CatalogSolver::solve() const {
   }
   result.pre_repair_residual = std::max(0.0, residual);
 
-  repair(allocations, loads, result.prices, result);
+  repair(round, loads, result.prices, result);
 
   result.node_load = loads;
   residual = 0.0;
@@ -368,35 +456,34 @@ CatalogResult CatalogSolver::solve() const {
   }
   result.residual = std::max(0.0, residual);
 
-  // Final CSR + the onlineJCCP-style workload metrics.
+  // Final CSR: the last round's, with the entries the repair pass drained
+  // to 0 dropped in place, plus the onlineJCCP-style workload metrics.
   const std::size_t count = spec_.object_count();
   const double beta = spec_.locality;
   const double base_share = 1.0 - beta;
-  result.offsets.resize(count + 1);
+  result.offsets = std::move(round.offsets);
+  result.placements = std::move(round.placements);
+  result.inner_iterations = round.inner_iterations;
+  result.unconverged_objects = round.unconverged_objects;
   util::NeumaierSum rate_total;
   util::NeumaierSum hit_traffic;
   util::NeumaierSum comm_traffic;
-  std::size_t fragment_total = 0;
-  std::uint64_t iteration_total = 0;
+  std::size_t kept = 0;
   for (std::size_t o = 0; o < count; ++o) {
-    result.offsets[o] =
-        static_cast<std::uint32_t>(result.placements.size());
-    const ObjectAllocation& alloc = allocations[o];
-    iteration_total += alloc.iterations;
-    if (!alloc.converged) {
-      ++result.unconverged_objects;
-    }
+    const std::uint32_t begin = result.offsets[o];
+    const std::uint32_t end = result.offsets[o + 1];
+    result.offsets[o] = static_cast<std::uint32_t>(kept);
     const double rate = spec_.rate[o];
     const std::uint32_t home = spec_.home[o];
     const net::CostRow row = spec_.comm->row(home);
     double hit = 0.0;
     double comm_cost = 0.0;
-    for (const Placement& placement : alloc.placements) {
+    for (std::uint32_t p = begin; p < end; ++p) {
+      const Placement placement = result.placements[p];
       if (placement.fraction <= 0.0) {
         continue;  // entries drained to exactly 0 by the repair pass
       }
-      result.placements.push_back(placement);
-      ++fragment_total;
+      result.placements[kept++] = placement;
       const double unpriced = base_share * base_cost_[placement.node] +
                               beta * row[placement.node];
       comm_cost += placement.fraction * unpriced;
@@ -411,13 +498,12 @@ CatalogResult CatalogSolver::solve() const {
     hit_traffic.add(rate * hit);
     comm_traffic.add(rate * comm_cost);
   }
-  result.offsets[count] =
-      static_cast<std::uint32_t>(result.placements.size());
-  result.inner_iterations = iteration_total;
+  result.offsets[count] = static_cast<std::uint32_t>(kept);
+  result.placements.resize(kept);
   result.hit_rate = hit_traffic.value() / rate_total.value();
   result.external_traffic = comm_traffic.value();
   result.mean_fragments =
-      static_cast<double>(fragment_total) / static_cast<double>(count);
+      static_cast<double>(kept) / static_cast<double>(count);
   return result;
 }
 

@@ -134,20 +134,24 @@ class CatalogSolver {
   const CatalogOptions& options() const noexcept { return options_; }
 
  private:
-  struct ObjectAllocation {
+  /// One price round's allocation in CSR form: object o's placements are
+  /// placements[offsets[o] .. offsets[o + 1]), in ascending node order as
+  /// solved, followed by any the repair pass appended. A batch returns
+  /// its objects' slice in the same form, with offsets from 0.
+  struct RoundAllocation {
+    std::vector<std::uint32_t> offsets;
     std::vector<Placement> placements;
-    std::uint32_t iterations = 0;
-    bool converged = false;
+    std::uint64_t inner_iterations = 0;   ///< summed over the objects
+    std::size_t unconverged_objects = 0;  ///< iteration-cap hits
   };
   /// The batch states of one solve() (defined in catalog_solver.cpp).
   class BatchStatePool;
 
-  std::vector<ObjectAllocation> solve_round(const std::vector<double>& prices,
-                                            BatchStatePool& states) const;
-  std::vector<double> node_loads(
-      const std::vector<ObjectAllocation>& allocations) const;
-  void repair(std::vector<ObjectAllocation>& allocations,
-              std::vector<double>& loads, const std::vector<double>& prices,
+  RoundAllocation solve_round(const std::vector<double>& prices,
+                              BatchStatePool& states) const;
+  std::vector<double> node_loads(const RoundAllocation& round) const;
+  void repair(RoundAllocation& round, std::vector<double>& loads,
+              const std::vector<double>& prices,
               CatalogResult& result) const;
   void assemble_access(std::size_t o, const std::vector<double>& prices,
                        double* out) const;

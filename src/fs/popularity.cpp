@@ -109,18 +109,4 @@ FragmentMap popularity_split(const std::vector<double>& popularity,
   return FragmentMap(std::move(counts));
 }
 
-RecordSampler::RecordSampler(const std::vector<double>& popularity)
-    : alias_([&popularity] {
-        // Keep the CDF-era contract strictly: every mass must be
-        // non-negative (AliasSampler alone would clamp tiny negative
-        // dust) and the masses must form a distribution. The
-        // distribution-sum check is delegated to AliasSampler's own
-        // total-within-1e-6 validation.
-        FAP_EXPECTS(!popularity.empty(), "need at least one record");
-        for (const double p : popularity) {
-          FAP_EXPECTS(p >= 0.0, "popularity must be non-negative");
-        }
-        return popularity;
-      }()) {}
-
 }  // namespace fap::fs

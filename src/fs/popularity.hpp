@@ -2,33 +2,18 @@
 //
 // Section 4 assumes "the individual records with a file are accessed on a
 // uniform basis (although this can be easily relaxed)". This header is
-// the relaxation: popularity vectors (uniform, Zipf, custom), a sampler
-// for workload generation, and helpers to aggregate record popularity
-// into per-node access probabilities under a given fragment layout.
+// the relaxation: popularity vectors (uniform, Zipf, custom) and helpers
+// to aggregate record popularity into per-node access probabilities
+// under a given fragment layout. Workload generators draw records from a
+// popularity vector through sim::AliasSampler.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "fs/fragment_map.hpp"
-#include "sim/alias_sampler.hpp"
-#include "util/rng.hpp"
 
 namespace fap::fs {
-
-/// Revision of RecordSampler's draw implementation. The sampled
-/// distribution is pinned across revisions (chi-squared + table mass
-/// accounting in fs_record_sampler_test), but the map from a uniform draw
-/// to a concrete record is not: bumping this constant re-routes
-/// individual draws, so any fixed-seed record stream shifts within its
-/// statistical tolerances.
-///
-/// Revision history:
-///   1 — inverse-CDF binary search (O(log R) per draw over a prefix
-///       array: cache-hostile at catalog scale, R ~ 1e6).
-///   2 — Walker/Vose alias table (sim::AliasSampler): O(1) per draw,
-///       same one-uniform-per-sample stream alignment.
-inline constexpr int kRecordSamplerRevision = 2;
 
 /// Uniform popularity: every record accessed with probability 1/R.
 std::vector<double> uniform_popularity(std::size_t record_count);
@@ -59,26 +44,5 @@ std::vector<double> node_access_shares(const FragmentMap& layout,
 /// internally); a zero share is legal and yields an empty range.
 FragmentMap popularity_split(const std::vector<double>& popularity,
                              const std::vector<double>& shares);
-
-/// Draws records according to a popularity distribution. One uniform per
-/// draw through a Walker/Vose alias table (kRecordSamplerRevision 2), so
-/// sampling is O(1) regardless of the record count.
-class RecordSampler {
- public:
-  explicit RecordSampler(const std::vector<double>& popularity);
-  std::size_t sample(util::Rng& rng) const {
-    return alias_.sample(rng.uniform());
-  }
-
-  std::size_t record_count() const noexcept { return alias_.size(); }
-
-  /// The underlying alias table, exposed for the mass-accounting tests
-  /// (outcome i's table mass must equal popularity[i] exactly, see
-  /// sim::AliasSampler::acceptance()).
-  const sim::AliasSampler& table() const noexcept { return alias_; }
-
- private:
-  sim::AliasSampler alias_;
-};
 
 }  // namespace fap::fs

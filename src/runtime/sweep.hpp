@@ -120,7 +120,9 @@ auto sweep(std::size_t count, const SweepOptions& options, Fn&& fn)
 /// and returns their results in item order, which batch_sweep
 /// concatenates in global item order. Because `run` must treat items
 /// independently, the result is byte-identical across jobs AND width
-/// choices — partitioning cannot be observed.
+/// choices — partitioning cannot be observed. A `run` may instead return
+/// one result for its whole batch (the catalog returns a CSR slice), and
+/// the concatenation is then in batch order.
 template <typename Run>
 auto batch_sweep(std::size_t count, std::size_t width,
                  const SweepOptions& options, Run&& run)
@@ -140,8 +142,12 @@ auto batch_sweep(std::size_t count, std::size_t width,
     add_task_metric("batch_size", static_cast<double>(last - first));
     parts[b] = run(first, last);
   });
+  std::size_t total = 0;
+  for (const Results& part : parts) {
+    total += part.size();
+  }
   Results flat;
-  flat.reserve(count);
+  flat.reserve(total);
   for (Results& part : parts) {
     for (auto& item : part) {
       flat.push_back(std::move(item));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "fs/popularity.hpp"
@@ -77,10 +78,16 @@ TraceGenerator::TraceGenerator(TraceWorkload workload, std::size_t node_count)
 
 void TraceGenerator::refresh_popularity() {
   const std::size_t record_count = workload_.records;
+  // ⌊d·t⌋ mod R without casting d·t, which is undefined once d·t passes
+  // 2^64: floor and fmod are exact at every magnitude. d·t saturates at
+  // the largest double, where it would otherwise overflow to infinity
+  // and fmod would return NaN.
   const std::size_t shift =
       workload_.drift_rate > 0.0
-          ? static_cast<std::size_t>(workload_.drift_rate * now_) %
-                record_count
+          ? static_cast<std::size_t>(std::fmod(
+                std::floor(std::min(workload_.drift_rate * now_,
+                                    std::numeric_limits<double>::max())),
+                static_cast<double>(record_count)))
           : 0;
   std::uint64_t mask = 0;
   for (std::size_t c = 0; c < workload_.flash_crowds.size(); ++c) {
@@ -345,6 +352,12 @@ TraceServer::TraceServer(const net::Topology& topology,
               "hop latency must be finite and non-negative");
   FAP_EXPECTS(options_.estimation_epochs >= 1,
               "estimation windows span at least one epoch");
+  FAP_EXPECTS(options_.mode != ServeMode::kOnline ||
+                  workload_.epoch_requests == 0 ||
+                  options_.estimation_epochs <=
+                      std::numeric_limits<std::uint32_t>::max() /
+                          workload_.epoch_requests,
+              "an estimation window must hold fewer than 2^32 requests");
   FAP_EXPECTS(options_.hysteresis >= 0.0,
               "hysteresis must be non-negative");
   FAP_EXPECTS(options_.migration_bandwidth > 0.0,
@@ -567,7 +580,7 @@ void TraceServer::maybe_reallocate(const sim::WindowStats& window, double now,
     return;
   }
   std::uint64_t total = 0;
-  for (const std::uint64_t count : window_counts_) {
+  for (const std::uint32_t count : window_counts_) {
     total += count;
   }
   if (total == 0) {

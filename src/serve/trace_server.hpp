@@ -299,7 +299,10 @@ class TraceServer {
   std::unique_ptr<fs::FragmentMap> initial_;
   std::unique_ptr<fs::FragmentMap> layout_;
   std::vector<double> solved_shares_;  ///< node shares of the last solve
-  std::vector<std::uint64_t> window_counts_;
+  /// kOnline: requests per record in the current estimation window. A
+  /// window holds at most estimation_epochs × epoch_requests requests,
+  /// which the constructor checks fits in 32 bits.
+  std::vector<std::uint32_t> window_counts_;
   std::size_t windows_since_realloc_ = 0;
 
   std::unique_ptr<PendingMigration> pending_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/contracts.hpp"
 
@@ -14,12 +15,12 @@ AliasSampler::AliasSampler(const std::vector<double>& weights) {
 void AliasSampler::rebuild(const std::vector<double>& weights) {
   const std::size_t n = weights.size();
   FAP_EXPECTS(n >= 1, "alias table needs at least one outcome");
-  scaled_.resize(n);
+  FAP_EXPECTS(n <= std::numeric_limits<std::uint32_t>::max(),
+              "alias table outcomes must be numbered in 32 bits");
   double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    FAP_EXPECTS(weights[i] >= -1e-12, "routing weights must be non-negative");
-    scaled_[i] = std::max(weights[i], 0.0);
-    sum += scaled_[i];
+  for (const double w : weights) {
+    FAP_EXPECTS(w >= -1e-12, "routing weights must be non-negative");
+    sum += std::max(w, 0.0);
   }
   FAP_EXPECTS(std::fabs(sum - 1.0) < 1e-6,
               "routing row must sum to 1 (every access must be served "
@@ -27,35 +28,43 @@ void AliasSampler::rebuild(const std::vector<double>& weights) {
 
   // Vose: scale each weight to mean 1, then repeatedly pair an
   // under-full bucket with an over-full one. Every bucket ends with its
-  // own mass plus the top-up it donates to its alias.
-  for (double& w : scaled_) {
-    w *= static_cast<double>(n) / sum;
-  }
-  accept_.assign(n, 1.0);
+  // own mass plus the top-up it donates to its alias. accept_ holds the
+  // scaled weights until a bucket is paired or left over; the under-full
+  // stack is work_[0, small) and the over-full one work_[large, n), each
+  // popped last in, first out.
+  const double scale = static_cast<double>(n) / sum;
+  accept_.resize(n);
   alias_.resize(n);
-  small_.clear();
-  large_.clear();
+  work_.resize(n);
+  std::size_t small = 0;
+  std::size_t large = n;
   for (std::size_t i = 0; i < n; ++i) {
-    alias_[i] = i;
-    (scaled_[i] < 1.0 ? small_ : large_).push_back(i);
+    accept_[i] = std::max(weights[i], 0.0) * scale;
+    alias_[i] = static_cast<std::uint32_t>(i);
+    if (accept_[i] < 1.0) {
+      work_[small++] = static_cast<std::uint32_t>(i);
+    } else {
+      work_[--large] = static_cast<std::uint32_t>(i);
+    }
   }
-  while (!small_.empty() && !large_.empty()) {
-    const std::size_t s = small_.back();
-    const std::size_t l = large_.back();
-    small_.pop_back();
-    large_.pop_back();
-    accept_[s] = scaled_[s];
+  while (small > 0 && large < n) {
+    const std::uint32_t s = work_[--small];
+    const std::uint32_t l = work_[large++];
     alias_[s] = l;
-    scaled_[l] = (scaled_[l] + scaled_[s]) - 1.0;
-    (scaled_[l] < 1.0 ? small_ : large_).push_back(l);
+    accept_[l] = (accept_[l] + accept_[s]) - 1.0;
+    if (accept_[l] < 1.0) {
+      work_[small++] = l;
+    } else {
+      work_[--large] = l;
+    }
   }
   // Leftovers (one side only, up to floating-point residue) are full
   // buckets.
-  for (const std::size_t i : large_) {
-    accept_[i] = 1.0;
+  for (std::size_t k = 0; k < small; ++k) {
+    accept_[work_[k]] = 1.0;
   }
-  for (const std::size_t i : small_) {
-    accept_[i] = 1.0;
+  for (std::size_t k = large; k < n; ++k) {
+    accept_[work_[k]] = 1.0;
   }
 }
 

@@ -10,9 +10,18 @@
 // sampler it replaced, so swapping it in shifts which random bits route
 // which access but leaves the RNG stream alignment — and every downstream
 // exponential draw count — unchanged.
+//
+// The table is built in place: the acceptance array holds the scaled
+// weights while Vose pairs under-full with over-full buckets (a bucket's
+// acceptance IS its scaled weight at the moment it is paired), and one
+// 32-bit worklist holds both stacks, the under-full one growing from the
+// front and the over-full one from the back. A table costs 16 B per
+// outcome: an 8 B acceptance, a 4 B alias and a 4 B worklist entry, which
+// is 3.2 MB for the trace generator's 200k-record table.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace fap::sim {
@@ -21,7 +30,7 @@ class AliasSampler {
  public:
   /// Builds the table for `weights` (same validation as the routing rows:
   /// entries >= -1e-12 with negatives clamped to 0, total within 1e-6 of
-  /// 1). Throws PreconditionError otherwise.
+  /// 1, fewer than 2^32 outcomes). Throws PreconditionError otherwise.
   explicit AliasSampler(const std::vector<double>& weights);
 
   /// Rebuilds the table for a new distribution in place, reusing the
@@ -29,8 +38,9 @@ class AliasSampler {
   /// rebuild performs no allocation. Produces a table bit-identical to
   /// constructing AliasSampler(weights). The engine rewires routing this
   /// way (DesSystem::set_routing), so deploying a new allocation
-  /// mid-flight does not churn the allocator. On validation failure the
-  /// sampler is left unusable until a successful rebuild.
+  /// mid-flight does not churn the allocator. The weights are validated
+  /// before the table changes, so a rebuild that throws leaves the
+  /// previous table in place.
   void rebuild(const std::vector<double>& weights);
 
   std::size_t size() const noexcept { return accept_.size(); }
@@ -53,15 +63,13 @@ class AliasSampler {
   /// i's total probability mass is
   ///   (accept_[i] + Σ_{j : alias_[j] == i} (1 - accept_[j])) / n.
   const std::vector<double>& acceptance() const noexcept { return accept_; }
-  const std::vector<std::size_t>& alias() const noexcept { return alias_; }
+  const std::vector<std::uint32_t>& alias() const noexcept { return alias_; }
 
  private:
   std::vector<double> accept_;
-  std::vector<std::size_t> alias_;
-  // Vose construction workspace, kept so rebuild() is allocation-free.
-  std::vector<double> scaled_;
-  std::vector<std::size_t> small_;
-  std::vector<std::size_t> large_;
+  std::vector<std::uint32_t> alias_;
+  // Vose construction worklist, kept so rebuild() is allocation-free.
+  std::vector<std::uint32_t> work_;
 };
 
 }  // namespace fap::sim

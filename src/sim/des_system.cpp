@@ -421,11 +421,11 @@ struct DesSystem::Impl {
     for (std::size_t j = 0; j < n; ++j) {
       row_sampler.rebuild(routing[j]);
       const std::vector<double>& accept = row_sampler.acceptance();
-      const std::vector<std::size_t>& alias = row_sampler.alias();
+      const std::vector<std::uint32_t>& alias = row_sampler.alias();
       for (std::size_t b = 0; b < n; ++b) {
         AliasCell& cell = alias_cells[j * n + b];
         cell.accept = accept[b];
-        cell.alias = static_cast<std::uint32_t>(alias[b]);
+        cell.alias = alias[b];
         cell.comm_bucket = config.comm_cost[j][b];
         cell.comm_alias = config.comm_cost[j][alias[b]];
       }

@@ -285,12 +285,15 @@ std::uint64_t price_loop_digest(const CatalogResult& r) {
   return hash;
 }
 
-// Golden pins of two contended solves (10 nodes, 5% headroom). The
+// Golden pins of three contended solves (10 nodes, 5% headroom). The
 // first runs out of rounds and repairs; the second converges before the
 // cap. Together they fix the price loop's γ₀, decay, tolerance and round
 // cap and the repair pass's margin and pass limit. Their counters are
 // asserted too, so a change that stops exercising the decay, the cap or
-// the repair pass fails here and not only in the digest.
+// the repair pass fails here and not only in the digest. The repair
+// moves of the first two all append a placement on a node the object did
+// not hold; of the third's 13 moves, 12 append and 1 adds to a placement
+// the object already holds, so both repair branches are pinned.
 TEST(CatalogSolver, ContendedGoldenPin) {
   struct Pin {
     std::size_t objects;
@@ -305,6 +308,7 @@ TEST(CatalogSolver, ContendedGoldenPin) {
   const Pin pins[] = {
       {100, 1, 16, false, 6, 0.0078125, 7, 0x9b6b991768f82934ULL},
       {200, 3, 13, true, 5, 0.015625, 3, 0xafd8a77d2eb2d04bULL},
+      {1000, 2, 16, false, 6, 0.0078125, 13, 0xa409e09e224502a0ULL},
   };
   for (const Pin& pin : pins) {
     SCOPED_TRACE("K = " + std::to_string(pin.objects) + ", seed " +

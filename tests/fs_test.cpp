@@ -219,18 +219,39 @@ TEST(PopularitySplit, NormalizesSharesAndRejectsBadInput) {
   EXPECT_THROW(fs::popularity_split({1.0}, {0.0, 0.0}), PreconditionError);
 }
 
-TEST(Popularity, SamplerFollowsTheDistribution) {
-  const std::vector<double> popularity{0.6, 0.3, 0.1};
-  const fs::RecordSampler sampler(popularity);
-  fap::util::Rng rng(11);
-  std::vector<int> counts(3, 0);
-  constexpr int kSamples = 60000;
-  for (int i = 0; i < kSamples; ++i) {
-    ++counts[sampler.sample(rng)];
+TEST(Popularity, ZipfContracts) {
+  EXPECT_THROW(fs::zipf_popularity(0, 0.8), PreconditionError);
+  EXPECT_THROW(fs::zipf_popularity(10, -0.1), PreconditionError);
+  EXPECT_NO_THROW(fs::zipf_popularity(10, 0.0));  // s = 0 is uniform
+}
+
+TEST(Popularity, NormalizationContracts) {
+  EXPECT_THROW(fs::normalized_popularity({}), PreconditionError);
+  EXPECT_THROW(fs::normalized_popularity({0.0, 0.0}), PreconditionError);
+  EXPECT_THROW(fs::normalized_popularity({1.0, -0.5}), PreconditionError);
+  EXPECT_THROW(fs::uniform_popularity(0), PreconditionError);
+}
+
+TEST(Popularity, CompensatedNormalizationSumsToOneAtMillionRecords) {
+  // A naive normalization total carries O(R·eps) ≈ 5e-11 relative error
+  // at R = 1e6, so Σ p_r would miss 1 by the same amount. With the
+  // Neumaier total the miss is a few eps. The sum itself is measured
+  // with compensation too — a naive test-side sum would re-introduce
+  // exactly the error being tested away.
+  constexpr std::size_t kRecords = 1000000;
+  for (const double s : {0.0, 0.8, 1.4}) {
+    const std::vector<double> popularity = fs::zipf_popularity(kRecords, s);
+    const double total = fap::util::stable_sum(popularity);
+    EXPECT_NEAR(total, 1.0, 1e-15) << "zipf exponent " << s;
   }
-  EXPECT_NEAR(counts[0] / static_cast<double>(kSamples), 0.6, 0.01);
-  EXPECT_NEAR(counts[1] / static_cast<double>(kSamples), 0.3, 0.01);
-  EXPECT_NEAR(counts[2] / static_cast<double>(kSamples), 0.1, 0.01);
+  // An adversarially wide-magnitude weight vector (12 decades).
+  std::vector<double> weights(kRecords);
+  for (std::size_t r = 0; r < kRecords; ++r) {
+    weights[r] = std::pow(10.0, -static_cast<double>(r % 13));
+  }
+  const std::vector<double> popularity =
+      fs::normalized_popularity(std::move(weights));
+  EXPECT_NEAR(fap::util::stable_sum(popularity), 1.0, 1e-15);
 }
 
 // --- Weighted placement ----------------------------------------------------------

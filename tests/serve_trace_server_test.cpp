@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -108,6 +109,32 @@ TEST(TraceGenerator, PopularityIsNormalizedAndDriftRotatesIt) {
   EXPECT_LT(pt[0], p0[0]);  // record 0 demoted by `shift` ranks
 }
 
+// At drift 1e300 the rank shift d·t passes 2^64 in the first epoch, where
+// a cast to an integer type is undefined. The shift is still the exact
+// remainder ⌊d·t⌋ mod R, and the popularity a rotation of the base masses.
+// At the largest finite drift d·t overflows; the shift saturates there.
+TEST(TraceGenerator, DriftBeyondAnyIntegerRotatesByTheExactRemainder) {
+  for (const double drift : {1e300, std::numeric_limits<double>::max()}) {
+    SCOPED_TRACE(drift);
+    TraceWorkload workload = small_workload();
+    workload.drift_rate = drift;
+    TraceGenerator generator(workload, 4);
+    const std::vector<double> p0 = generator.popularity();
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      const double steps =
+          std::floor(std::min(drift * generator.now(),
+                              std::numeric_limits<double>::max()));
+      generator.next_epoch(4096);
+      const auto shift = static_cast<std::size_t>(std::fmod(steps, 2000.0));
+      const std::vector<double>& pt = generator.popularity();
+      for (std::size_t r = 0; r < 2000; ++r) {
+        ASSERT_EQ(pt[r], p0[(r + shift) % 2000]) << "record " << r;
+      }
+    }
+    EXPECT_GT(drift * generator.now(), 0x1p64);
+  }
+}
+
 TEST(TraceGenerator, FlashCrowdBoostsItsRecordsWhileActive) {
   TraceWorkload workload = small_workload();
   FlashCrowd crowd;
@@ -162,6 +189,24 @@ TEST(TraceServer, RejectsNonFiniteHopLatency) {
   options.hop_latency = std::numeric_limits<double>::infinity();
   EXPECT_THROW(TraceServer(ring, small_workload(), options),
                fap::util::PreconditionError);
+}
+
+// Online serving counts each window's requests per record in 32 bits, so
+// a window of estimation_epochs × epoch_requests >= 2^32 requests is
+// refused. The other modes keep no counts and accept it.
+TEST(TraceServer, RejectsOnlineWindowsBeyond32BitCounts) {
+  const fap::net::Topology ring = fap::net::make_ring(4);
+  const TraceWorkload workload = small_workload();  // 2^12 per epoch
+  TraceServeOptions options;
+  options.mode = ServeMode::kOnline;
+  options.estimation_epochs = std::size_t{1} << 20;
+  EXPECT_THROW(TraceServer(ring, workload, options),
+               fap::util::PreconditionError);
+  options.estimation_epochs = (std::size_t{1} << 20) - 1;
+  EXPECT_NO_THROW(TraceServer(ring, workload, options));
+  options.estimation_epochs = std::size_t{1} << 20;
+  options.mode = ServeMode::kStatic;
+  EXPECT_NO_THROW(TraceServer(ring, workload, options));
 }
 
 TEST(TraceServer, ServeIsDeterministic) {

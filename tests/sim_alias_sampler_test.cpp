@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
+#include "fs/popularity.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 
@@ -128,12 +132,74 @@ TEST(AliasSampler, ChiSquaredMatchesEachRoutingRow) {
   }
 }
 
+// FNV-1a over every acceptance bit pattern and alias index of the table.
+std::uint64_t table_digest(const AliasSampler& sampler) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (std::size_t i = 0; i < sampler.size(); ++i) {
+    mix(std::bit_cast<std::uint64_t>(sampler.acceptance()[i]));
+    mix(static_cast<std::uint64_t>(sampler.alias()[i]));
+  }
+  return hash;
+}
+
+// Golden digests of the tables serving builds: the trace generator's
+// 200k-record Zipf(0.9) table, the same table under a x10 flash crowd on
+// 1,001 records, a 16-node origin row, and a routing row with zero
+// weights (one of them negative dust). The pairing order decides every
+// acceptance and alias entry, so a change to it fails here by case.
+// Rebuilding a sampler that last held another table gives the same bits.
+TEST(AliasSampler, TableBitsGoldenPin) {
+  const std::vector<double> zipf = fap::fs::zipf_popularity(200000, 0.9);
+  std::vector<double> crowd = zipf;
+  for (std::size_t r = 50000; r < 51001; ++r) {
+    crowd[r] *= 10.0;
+  }
+  struct Case {
+    std::string name;
+    std::vector<double> weights;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"zipf 200k", zipf, 0xd21a505445989c25ULL},
+      {"flash crowd", fap::fs::normalized_popularity(crowd),
+       0x445e98a97a25202fULL},
+      {"origin row",
+       fap::fs::normalized_popularity(
+           {3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3}),
+       0xc994e14cb185ed7bULL},
+      {"zero weights", {0.3, 0.0, 0.45, -1e-13, 0.25, 0.0},
+       0xaa99d1ec000b6508ULL},
+  };
+  AliasSampler reused({1.0});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const AliasSampler fresh(c.weights);
+    EXPECT_EQ(table_digest(fresh), c.digest)
+        << std::hex << "0x" << table_digest(fresh);
+    reused.rebuild(c.weights);
+    EXPECT_EQ(table_digest(reused), c.digest);
+  }
+}
+
 TEST(AliasSampler, ValidatesLikeTheRoutingRows) {
   EXPECT_THROW(AliasSampler({}), PreconditionError);
   EXPECT_THROW(AliasSampler({0.5, 0.4}), PreconditionError);   // sums to 0.9
   EXPECT_THROW(AliasSampler({0.5, -0.5, 1.0}), PreconditionError);
   // Tiny negative dust is clamped, matching the CDF sampler it replaced.
   EXPECT_NO_THROW(AliasSampler({1.0, -1e-13}));
+  // A rebuild that throws leaves the previous table in place.
+  AliasSampler sampler({0.25, 0.75});
+  EXPECT_THROW(sampler.rebuild({0.5, 0.4, 0.3}), PreconditionError);
+  const std::vector<double> mass = table_masses(sampler);
+  ASSERT_EQ(mass.size(), 2u);
+  EXPECT_NEAR(mass[0], 0.25, 1e-12);
+  EXPECT_NEAR(mass[1], 0.75, 1e-12);
 }
 
 }  // namespace
