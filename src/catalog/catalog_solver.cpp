@@ -151,13 +151,17 @@ std::size_t CatalogSolver::start_node(std::size_t o,
                                       const double* access) const {
   // Cheapest full concentration: argmin_i C_i^o + v_o p_i + k·T(λ_o, μ_i)
   // (the priced access vector already carries the first two terms).
-  // Strict < keeps the lowest index on ties.
+  // Strict < keeps the lowest index on ties. A node whose μ equals its
+  // predecessor's reuses that node's delay: same operands, same bits.
   const double rate = spec_.rate[o];
   std::size_t best = 0;
   double best_cost = std::numeric_limits<double>::infinity();
+  double delay = 0.0;
   for (std::size_t i = 0; i < spec_.node_count(); ++i) {
-    const double cost =
-        access[i] + spec_.k * spec_.delay.sojourn(rate, spec_.mu[i]);
+    if (i == 0 || spec_.mu[i] != spec_.mu[i - 1]) {
+      delay = spec_.delay.sojourn(rate, spec_.mu[i]);
+    }
+    const double cost = access[i] + spec_.k * delay;
     if (cost < best_cost) {
       best_cost = cost;
       best = i;
@@ -218,6 +222,8 @@ CatalogSolver::RoundAllocation CatalogSolver::solve_round(
           batch.submit(raw, options_.inner);
         }
         std::vector<core::BatchRunResult> solved = batch.run_all();
+        runtime::add_task_metric(
+            "certified", static_cast<double>(batch.stats().certified));
         runtime::add_task_metric(
             "lane_steps", static_cast<double>(batch.stats().lane_steps));
         runtime::add_task_metric(

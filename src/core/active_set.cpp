@@ -194,4 +194,28 @@ void active_set_fast(const ConstraintGroup& group, const std::vector<double>& x,
   std::sort(active.begin(), active.end());
 }
 
+bool vertex_start_terminates(const double* marginal_u, std::size_t n,
+                             std::size_t s, double alpha, double epsilon) {
+  FAP_EXPECTS(s < n, "vertex node out of range");
+  double max_abs = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!(marginal_u[s] >= marginal_u[i])) {
+      return false;  // also rejects NaN
+    }
+    max_abs = std::max(max_abs, std::fabs(marginal_u[i]));
+  }
+  const double nd = static_cast<double>(n);
+  if (!(nd * max_abs <= 0x1p1000)) {
+    return false;  // also rejects ±inf
+  }
+  // The proof's bound is 2(1 + 2⁻⁵³)·n²((n+1)² + 1)·2⁻⁵³·(max|∂U| +
+  // 2⁻¹⁰²¹(1 + 1/α)); the factor 4 leaves room for this expression's own
+  // roundings. 2⁻¹⁰²¹(1 + 1/α) is normal, so only the last product can
+  // round in the subnormal range, where it loses at most 2⁻¹⁰⁷⁵ of a
+  // value at least 20·2⁻¹⁰⁷⁴.
+  const double k = 4.0 * nd * nd * ((nd + 1.0) * (nd + 1.0) + 1.0);
+  const double floor_term = 0x1p-1021 * (1.0 + 1.0 / alpha);
+  return k * (max_abs + floor_term) * 0x1p-53 < epsilon;
+}
+
 }  // namespace fap::core::detail

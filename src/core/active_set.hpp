@@ -51,4 +51,19 @@ void active_set_fast(const ConstraintGroup& group, const std::vector<double>& x,
                      const std::vector<double>& caps, std::size_t dim,
                      ActiveSetWorkspace& ws);
 
+/// The vertex certificate (DESIGN §4e): true only if the procedure's
+/// first termination check at the point mass x = e_s — uncapped, one
+/// Σ = 1 group over all n nodes, fixed step α > 0 — is certain to find a
+/// marginal-utility spread below ε over its set A, so the allocator stops
+/// at e_s after 0 iterations. It holds when node s has the largest
+/// marginal utility (§5.3's optimality condition at a vertex,
+/// ∂U_s >= ∂U_i for every i) and the rounding guard
+///   4n²((n+1)² + 1) · 2⁻⁵³ · (max|∂U| + 2⁻¹⁰²¹(1 + 1/α)) < ε
+/// bounds every spread the procedure's rounding can leave behind; also
+/// n·max|∂U| <= 2¹⁰⁰⁰, so no sum overflows. `marginal_u` holds the n
+/// values ∂U_i exactly as the allocator computes them at e_s. A false
+/// answer says nothing: the caller runs the procedure.
+bool vertex_start_terminates(const double* marginal_u, std::size_t n,
+                             std::size_t s, double alpha, double epsilon);
+
 }  // namespace fap::core::detail

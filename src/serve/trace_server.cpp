@@ -101,9 +101,11 @@ void TraceGenerator::refresh_popularity() {
   }
   shift_ = shift;
   crowd_mask_ = mask;
-  for (std::size_t r = 0; r < record_count; ++r) {
-    popularity_[r] = base_[(r + shift) % record_count];
-  }
+  // popularity_[r] = base_[(r + shift) mod R], without a division per
+  // record.
+  std::rotate_copy(base_.begin(),
+                   base_.begin() + static_cast<std::ptrdiff_t>(shift),
+                   base_.end(), popularity_.begin());
   if (mask != 0) {
     for (std::size_t c = 0; c < workload_.flash_crowds.size(); ++c) {
       if ((mask & (std::uint64_t{1} << c)) == 0) {

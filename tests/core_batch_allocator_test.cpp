@@ -10,16 +10,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "core/active_set.hpp"
 #include "core/allocator.hpp"
 #include "core/simd_dispatch.hpp"
 #include "core/single_file.hpp"
 #include "net/generators.hpp"
+#include "queueing/delay.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 
@@ -275,9 +279,77 @@ TEST(BatchAllocator, AlreadyConvergedLaneRetiresImmediately) {
   EXPECT_TRUE(BitsEqual(results[0].cost, serial.cost));
 }
 
+// A hand-built uncapped instance: λ = 1 split evenly, k = 1, access
+// costs given, μ = 2 at every node unless stated. Under M/M/1 with μ = 2
+// its marginal utilities at the vertex e_s are ∂U_s = -(C_s + 2) and
+// ∂U_i = -(C_i + 0.5) for i != s.
+SingleFileModel hand_built_model(std::vector<double> access,
+                                 DelayModel delay = DelayModel::mm1(),
+                                 double mu = 2.0) {
+  const std::size_t n = access.size();
+  SingleFileProblem problem{nullptr,
+                            std::vector<double>(n, 1.0 / static_cast<double>(n)),
+                            std::vector<double>(n, mu),
+                            1.0,
+                            delay,
+                            {},
+                            {},
+                            std::move(access)};
+  return SingleFileModel(std::move(problem));
+}
+
+std::vector<double> vertex(std::size_t n, std::size_t s) {
+  std::vector<double> x(n, 0.0);
+  x[s] = 1.0;
+  return x;
+}
+
+// ∂U at `start` as the lanes' first derivative row evaluates it.
+std::vector<double> lane_marginal_utilities(const SingleFileModel& model,
+                                            const std::vector<double>& start) {
+  const SingleFileProblem& problem = model.problem();
+  const double scv = problem.delay.scv();
+  const double rho = problem.delay.rho_max();
+  std::vector<double> du(start.size());
+  for (std::size_t i = 0; i < start.size(); ++i) {
+    const double a = model.total_rate() * start[i];
+    const double m = problem.mu[i];
+    const double t = fap::queueing::detail::lin_sojourn(a, m, scv, rho) +
+                     a * fap::queueing::detail::lin_d_sojourn(a, m, scv, rho);
+    du[i] = -(model.access_costs()[i] + problem.k * t);
+  }
+  return du;
+}
+
+// Submits each start of `model` alone, runs it, pins the result bitwise
+// to the serial allocator and returns how many the certificate answered.
+std::size_t run_against_serial(const SingleFileModel& model,
+                               const AllocatorOptions& options,
+                               const std::vector<double>& start) {
+  const AllocationResult serial =
+      ResourceDirectedAllocator(model, options).run(start);
+  BatchAllocator batch(8);
+  batch.submit(model, options, start);
+  const std::vector<BatchRunResult> results = batch.run_all();
+  EXPECT_EQ(results.size(), 1u);
+  if (results.size() != 1) {
+    return 0;
+  }
+  EXPECT_EQ(serial.converged, results[0].converged);
+  EXPECT_EQ(serial.iterations, results[0].iterations);
+  EXPECT_TRUE(BitsEqual(serial.cost, results[0].cost));
+  EXPECT_EQ(serial.x.size(), results[0].x.size());
+  for (std::size_t j = 0; j < std::min(serial.x.size(), results[0].x.size());
+       ++j) {
+    EXPECT_TRUE(BitsEqual(serial.x[j], results[0].x[j])) << "node " << j;
+  }
+  return batch.stats().certified;
+}
+
 // The lane-step counters: a lane is live for one lockstep iteration per
 // step it takes, plus the one that finds it converged; boundary steps are
-// the subset that took the gathered active-set path.
+// the subset that took the gathered active-set path. A certified
+// submission converges after 0 iterations without a lane step.
 TEST(BatchAllocator, LaneStepCountersAddUp) {
   BatchAllocator batch(8);
   std::vector<RandomInstance> instances;
@@ -286,11 +358,16 @@ TEST(BatchAllocator, LaneStepCountersAddUp) {
     batch.submit(instances.back().model, instances.back().options,
                  instances.back().start);
   }
+  // One point mass on the cheapest node, which the certificate answers.
+  const SingleFileModel cheap_vertex =
+      hand_built_model({1.0, 10.0, 10.0, 10.0});
+  batch.submit(cheap_vertex, AllocatorOptions{}, vertex(4, 0));
   std::size_t expected = 0;
   for (const BatchRunResult& result : batch.run_all()) {
     expected += result.iterations + (result.converged ? 1 : 0);
   }
-  EXPECT_EQ(batch.stats().lane_steps, expected);
+  EXPECT_EQ(batch.stats().certified, 1u);
+  EXPECT_EQ(batch.stats().lane_steps + batch.stats().certified, expected);
   EXPECT_GT(batch.stats().boundary_lane_steps, 0u);
   EXPECT_LT(batch.stats().boundary_lane_steps, batch.stats().lane_steps);
 
@@ -578,6 +655,258 @@ TEST(BatchAllocator, RejectsUnsupportedOptionsAndInfeasibleStarts) {
   options.alpha = -1.0;
   EXPECT_THROW(batch.submit(model, options, std::vector<double>(4, 0.25)),
                fap::util::PreconditionError);
+}
+
+// The vertex certificate against the serial allocator on the suite's
+// random single-server, uncapped instances run at a fixed step, started
+// at every vertex: whether a start is answered by the certificate or by a
+// lane, every field must equal the serial run bit for bit, at every
+// width and under both kernel sets.
+TEST(BatchAllocator, VertexStartsMatchSerialBitwise) {
+  std::vector<RandomInstance> instances;
+  for (std::uint64_t seed = 1000; seed < 1200; ++seed) {
+    RandomInstance inst = make_random_instance(seed);
+    const SingleFileProblem& problem = inst.model.problem();
+    if (!problem.storage_capacity.empty() ||
+        problem.delay.discipline() == fap::queueing::Discipline::kMMc) {
+      continue;
+    }
+    inst.options.step_rule = StepRule::kFixed;
+    for (std::size_t s = 0; s < inst.model.dimension(); ++s) {
+      inst.start = vertex(inst.model.dimension(), s);
+      instances.push_back(inst);
+    }
+  }
+  std::vector<AllocationResult> serial;
+  serial.reserve(instances.size());
+  for (const RandomInstance& inst : instances) {
+    serial.push_back(
+        ResourceDirectedAllocator(inst.model, inst.options).run(inst.start));
+  }
+  std::vector<fap::core::SimdLevel> levels = {fap::core::SimdLevel::kScalar};
+  if (avx2_available()) {
+    levels.push_back(fap::core::SimdLevel::kAvx2);
+  }
+  for (const fap::core::SimdLevel level : levels) {
+    ScopedSimdLevel pin(level);
+    for (const std::size_t width :
+         {std::size_t{1}, std::size_t{8}, std::size_t{64}}) {
+      BatchAllocator batch(width);
+      for (const RandomInstance& inst : instances) {
+        batch.submit(inst.model, inst.options, inst.start);
+      }
+      const std::vector<BatchRunResult> results = batch.run_all();
+      ASSERT_EQ(results.size(), instances.size());
+      // Both paths are exercised: some starts are certified, others iterate.
+      EXPECT_GT(batch.stats().certified, 0u);
+      EXPECT_LT(batch.stats().certified, instances.size());
+      for (std::size_t i = 0; i < instances.size(); ++i) {
+        SCOPED_TRACE(std::string(fap::core::simd_level_name(level)) +
+                     " width " + std::to_string(width) + " start " +
+                     std::to_string(i));
+        const BatchRunResult expected{serial[i].x, serial[i].cost,
+                                      serial[i].converged,
+                                      serial[i].iterations};
+        expect_bitwise_equal(expected, results[i]);
+      }
+    }
+  }
+}
+
+// Hand-built margins ∂U_s - max_{i != s} ∂U_i around the certificate's
+// edge: a tie and +1 ulp are certified, -1 ulp is not, and ±ε/2 fall on
+// either side. Certified or not, the result equals the serial run.
+TEST(BatchAllocator, VertexCertificateMarginsAndSignedZeros) {
+  AllocatorOptions options;
+  options.epsilon = 1e-4;
+  struct Case {
+    const char* name;
+    double rival_cost;  // C_1; node 0 holds the mass with C_0 = 1
+    bool certified;
+  };
+  const Case cases[] = {
+      {"tie", 2.5, true},
+      {"+1 ulp", std::nextafter(2.5, 3.0), true},
+      {"-1 ulp", std::nextafter(2.5, 2.0), false},
+      {"+eps/2", 2.5 + 5e-5, true},
+      {"-eps/2", 2.5 - 5e-5, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const SingleFileModel model =
+        hand_built_model({1.0, c.rival_cost, 10.0, 10.0});
+    const std::vector<double> start = vertex(4, 0);
+    const std::vector<double> du = lane_marginal_utilities(model, start);
+    ASSERT_EQ(du[0], -3.0);
+    if (std::string(c.name) == "tie") {
+      EXPECT_EQ(du[1], du[0]);
+    } else if (std::string(c.name) == "+1 ulp") {
+      EXPECT_EQ(du[1], std::nextafter(du[0], -4.0));
+    } else if (std::string(c.name) == "-1 ulp") {
+      EXPECT_EQ(du[1], std::nextafter(du[0], -2.0));
+    }
+    EXPECT_EQ(run_against_serial(model, options, start),
+              c.certified ? 1u : 0u);
+  }
+
+  // A start whose empty nodes hold -0.0 is a vertex too, and its result
+  // keeps those bits (run_against_serial compares them to the serial x).
+  const SingleFileModel model = hand_built_model({1.0, 2.5, 10.0, 10.0});
+  const std::vector<double> signed_start = {1.0, -0.0, -0.0, -0.0};
+  EXPECT_EQ(run_against_serial(model, options, signed_start), 1u);
+  BatchAllocator batch;
+  batch.submit(model, options, signed_start);
+  const std::vector<BatchRunResult> results = batch.run_all();
+  ASSERT_EQ(results.size(), 1u);
+  for (std::size_t j = 1; j < 4; ++j) {
+    EXPECT_TRUE(std::signbit(results[0].x[j])) << "node " << j;
+  }
+
+  // ∂U near 1e15: node 0 still has the largest marginal utility, but the
+  // rounding guard fails, so the start takes a lane.
+  const SingleFileModel huge =
+      hand_built_model({1e15, 1e15 + 1e3, 1e15 + 1e3, 1e15 + 1e3});
+  const std::vector<double> huge_du =
+      lane_marginal_utilities(huge, vertex(4, 0));
+  EXPECT_GT(huge_du[0], huge_du[1]);
+  EXPECT_FALSE(fap::core::detail::vertex_start_terminates(
+      huge_du.data(), 4, 0, options.alpha, options.epsilon));
+  EXPECT_EQ(run_against_serial(huge, options, vertex(4, 0)), 0u);
+
+  // The zero-load delay term is reused only for the μ it was computed
+  // from. At μ = 4 node 1 beats the vertex (∂U_1 = -1.35 > ∂U_0 = -1.44);
+  // with node 1's term from the μ = 2 submission before it, it would not.
+  BatchAllocator reused;
+  const SingleFileModel slow = hand_built_model({1.0, 1.1},
+                                                DelayModel::mm1(), 2.0);
+  const SingleFileModel fast = hand_built_model({1.0, 1.1},
+                                                DelayModel::mm1(), 4.0);
+  reused.submit(slow, options, vertex(2, 0));
+  reused.submit(fast, options, vertex(2, 0));
+  const std::vector<BatchRunResult> both = reused.run_all();
+  EXPECT_EQ(reused.stats().certified, 0u);
+  ASSERT_EQ(both.size(), 2u);
+  const AllocationResult serial_fast =
+      ResourceDirectedAllocator(fast, options).run(vertex(2, 0));
+  expect_bitwise_equal({serial_fast.x, serial_fast.cost, serial_fast.converged,
+                        serial_fast.iterations},
+                       both[1]);
+  EXPECT_GT(both[1].iterations, 0u);
+}
+
+// What the certificate does not cover takes a lane, with unchanged
+// results: dynamic α, storage caps, M/M/c and non-vertex starts, each a
+// variant of a start the certificate answers.
+TEST(BatchAllocator, VertexCertificateFallbackFamilies) {
+  const std::vector<double> access = {1.0, 2.5 + 5e-5, 10.0, 10.0};
+  AllocatorOptions options;
+  options.epsilon = 1e-4;
+  ASSERT_EQ(run_against_serial(hand_built_model(access), options,
+                               vertex(4, 0)),
+            1u);
+
+  AllocatorOptions dynamic = options;
+  dynamic.step_rule = StepRule::kDynamic;
+  EXPECT_EQ(
+      run_against_serial(hand_built_model(access), dynamic, vertex(4, 0)),
+      0u);
+
+  SingleFileProblem capped = hand_built_model(access).problem();
+  capped.storage_capacity.assign(4, 1.0);
+  EXPECT_EQ(run_against_serial(SingleFileModel(std::move(capped)), options,
+                               vertex(4, 0)),
+            0u);
+
+  EXPECT_EQ(run_against_serial(hand_built_model(access, DelayModel::mmc(2)),
+                               options, vertex(4, 0)),
+            0u);
+
+  const std::vector<double> near_vertex = {1.0 - 0x1p-20, 0x1p-20, 0.0, 0.0};
+  EXPECT_EQ(
+      run_against_serial(hand_built_model(access), options, near_vertex), 0u);
+  // A whole unit at node 0 plus dust elsewhere is feasible (Σ within
+  // 1e-9 of 1) but is no vertex.
+  const std::vector<double> dusty = {1.0, 0x1p-40, 0.0, 0.0};
+  EXPECT_EQ(run_against_serial(hand_built_model(access), options, dusty), 0u);
+}
+
+// The certificate's theorem on random vertex instances: whenever it
+// holds, the active-set procedure's set A at x = e_s has a marginal
+// utility spread below ε, so the lane's first check would stop there.
+// The ∂U are drawn spread out, ulp-close, tied with s, clustered around
+// ε, or mixed, with α in (0, 2].
+TEST(BatchAllocator, VertexCertificateImpliesTerminalSpread) {
+  constexpr std::size_t kInstances = 200000;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(20261019);
+  fap::core::detail::ActiveSetWorkspace ws;
+  fap::core::ConstraintGroup group;
+  std::vector<double> x;
+  std::vector<double> du;
+  std::vector<double> caps;
+  std::size_t certified = 0;
+  for (std::size_t t = 0; t < kInstances; ++t) {
+    const std::size_t n = rng.uniform() < 0.05
+                              ? 2 + rng.uniform_index(127)   // 2..128
+                              : 2 + rng.uniform_index(31);   // 2..32
+    const std::size_t s = rng.uniform_index(n);
+    const double alpha = 2.0 * (1.0 - rng.uniform());  // (0, 2]
+    const double epsilon = rng.uniform() < 0.5 ? 1e-4 : 1e-6;
+    const double scale = std::pow(10.0, rng.uniform(-3.0, 3.0));
+    const double top = (rng.uniform() < 0.8 ? -1.0 : 1.0) * scale;
+    const std::size_t mode = rng.uniform_index(5);
+    du.assign(n, top);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i == s) {
+        continue;
+      }
+      const std::size_t kind = mode == 4 ? rng.uniform_index(4) : mode;
+      switch (kind) {
+        case 0:  // spread out
+          du[i] = top - scale * rng.uniform(0.0, 10.0);
+          break;
+        case 1: {  // a few ulps below (or, rarely, above) the top
+          double v = top;
+          const std::size_t steps = rng.uniform_index(4);
+          const double toward = rng.uniform() < 0.9 ? -kInf : kInf;
+          for (std::size_t k = 0; k < steps; ++k) {
+            v = std::nextafter(v, toward);
+          }
+          du[i] = v;
+          break;
+        }
+        case 2:  // tied with s
+          du[i] = top;
+          break;
+        default:  // clustered within a few ε of the top
+          du[i] = top - epsilon * rng.uniform(-0.1, 3.0);
+          break;
+      }
+    }
+    x.assign(n, 0.0);
+    x[s] = 1.0;
+    caps.assign(n, kInf);
+    group.indices.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      group.indices[i] = i;
+    }
+    if (!fap::core::detail::vertex_start_terminates(du.data(), n, s, alpha,
+                                                   epsilon)) {
+      continue;
+    }
+    ++certified;
+    fap::core::detail::active_set_fast(group, x, du, alpha, caps, n, ws);
+    double lo = kInf;
+    double hi = -kInf;
+    for (const std::size_t i : ws.active) {
+      lo = std::min(lo, du[i]);
+      hi = std::max(hi, du[i]);
+    }
+    ASSERT_LT(hi - lo, epsilon) << "instance " << t << ", n = " << n;
+  }
+  // Most draws keep s on top; draws with a rival above it are rejected.
+  EXPECT_GT(certified, kInstances / 2);
+  EXPECT_LT(certified, kInstances);
 }
 
 }  // namespace
