@@ -7,8 +7,12 @@
 Both inputs are google-benchmark JSON files (as written by
 scripts/perf_baseline.sh). Benchmarks are matched by name using the
 median aggregate when repetitions were recorded (falling back to the
-single reported time otherwise). For each benchmark present in both
-files the ratio current/baseline is reported:
+single reported time otherwise), and compared by CPU time (`cpu_time`),
+not wall time: on a loaded host a benchmark's wall time includes the
+time it waits for a CPU, so a baseline captured at a load of 2 read
+real/cpu ~2 on every benchmark, and comparing wall times against it let
+a CPU regression of up to ~6x pass the 3x gate. For each benchmark
+present in both files the ratio current/baseline is reported:
 
   ratio <= tolerance           OK
   tolerance < ratio < hard-fail  WARN (exit 1, or 0 with --warn-only)
@@ -48,14 +52,14 @@ def build_type(path: str) -> str:
 
 
 def load_times(path: str) -> dict[str, float]:
-    """Benchmark name -> real time in ns (medians preferred)."""
+    """Benchmark name -> CPU time in ns (medians preferred)."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     singles: dict[str, float] = {}
     medians: dict[str, float] = {}
     for bench in data.get("benchmarks", []):
         name = bench.get("run_name", bench.get("name", ""))
-        time = bench.get("real_time")
+        time = bench.get("cpu_time")
         if not name or time is None:
             continue
         if bench.get("aggregate_name") == "median":

@@ -8,6 +8,7 @@
 #include <mutex>
 
 #include "catalog/capacity_price_loop.hpp"
+#include "core/active_set.hpp"
 #include "runtime/sweep.hpp"
 #include "util/contracts.hpp"
 #include "util/numeric.hpp"
@@ -70,10 +71,12 @@ class CatalogSolver::BatchStatePool {
  public:
   struct State {
     State(std::size_t width, std::size_t n)
-        : batch(width), access(n), start(n) {}
+        : batch(width), access(n), marginal_u(n), start(n) {}
     core::BatchAllocator batch;
     std::vector<double> access;
+    std::vector<double> marginal_u;
     std::vector<double> start;
+    std::vector<ObjectStart> starts;  ///< the batch's objects, in order
   };
 
   BatchStatePool(std::size_t width, std::size_t n) : width_(width), n_(n) {}
@@ -104,6 +107,9 @@ CatalogSolver::CatalogSolver(const CatalogSpec& spec, CatalogOptions options)
     : spec_(spec), options_(std::move(options)) {
   spec_.validate();
   FAP_EXPECTS(options_.batch_width >= 1, "batch width must be at least 1");
+  // Checked here as well as at submit: an object the vertex certificate
+  // answers is never submitted.
+  core::BatchAllocator::check_options(options_.inner);
 
   // Cbar_i = Σ_j w_j c_ji: the shared part of every object's access-cost
   // vector. Same accumulation pattern as SingleFileModel (j outer over
@@ -132,42 +138,66 @@ CatalogSolver::CatalogSolver(const CatalogSpec& spec, CatalogOptions options)
   if (cost_span > 0.0 && mean_volume > 0.0) {
     price_scale_ = cost_span / mean_volume;
   }
+
+  // The vertex certificate covers single-server laws at a fixed step (the
+  // catalog passes no storage caps). An empty node's delay term is its
+  // zero-load value, the same for every object.
+  certify_ = options_.inner.step_rule == core::StepRule::kFixed &&
+             spec_.delay.discipline() != queueing::Discipline::kMMc;
+  if (certify_) {
+    zero_load_delay_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      zero_load_delay_[i] = core::detail::marginal_delay(
+          0.0, spec_.mu[i], spec_.delay.scv(), spec_.delay.rho_max());
+    }
+  }
 }
 
-void CatalogSolver::assemble_access(std::size_t o,
-                                    const std::vector<double>& prices,
-                                    double* out) const {
+CatalogSolver::ObjectStart CatalogSolver::price_object(
+    std::size_t o, const std::vector<double>& prices, double* access,
+    double* marginal_u) const {
   const double beta = spec_.locality;
   const double base_share = 1.0 - beta;
   const double v = spec_.volume[o];
+  const double rate = spec_.rate[o];
+  const double k = spec_.k;
   const net::CostRow row = spec_.comm->row(spec_.home[o]);
   const std::size_t n = spec_.node_count();
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = (base_share * base_cost_[i] + beta * row[i]) + v * prices[i];
-  }
-}
-
-std::size_t CatalogSolver::start_node(std::size_t o,
-                                      const double* access) const {
-  // Cheapest full concentration: argmin_i C_i^o + v_o p_i + k·T(λ_o, μ_i)
-  // (the priced access vector already carries the first two terms).
-  // Strict < keeps the lowest index on ties. A node whose μ equals its
-  // predecessor's reuses that node's delay: same operands, same bits.
-  const double rate = spec_.rate[o];
-  std::size_t best = 0;
+  const bool certify = certify_ && marginal_u != nullptr;
+  // The start is the cheapest full concentration: argmin_i C_i^o + v_o p_i
+  // + k·T(λ_o, μ_i). Strict < keeps the lowest index on ties. A node whose
+  // μ equals its predecessor's reuses that node's delay: same operands,
+  // same bits.
+  ObjectStart start;
   double best_cost = std::numeric_limits<double>::infinity();
   double delay = 0.0;
-  for (std::size_t i = 0; i < spec_.node_count(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double c =
+        (base_share * base_cost_[i] + beta * row[i]) + v * prices[i];
+    access[i] = c;
     if (i == 0 || spec_.mu[i] != spec_.mu[i - 1]) {
       delay = spec_.delay.sojourn(rate, spec_.mu[i]);
     }
-    const double cost = access[i] + spec_.k * delay;
+    const double cost = c + k * delay;
     if (cost < best_cost) {
       best_cost = cost;
-      best = i;
+      start.node = i;
+    }
+    if (certify) {
+      // ∂U_i at e_s for every i != s, whose load λ·(+0.0) is +0.0.
+      marginal_u[i] = -(c + k * zero_load_delay_[i]);
     }
   }
-  return best;
+  if (certify) {
+    // Node s carries the whole unit, so its load λ·1.0 is λ itself.
+    const std::size_t s = start.node;
+    marginal_u[s] = -(access[s] + k * core::detail::marginal_delay(
+                                          rate, spec_.mu[s], spec_.delay.scv(),
+                                          spec_.delay.rho_max()));
+    start.certified = core::detail::vertex_start_terminates(
+        marginal_u, n, s, options_.inner.alpha, options_.inner.epsilon);
+  }
+  return start;
 }
 
 std::vector<double> CatalogSolver::object_access_cost(
@@ -176,15 +206,15 @@ std::vector<double> CatalogSolver::object_access_cost(
   FAP_EXPECTS(prices.size() == spec_.node_count(),
               "one price per node");
   std::vector<double> access(spec_.node_count());
-  assemble_access(o, prices, access.data());
+  price_object(o, prices, access.data(), nullptr);
   return access;
 }
 
 std::vector<double> CatalogSolver::object_start(
     std::size_t o, const std::vector<double>& prices) const {
-  const std::vector<double> access = object_access_cost(o, prices);
+  std::vector<double> access = object_access_cost(o, prices);
   std::vector<double> start(spec_.node_count(), 0.0);
-  start[start_node(o, access.data())] = 1.0;
+  start[price_object(o, prices, access.data(), nullptr).node] = 1.0;
   return start;
 }
 
@@ -205,32 +235,36 @@ CatalogSolver::RoundAllocation CatalogSolver::solve_round(
       [this, n, &prices, &states](std::size_t first, std::size_t last) {
         std::unique_ptr<BatchStatePool::State> state = states.take();
         core::BatchAllocator& batch = state->batch;
-        std::vector<double>& access = state->access;
-        std::vector<double>& start = state->start;
+        std::vector<ObjectStart>& starts = state->starts;
+        starts.clear();
+        std::size_t certified = 0;
         for (std::size_t o = first; o < last; ++o) {
-          assemble_access(o, prices, access.data());
-          std::fill(start.begin(), start.end(), 0.0);
-          start[start_node(o, access.data())] = 1.0;
+          starts.push_back(price_object(o, prices, state->access.data(),
+                                        state->marginal_u.data()));
+          if (starts.back().certified) {
+            ++certified;
+            continue;
+          }
+          std::fill(state->start.begin(), state->start.end(), 0.0);
+          state->start[starts.back().node] = 1.0;
           core::BatchAllocator::RawInstance raw;
           raw.n = n;
           raw.total_rate = spec_.rate[o];
           raw.k = spec_.k;
           raw.delay = spec_.delay;
-          raw.access_cost = access.data();
+          raw.access_cost = state->access.data();
           raw.mu = spec_.mu.data();
-          raw.start = start.data();
+          raw.start = state->start.data();
           batch.submit(raw, options_.inner);
         }
         std::vector<core::BatchRunResult> solved = batch.run_all();
-        runtime::add_task_metric(
-            "certified", static_cast<double>(batch.stats().certified));
+        runtime::add_task_metric("certified", static_cast<double>(certified));
         runtime::add_task_metric(
             "lane_steps", static_cast<double>(batch.stats().lane_steps));
         runtime::add_task_metric(
             "boundary_lane_steps",
             static_cast<double>(batch.stats().boundary_lane_steps));
-        states.give_back(std::move(state));
-        std::size_t nonzero = 0;
+        std::size_t nonzero = certified;
         for (const core::BatchRunResult& run : solved) {
           nonzero += static_cast<std::size_t>(
               std::count_if(run.x.begin(), run.x.end(),
@@ -238,21 +272,31 @@ CatalogSolver::RoundAllocation CatalogSolver::solve_round(
         }
         std::vector<RoundAllocation> slice(1);
         RoundAllocation& out = slice.front();
-        out.offsets.reserve(solved.size() + 1);
+        out.offsets.reserve(starts.size() + 1);
         out.offsets.push_back(0);
         out.placements.reserve(nonzero);
-        for (const core::BatchRunResult& run : solved) {
-          out.inner_iterations += run.iterations;
-          out.unconverged_objects += run.converged ? 0 : 1;
-          for (std::size_t i = 0; i < n; ++i) {
-            if (run.x[i] != 0.0) {
-              out.placements.push_back(
-                  Placement{static_cast<std::uint32_t>(i), run.x[i]});
+        std::size_t next = 0;
+        for (const ObjectStart& start : starts) {
+          if (start.certified) {
+            // What its lane would return: e_s itself, converged after 0
+            // iterations.
+            out.placements.push_back(
+                Placement{static_cast<std::uint32_t>(start.node), 1.0});
+          } else {
+            const core::BatchRunResult& run = solved[next++];
+            out.inner_iterations += run.iterations;
+            out.unconverged_objects += run.converged ? 0 : 1;
+            for (std::size_t i = 0; i < n; ++i) {
+              if (run.x[i] != 0.0) {
+                out.placements.push_back(
+                    Placement{static_cast<std::uint32_t>(i), run.x[i]});
+              }
             }
           }
           out.offsets.push_back(
               static_cast<std::uint32_t>(out.placements.size()));
         }
+        states.give_back(std::move(state));
         return slice;
       });
 
@@ -367,7 +411,7 @@ void CatalogSolver::repair(RoundAllocation& round, std::vector<double>& loads,
           continue;
         }
         const double v = spec_.volume[o];
-        assemble_access(o, prices, access.data());
+        price_object(o, prices, access.data(), nullptr);
 
         while (loads[i] > target[i] && source->fraction > 0.0) {
           // Cheapest receiver with slack, by the same priced cost the

@@ -4,9 +4,12 @@
 //
 //   1. Post per-node capacity prices p (CapacityPriceLoop, starting at 0).
 //   2. Solve K independent single-file subproblems, object o seeing the
-//      priced access costs C_i^o + v_o p_i — fed in 64-lane batches
-//      through core::BatchAllocator, sharded across the sweep's worker
-//      threads via runtime::batch_sweep.
+//      priced access costs C_i^o + v_o p_i, in 64-object batches sharded
+//      across the sweep's worker threads via runtime::batch_sweep. One
+//      pass over an object's nodes assembles those costs, picks its
+//      point-mass start e_s and decides the vertex certificate (DESIGN
+//      §4e): a start it proves optimal is the object's answer, and only
+//      the other objects are fed to core::BatchAllocator's lanes.
 //   3. Account the resulting node loads Σ_o v_o x_i^o (compensated
 //      summation in canonical object order) and let the price loop step;
 //      repeat from 2 until the relative overload is within tolerance or
@@ -122,7 +125,8 @@ class CatalogSolver {
   /// Object o's deterministic start: a point mass on the node minimizing
   /// the full-concentration cost C_i^o + v_o p_i + k·T(λ_o, μ_i), ties
   /// to the lowest index. A pure function of (object, prices), so
-  /// sharding cannot perturb it.
+  /// sharding cannot perturb it. Where the vertex certificate holds, it
+  /// is also the object's inner-solve result.
   std::vector<double> object_start(std::size_t o,
                                    const std::vector<double>& prices) const;
 
@@ -144,6 +148,12 @@ class CatalogSolver {
     std::uint64_t inner_iterations = 0;   ///< summed over the objects
     std::size_t unconverged_objects = 0;  ///< iteration-cap hits
   };
+  /// Object o's start as its pass over the nodes chose it: the point mass
+  /// e_node, and whether the vertex certificate proved it optimal.
+  struct ObjectStart {
+    std::size_t node = 0;
+    bool certified = false;
+  };
   /// The batch states of one solve() (defined in catalog_solver.cpp).
   class BatchStatePool;
 
@@ -153,9 +163,13 @@ class CatalogSolver {
   void repair(RoundAllocation& round, std::vector<double>& loads,
               const std::vector<double>& prices,
               CatalogResult& result) const;
-  void assemble_access(std::size_t o, const std::vector<double>& prices,
-                       double* out) const;
-  std::size_t start_node(std::size_t o, const double* access) const;
+  /// Object o's one pass over its n nodes at `prices`: writes its priced
+  /// access costs C_i^o + v_o p_i to `access` and picks its start node
+  /// (object_start()). Given `marginal_u` (n doubles of scratch), it also
+  /// writes ∂U at the start there, as the inner solve's first derivative
+  /// row would, and decides the vertex certificate (DESIGN §4e).
+  ObjectStart price_object(std::size_t o, const std::vector<double>& prices,
+                           double* access, double* marginal_u) const;
 
   const CatalogSpec& spec_;
   CatalogOptions options_;
@@ -165,6 +179,11 @@ class CatalogSolver {
   /// so a full-node overload reprices a typical object by about γ × the
   /// cost spread it chooses placements by.
   double price_scale_ = 1.0;
+  /// Whether the inner solves can be certified: a fixed step and a
+  /// single-server delay law.
+  bool certify_ = false;
+  /// T + a·T' at zero load per node: an empty node's delay part of ∂U.
+  std::vector<double> zero_load_delay_;
 };
 
 }  // namespace fap::catalog

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/cost_model.hpp"
+#include "queueing/delay.hpp"
 
 namespace fap::core::detail {
 
@@ -50,6 +51,16 @@ void active_set_fast(const ConstraintGroup& group, const std::vector<double>& x,
                      const std::vector<double>& marginal_u, double alpha,
                      const std::vector<double>& caps, std::size_t dim,
                      ActiveSetWorkspace& ws);
+
+/// The delay part of a single-server node's marginal utility at load a,
+/// T(a) + a·T'(a), so ∂U_i = -(C_i + k·marginal_delay(λ x_i, μ_i, ...)).
+/// The lanes' scalar derivative row and the vertex certificate's caller
+/// both evaluate it here, so both get the same bits.
+inline double marginal_delay(double a, double mu, double scv,
+                             double rho_max) {
+  return queueing::detail::lin_sojourn(a, mu, scv, rho_max) +
+         a * queueing::detail::lin_d_sojourn(a, mu, scv, rho_max);
+}
 
 /// The vertex certificate (DESIGN §4e): true only if the procedure's
 /// first termination check at the point mass x = e_s — uncapped, one

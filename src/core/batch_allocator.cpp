@@ -31,12 +31,10 @@
 #include "core/batch_allocator.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <utility>
 
 #include "core/simd_dispatch.hpp"
 #include "util/contracts.hpp"
@@ -46,28 +44,6 @@ namespace fap::core {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-bool same_bits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-// SingleFileModel::cost in node order over n values that sit `stride`
-// apart: Σ_j x_j (C_j + k·T(λ x_j, μ_j)). Lanes and certified starts
-// both price their result here.
-double point_cost(std::size_t n, std::size_t stride, const double* x,
-                  const double* c, const double* mu, double total_rate,
-                  double k, const queueing::DelayModel& delay) {
-  double total = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const double xj = x[j * stride];
-    if (xj == 0.0) {
-      continue;  // zero fragment contributes zero cost regardless of T_i
-    }
-    const double a = total_rate * xj;
-    total += xj * (c[j * stride] + k * delay.sojourn(a, mu[j * stride]));
-  }
-  return total;
-}
 
 }  // namespace
 
@@ -95,14 +71,18 @@ std::size_t BatchAllocator::submit(const SingleFileModel& model,
   return submit(raw, options);
 }
 
-std::size_t BatchAllocator::submit(const RawInstance& raw,
-                                   const AllocatorOptions& options) {
+void BatchAllocator::check_options(const AllocatorOptions& options) {
   FAP_EXPECTS(options.alpha > 0.0, "step size must be positive");
   FAP_EXPECTS(options.epsilon > 0.0, "epsilon must be positive");
   FAP_EXPECTS(options.max_iterations > 0, "need at least one iteration");
   FAP_EXPECTS(!options.record_trace,
               "BatchAllocator does not record traces; use the serial "
               "ResourceDirectedAllocator for traced runs");
+}
+
+std::size_t BatchAllocator::submit(const RawInstance& raw,
+                                   const AllocatorOptions& options) {
+  check_options(options);
 
   // Model-level validations, mirroring the SingleFileModel constructor.
   FAP_EXPECTS(raw.n >= 1, "problem needs at least one node");
@@ -152,15 +132,7 @@ std::size_t BatchAllocator::submit(const RawInstance& raw,
   FAP_EXPECTS(std::fabs(start_sum - 1.0) <= kTol,
               "allocation violates a resource-conservation constraint");
 
-  const std::size_t id = results_.size();
-  BatchRunResult answered;
-  if (certify_vertex_start(raw, options, answered)) {
-    results_.push_back(std::move(answered));
-    ++certified_;
-    return id;
-  }
   Instance inst;
-  inst.result = id;
   inst.n = raw.n;
   inst.offset = queue_start_.size();
   inst.alpha = options.alpha;
@@ -180,74 +152,7 @@ std::size_t BatchAllocator::submit(const RawInstance& raw,
   }
   queue_start_.insert(queue_start_.end(), raw.start, raw.start + raw.n);
   pending_.push_back(inst);
-  results_.emplace_back();
-  return id;
-}
-
-bool BatchAllocator::certify_vertex_start(const RawInstance& raw,
-                                          const AllocatorOptions& options,
-                                          BatchRunResult& out) {
-  if (options.step_rule != StepRule::kFixed || raw.caps != nullptr ||
-      raw.delay.discipline() == queueing::Discipline::kMMc) {
-    return false;
-  }
-  const std::size_t n = raw.n;
-  std::size_t s = n;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (raw.start[i] == 1.0 && s == n) {
-      s = i;
-    } else if (raw.start[i] != 0.0) {
-      return false;
-    }
-  }
-  if (s == n) {
-    return false;
-  }
-
-  // ∂U_i at the start, as the lane's first derivative row computes it
-  // (batch_kernels_scalar.cpp, derivative_rows). On a +0.0 entry the load
-  // λ·x_i is +0.0, so T + a·T' depends on (μ_i, SCV, ρ_max) alone: the
-  // cached value was computed from the same operands and has the same
-  // bits. The vertex and any -0.0 entry are evaluated afresh.
-  const double scv = raw.delay.scv();
-  const double rho = raw.delay.rho_max();
-  if (!same_bits(scv, zero_load_scv_) || !same_bits(rho, zero_load_rho_)) {
-    zero_load_scv_ = scv;
-    zero_load_rho_ = rho;
-    zero_load_mu_.clear();
-  }
-  if (zero_load_mu_.size() < n) {
-    zero_load_mu_.resize(n, 0.0);  // μ > 0, so 0.0 never matches
-    zero_load_term_.resize(n);
-  }
-  vertex_du_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double m = raw.mu[i];
-    const bool zero_load = same_bits(raw.start[i], 0.0);
-    double term;
-    if (zero_load && same_bits(m, zero_load_mu_[i])) {
-      term = zero_load_term_[i];
-    } else {
-      const double a = raw.total_rate * raw.start[i];
-      term = queueing::detail::lin_sojourn(a, m, scv, rho) +
-             a * queueing::detail::lin_d_sojourn(a, m, scv, rho);
-      if (zero_load) {
-        zero_load_mu_[i] = m;
-        zero_load_term_[i] = term;
-      }
-    }
-    vertex_du_[i] = -(raw.access_cost[i] + raw.k * term);
-  }
-  if (!detail::vertex_start_terminates(vertex_du_.data(), n, s,
-                                       options.alpha, options.epsilon)) {
-    return false;
-  }
-  out.x.assign(raw.start, raw.start + n);
-  out.cost = point_cost(n, 1, raw.start, raw.access_cost, raw.mu,
-                        raw.total_rate, raw.k, raw.delay);
-  out.converged = true;
-  out.iterations = 0;
-  return true;
+  return pending_.size() - 1;
 }
 
 void BatchAllocator::load_lane(std::size_t lane, std::size_t instance_id) {
@@ -434,36 +339,48 @@ void BatchAllocator::scalar_lane_step(std::size_t lane) {
   }
 }
 
+double BatchAllocator::column_cost(std::size_t lane,
+                                   const util::AlignedVector& plane) const {
+  // SingleFileModel::cost in node order over the lane's column.
+  const std::size_t s = soa_.stride;
+  const double tr = soa_.lane_tr[lane];
+  const double kk = soa_.lane_k[lane];
+  const queueing::DelayModel& delay = lane_delay_[lane];
+  double total = 0.0;
+  for (std::size_t j = 0; j < lane_n_[lane]; ++j) {
+    const double xj = plane[j * s + lane];
+    if (xj == 0.0) {
+      continue;  // zero fragment contributes zero cost regardless of T_i
+    }
+    const double a = tr * xj;
+    total += xj * (soa_.c[j * s + lane] +
+                   kk * delay.sojourn(a, soa_.mu[j * s + lane]));
+  }
+  return total;
+}
+
 void BatchAllocator::harvest(std::size_t lane,
                              const util::AlignedVector& plane, bool converged,
                              std::vector<BatchRunResult>& results) const {
   const std::size_t s = soa_.stride;
-  BatchRunResult& out = results[pending_[lane_inst_[lane]].result];
+  BatchRunResult& out = results[lane_inst_[lane]];
   out.x.resize(lane_n_[lane]);
   for (std::size_t j = 0; j < lane_n_[lane]; ++j) {
     out.x[j] = plane[j * s + lane];
   }
   out.converged = converged;
   out.iterations = lane_iter_[lane];
-  out.cost = point_cost(lane_n_[lane], s, plane.data() + lane,
-                        soa_.c.data() + lane, soa_.mu.data() + lane,
-                        soa_.lane_tr[lane], soa_.lane_k[lane],
-                        lane_delay_[lane]);
+  out.cost = column_cost(lane, plane);
 }
 
 std::vector<BatchRunResult> BatchAllocator::run_all() {
   stats_ = Stats{};
-  stats_.instances = results_.size();
-  stats_.certified = certified_;
+  stats_.instances = pending_.size();
   // Dispatch is resolved once per run: override > env > CPUID (see
   // core/simd_dispatch.hpp). Every kernel set yields identical results.
   kernels_ = &detail::select_batch_kernels();
   stats_.kernels = kernels_->name;
-  // Certified submissions were answered in submit(); the lanes fill the
-  // rest.
-  std::vector<BatchRunResult> results = std::move(results_);
-  results_.clear();
-  certified_ = 0;
+  std::vector<BatchRunResult> results(pending_.size());
   if (pending_.empty()) {
     return results;
   }

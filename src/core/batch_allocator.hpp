@@ -30,24 +30,17 @@
 // randomized instances by core_batch_allocator_test, which also pins the
 // AVX2 and scalar kernel sets against each other.
 //
-// Vertex certificate: submit() answers at once a submission whose first
-// termination check provably fires at its start — a point mass e_s
-// (single-server, fixed step, uncapped) where node s has the largest
-// marginal utility and a rounding guard holds (the proof is in DESIGN
-// §4e; the test is detail::vertex_start_terminates). Its result is the
-// start itself, bit for bit, converged after 0 iterations, priced by the
-// lanes' cost function: what a lane would return. Every other submission
-// takes a lane.
-//
-// Lane lifecycle: uncertified submissions queue in submit() order;
-// run_all() loads the first `width` of them into lanes and iterates. A
-// lane retires when its termination criterion fires (converged) or its
-// iteration cap is reached, and its column is immediately backfilled
-// from the pending queue; when the queue is dry, live columns are
-// compacted left so the vector loops stay dense. run_all() sizes every
-// plane and lane array afresh and load_lane() rewrites every field of a
-// lane, so an allocator reused for any sequence of batches returns what
-// a fresh one would; only growth reallocates.
+// Lane lifecycle: submissions queue in submit() order; run_all() loads
+// the first `width` of them into lanes and iterates. A lane retires when
+// its termination criterion fires (converged) or its iteration cap is
+// reached, and its column is immediately backfilled from the pending
+// queue; when the queue is dry, live columns are compacted left so the
+// vector loops stay dense. run_all() sizes every plane and lane array
+// afresh and load_lane() rewrites every field of a lane, so an allocator
+// reused for any sequence of batches returns what a fresh one would;
+// only growth reallocates. Every submission takes a lane: the catalog
+// answers the point-mass starts it can prove optimal before it submits
+// (the vertex certificate, DESIGN §4e).
 //
 // Supported models: SingleFileModel (any delay discipline; single-server
 // disciplines take the vectorized derivative path, M/M/c lanes fall back
@@ -114,14 +107,17 @@ class BatchAllocator {
     const double* start = nullptr;        ///< feasible start, length n
   };
 
-  /// The one submission path: applies the option checks of the
-  /// ResourceDirectedAllocator constructor and the validations
-  /// SingleFileModel's constructor and check_feasible() would (finite k,
-  /// rate and access costs, positive rates, stability under pure delay
-  /// models, capacity admits a whole file, feasible start), then either
-  /// answers the submission by the vertex certificate or copies its
-  /// fields into the queue.
+  /// The one submission path: applies check_options() and the
+  /// validations SingleFileModel's constructor and check_feasible() would
+  /// (finite k, rate and access costs, positive rates, stability under
+  /// pure delay models, capacity admits a whole file, feasible start),
+  /// then copies the fields into the queue.
   std::size_t submit(const RawInstance& raw, const AllocatorOptions& options);
+
+  /// The option checks of the ResourceDirectedAllocator constructor that
+  /// every submission passes: α > 0, ε > 0, at least one iteration, and
+  /// no trace recording. Throws PreconditionError.
+  static void check_options(const AllocatorOptions& options);
 
   /// Runs every pending submission to completion and returns their
   /// results in submission order. Clears the queue and keeps its storage;
@@ -130,15 +126,11 @@ class BatchAllocator {
   std::vector<BatchRunResult> run_all();
 
   std::size_t width() const noexcept { return width_; }
-  /// Submissions the next run_all() returns.
-  std::size_t pending() const noexcept { return results_.size(); }
+  std::size_t pending() const noexcept { return pending_.size(); }
 
   /// Counters of the last run_all() call.
   struct Stats {
     std::size_t instances = 0;
-    /// Of those, submissions the vertex certificate answered without a
-    /// lane (converged after 0 iterations, no lane steps).
-    std::size_t certified = 0;
     /// Lockstep iterations executed (each steps every live lane once).
     std::size_t lockstep_iterations = 0;
     /// Lane steps taken: the live lanes summed over lockstep iterations.
@@ -156,7 +148,6 @@ class BatchAllocator {
   /// [offset, offset + n) of the flat queue arrays; load_lane transposes
   /// them into the SoA planes.
   struct Instance {
-    std::size_t result = 0;  ///< index into run_all()'s result vector
     std::size_t n = 0;
     std::size_t offset = 0;
     double alpha = 0.0;
@@ -168,23 +159,16 @@ class BatchAllocator {
     queueing::DelayModel delay;
   };
 
-  /// Fills `out` and returns true when the vertex certificate answers
-  /// the (validated) submission.
-  bool certify_vertex_start(const RawInstance& raw,
-                            const AllocatorOptions& options,
-                            BatchRunResult& out);
   void load_lane(std::size_t lane, std::size_t instance_id);
   void refresh_lane_summary();
   void compute_derivatives();
   void scalar_lane_step(std::size_t lane);
+  double column_cost(std::size_t lane,
+                     const util::AlignedVector& plane) const;
   void harvest(std::size_t lane, const util::AlignedVector& plane,
                bool converged, std::vector<BatchRunResult>& results) const;
 
   std::size_t width_;
-  // One result per submission since the last run_all(): certified ones
-  // filled by submit(), the others by the lanes.
-  std::vector<BatchRunResult> results_;
-  std::size_t certified_ = 0;
   std::vector<Instance> pending_;
   // The flat queue: submit() appends each instance's access costs, μ,
   // caps (+inf when unbounded) and start here, and run_all() clears them
@@ -192,12 +176,6 @@ class BatchAllocator {
   // batch after batch allocates nothing per instance.
   std::vector<double> queue_access_, queue_mu_, queue_cap_, queue_start_;
   Stats stats_;
-  // Certificate scratch: the start's marginal utilities, and each node's
-  // zero-load delay term T + a·T' at a = +0.0 with the (μ_i, SCV, ρ_max)
-  // it was computed from.
-  std::vector<double> vertex_du_, zero_load_mu_, zero_load_term_;
-  double zero_load_scv_ = 0.0;
-  double zero_load_rho_ = 0.0;
 
   // --- run_all() state. The planes, lane constants and per-iteration
   // outputs the kernels touch live in soa_ (row-major [node][lane],

@@ -52,10 +52,9 @@ void derivative_rows(BatchSoA& soa, bool with_second) {
         const double m = mr[k];
         const double scv = soa.lane_scv[k];
         const double rho = soa.lane_rho[k];
-        const double T = queueing::detail::lin_sojourn(a, m, scv, rho);
         const double dT = queueing::detail::lin_d_sojourn(a, m, scv, rho);
         const double d2T = queueing::detail::lin_d2_sojourn(a, m, scv, rho);
-        dur[k] = -(cr[k] + soa.lane_k[k] * (T + a * dT));
+        dur[k] = -(cr[k] + soa.lane_k[k] * marginal_delay(a, m, scv, rho));
         d2r[k] = soa.lane_tr[k] * soa.lane_k[k] * (2.0 * dT + a * d2T);
       }
     }
@@ -70,9 +69,7 @@ void derivative_rows(BatchSoA& soa, bool with_second) {
         const double m = mr[k];
         const double scv = soa.lane_scv[k];
         const double rho = soa.lane_rho[k];
-        const double T = queueing::detail::lin_sojourn(a, m, scv, rho);
-        const double dT = queueing::detail::lin_d_sojourn(a, m, scv, rho);
-        dur[k] = -(cr[k] + soa.lane_k[k] * (T + a * dT));
+        dur[k] = -(cr[k] + soa.lane_k[k] * marginal_delay(a, m, scv, rho));
       }
     }
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -16,6 +17,33 @@
 namespace fap::serve {
 
 namespace {
+
+// Adds the wall seconds from its construction, or from its last
+// switch_to(), to the phase it is timing; the phase it times at
+// destruction gets the rest.
+class PhaseTimer {
+ public:
+  explicit PhaseTimer(double& phase)
+      : phase_(&phase), since_(std::chrono::steady_clock::now()) {}
+  ~PhaseTimer() { stop(); }
+  PhaseTimer(const PhaseTimer&) = delete;
+  PhaseTimer& operator=(const PhaseTimer&) = delete;
+
+  void switch_to(double& phase) {
+    stop();
+    phase_ = &phase;
+  }
+
+ private:
+  void stop() {
+    const auto now = std::chrono::steady_clock::now();
+    *phase_ += std::chrono::duration<double>(now - since_).count();
+    since_ = now;
+  }
+
+  double* phase_;
+  std::chrono::steady_clock::time_point since_;
+};
 
 // Placement models are solved with the tangent-linearized delay so the
 // cost and its gradient stay finite for ANY allocation — in particular
@@ -415,6 +443,7 @@ TraceServeResult TraceServer::serve(std::size_t total_requests) {
   }
   // The first window is never cooldown-blocked.
   windows_since_realloc_ = options_.cooldown_windows;
+  phase_s_ = PhaseSeconds{};
   pending_.reset();
   locks_ = fs::LockManager();
   lru_.reset();
@@ -470,6 +499,7 @@ TraceServeResult TraceServer::serve(std::size_t total_requests) {
     injected += batch.size();
     engine_->advance_until(generator.now());
     if (options_.mode == ServeMode::kOnline) {
+      const PhaseTimer timer(phase_s_.migration);
       update_migration_state(generator.now());
     }
     if (++epochs_in_window >= options_.estimation_epochs &&
@@ -498,6 +528,7 @@ TraceServeResult TraceServer::serve(std::size_t total_requests) {
   while (engine_->advance_completions(65536) > 0) {
   }
   if (options_.mode == ServeMode::kOnline) {
+    const PhaseTimer timer(phase_s_.migration);
     update_migration_state(engine_->now());
   }
   harvest_window(engine_->window(), result);
@@ -516,6 +547,10 @@ TraceServeResult TraceServer::serve(std::size_t total_requests) {
   for (const auto& [name, value] : counters) {
     runtime::add_task_metric(name, static_cast<double>(value));
   }
+  // Seconds of the online phases (0 in the other modes).
+  runtime::add_task_metric("serve.estimate_s", phase_s_.estimate);
+  runtime::add_task_metric("serve.resolve_s", phase_s_.resolve);
+  runtime::add_task_metric("serve.migration_s", phase_s_.migration);
   return result;
 }
 
@@ -575,6 +610,7 @@ void TraceServer::route_request(const TraceRequest& request,
 
 void TraceServer::maybe_reallocate(const sim::WindowStats& window, double now,
                                    TraceServeResult& result) {
+  PhaseTimer timer(phase_s_.estimate);
   ++windows_since_realloc_;
   if (pending_) {
     // Never re-plan over an in-flight migration.
@@ -619,6 +655,7 @@ void TraceServer::maybe_reallocate(const sim::WindowStats& window, double now,
   try {
     const sim::EstimatedParameters estimates =
         sim::estimate_parameters(window.sums);
+    timer.switch_to(phase_s_.resolve);
     core::SingleFileProblem problem = sim::problem_from_estimates(
         estimates, comm_, options_.k, options_.mu,
         queueing::DelayModel::mm1(kRhoMax));
@@ -664,6 +701,7 @@ void TraceServer::maybe_reallocate(const sim::WindowStats& window, double now,
     pending_ = std::make_unique<PendingMigration>(PendingMigration{
         std::move(plan), std::move(schedule), std::move(wave_begin),
         std::move(wave_end), std::move(next)});
+    timer.switch_to(phase_s_.migration);
     update_migration_state(now);  // lock wave 0
   } catch (const std::exception&) {
     // Deterministic: the estimate (or the model built from it) was not

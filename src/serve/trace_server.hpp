@@ -308,6 +308,18 @@ class TraceServer {
   std::unique_ptr<PendingMigration> pending_;
   fs::LockManager locks_;
 
+  /// Wall seconds of the current serve() call's online phases, reported
+  /// through runtime::add_task_metric: the drift test and parameter
+  /// estimation, the re-solve (allocator run, popularity split, migration
+  /// plan and waves), and update_migration_state. Each second is counted
+  /// in one phase.
+  struct PhaseSeconds {
+    double estimate = 0.0;
+    double resolve = 0.0;
+    double migration = 0.0;
+  };
+  PhaseSeconds phase_s_;
+
   std::unique_ptr<LruCaches> lru_;  ///< kLru only
 
   std::unique_ptr<sim::DesSystem> engine_;

@@ -1,6 +1,7 @@
 #include "sim/lossy_network.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/contracts.hpp"
 
@@ -33,12 +34,12 @@ bool LossyNetwork::node_up(std::size_t node, std::uint64_t tick) const {
   return true;
 }
 
-void LossyNetwork::schedule(const Datagram& datagram) {
+void LossyNetwork::schedule(Datagram datagram) {
   std::uint64_t delay = config_.min_delay_ticks;
   if (config_.jitter_ticks > 0) {
     delay += rng_.uniform_index(config_.jitter_ticks + 1);
   }
-  queue_.push_back(InFlight{now_ + delay, next_order_++, datagram});
+  queue_.push_back(InFlight{now_ + delay, next_order_++, std::move(datagram)});
   std::push_heap(queue_.begin(), queue_.end(),
                  [](const InFlight& a, const InFlight& b) {
                    return a.deliver_tick > b.deliver_tick ||
@@ -63,11 +64,13 @@ void LossyNetwork::send(Datagram datagram) {
   }
   const bool duplicated =
       config_.duplicate > 0.0 && rng_.uniform() < config_.duplicate;
-  schedule(datagram);
   if (duplicated) {
+    // The two copies are equal, so the injected one may take the first
+    // delay draw; the original moves into the last.
     ++stats_.duplicates_injected;
     schedule(datagram);
   }
+  schedule(std::move(datagram));
 }
 
 std::vector<Datagram> LossyNetwork::tick() {

@@ -103,7 +103,7 @@ class LossyNetwork {
     Datagram datagram;
   };
 
-  void schedule(const Datagram& datagram);
+  void schedule(Datagram datagram);
 
   std::size_t nodes_;
   FaultConfig config_;

@@ -371,9 +371,44 @@ TEST(CatalogSolver, WideGoldenPin) {
   }
 }
 
+// Solves `spec` with its batches' metrics in a MetricsSink and returns
+// the result with the `certified` metric summed over every batch of every
+// round; `batches` counts the records that carry it. The sink's file is
+// named after the running test, so tests run in parallel processes do
+// not share it.
+CatalogResult solve_counting_certified(const CatalogSpec& spec,
+                                       CatalogOptions options,
+                                       double& certified,
+                                       std::size_t& batches) {
+  const std::string path =
+      ::testing::TempDir() + "/catalog_certified_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".jsonl";
+  CatalogResult result;
+  {
+    fap::runtime::MetricsSink sink(path);
+    options.metrics = &sink;
+    options.run_id = "catalog_certified";
+    result = CatalogSolver(spec, options).solve();
+  }
+  std::ifstream in(path);
+  std::string line;
+  certified = 0.0;
+  batches = 0;
+  const std::string key = "\"certified\":";
+  while (std::getline(in, line)) {
+    const std::size_t pos = line.find(key);
+    if (pos != std::string::npos) {
+      ++batches;
+      certified += std::stod(line.substr(pos + key.size()));
+    }
+  }
+  return result;
+}
+
 // perfbench's catalog_wide shape: K = 1e5 objects over 100 nodes solve
-// in one price round, and the batch allocator's vertex certificate
-// answers at least 99% of their point-mass starts without a lane (99,871
+// in one price round, and the catalog's vertex certificate answers at
+// least 99% of their point-mass starts without submitting them (99,871
 // meet its condition at these prices). No output byte shows whether the
 // certificate fires, so the batches' `certified` metric pins it. A
 // smaller K is no cheaper: at K = 20,000 capacity binds and the solve
@@ -386,31 +421,100 @@ TEST(CatalogSolver, WideCatalogCertifiesItsPointMassStarts) {
   synth.zipf_s = 0.9;
   synth.locality = 0.5;
   const CatalogSpec spec = make_synthetic_catalog(synth, 1);
-  const std::string path = ::testing::TempDir() + "/catalog_certified.jsonl";
-  std::size_t rounds = 0;
-  {
-    fap::runtime::MetricsSink sink(path);
-    CatalogOptions options;
-    options.metrics = &sink;
-    options.run_id = "catalog_certified";
-    rounds = CatalogSolver(spec, options).solve().rounds;
-  }
-  EXPECT_EQ(rounds, 1u);
-  std::ifstream in(path);
-  std::string line;
-  std::size_t batches = 0;
   double certified = 0.0;
-  const std::string key = "\"certified\":";
-  while (std::getline(in, line)) {
-    const std::size_t pos = line.find(key);
-    if (pos != std::string::npos) {
-      ++batches;
-      certified += std::stod(line.substr(pos + key.size()));
-    }
-  }
+  std::size_t batches = 0;
+  const CatalogResult result =
+      solve_counting_certified(spec, CatalogOptions{}, certified, batches);
+  EXPECT_EQ(result.rounds, 1u);
   EXPECT_EQ(batches, (synth.objects + 63) / 64);
   EXPECT_GE(certified, 0.99 * static_cast<double>(synth.objects));
   EXPECT_LE(certified, static_cast<double>(synth.objects));
+}
+
+// Golden pins over the delay families the certificate must get right or
+// refuse: M/M/1, M/D/1 and M/G/1 (SCV 2) with the tangent extension from
+// ρ = 0.02 (the hottest ~35 objects' rates lie past that knee), and the
+// pure (ρ_max = 1) M/M/1 law, each under both step rules, plus M/M/c.
+// Each is a small catalog (K = 2,000 over 32 nodes, 30% headroom) solved
+// over 1–16 priced rounds. The digests were recorded when the certificate
+// still ran inside BatchAllocator::submit, and each case's certified
+// count, summed over its rounds, is pinned: none under dynamic α or
+// M/M/c, whose starts all take lanes.
+TEST(CatalogSolver, CertificateFamiliesGoldenPin) {
+  using fap::core::StepRule;
+  using fap::queueing::DelayModel;
+  struct Pin {
+    const char* family;
+    DelayModel delay;
+    StepRule rule;
+    std::uint64_t seed;
+    double certified;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"M/M/1, knee 0.02", DelayModel::mm1(0.02), StepRule::kFixed, 1, 21337,
+       0x3347be332ac813daULL},
+      {"M/M/1, knee 0.02", DelayModel::mm1(0.02), StepRule::kFixed, 2, 30966,
+       0xfc3f3aae092978c5ULL},
+      {"M/M/1, knee 0.02", DelayModel::mm1(0.02), StepRule::kDynamic, 1, 0,
+       0xeb152898b2157a15ULL},
+      {"M/M/1, knee 0.02", DelayModel::mm1(0.02), StepRule::kDynamic, 2, 0,
+       0x998dae44a481f9aaULL},
+      {"M/D/1, knee 0.02", DelayModel::md1(0.02), StepRule::kFixed, 1, 27566,
+       0x2c8e502eaf5f1ad4ULL},
+      {"M/D/1, knee 0.02", DelayModel::md1(0.02), StepRule::kFixed, 2, 31430,
+       0x4f0a4388ae18b03eULL},
+      {"M/D/1, knee 0.02", DelayModel::md1(0.02), StepRule::kDynamic, 1, 0,
+       0x1d39a7da0402173bULL},
+      {"M/D/1, knee 0.02", DelayModel::md1(0.02), StepRule::kDynamic, 2, 0,
+       0x3ff776796643ad2aULL},
+      {"M/G/1 SCV 2, knee 0.02", DelayModel::mg1(2.0, 0.02), StepRule::kFixed,
+       1, 1911, 0x4f6853fedddf0938ULL},
+      {"M/G/1 SCV 2, knee 0.02", DelayModel::mg1(2.0, 0.02), StepRule::kFixed,
+       2, 22785, 0xed71bc099b9c87fbULL},
+      {"M/G/1 SCV 2, knee 0.02", DelayModel::mg1(2.0, 0.02),
+       StepRule::kDynamic, 1, 0, 0x9f6368c6af159868ULL},
+      {"M/G/1 SCV 2, knee 0.02", DelayModel::mg1(2.0, 0.02),
+       StepRule::kDynamic, 2, 0, 0x2600d241385a347dULL},
+      {"pure M/M/1", DelayModel::mm1(), StepRule::kFixed, 1, 21336,
+       0xb79dabf745b99719ULL},
+      {"pure M/M/1", DelayModel::mm1(), StepRule::kFixed, 2, 30965,
+       0xc097ec2ccc6e5a88ULL},
+      {"pure M/M/1", DelayModel::mm1(), StepRule::kDynamic, 1, 0,
+       0x377e178263612322ULL},
+      {"pure M/M/1", DelayModel::mm1(), StepRule::kDynamic, 2, 0,
+       0x48fc5853c4331043ULL},
+      {"M/M/2", DelayModel::mmc(2), StepRule::kFixed, 1, 0,
+       0x11a27686915076abULL},
+      {"M/M/2", DelayModel::mmc(2), StepRule::kFixed, 2, 0,
+       0x17c0d7ce2f43b19dULL},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(std::string(pin.family) +
+                 (pin.rule == StepRule::kFixed ? ", fixed" : ", dynamic") +
+                 ", seed " + std::to_string(pin.seed));
+    SyntheticCatalogOptions synth;
+    synth.objects = 2000;
+    synth.nodes = 32;
+    synth.zipf_s = 0.9;
+    synth.headroom = 0.3;
+    CatalogSpec spec = make_synthetic_catalog(synth, pin.seed);
+    spec.delay = pin.delay;
+    CatalogOptions options;
+    options.inner.step_rule = pin.rule;
+    double certified = 0.0;
+    std::size_t batches = 0;
+    const CatalogResult result =
+        solve_counting_certified(spec, options, certified, batches);
+    EXPECT_EQ(certified, pin.certified);
+    if (pin.rule == StepRule::kDynamic ||
+        pin.delay.discipline() == fap::queueing::Discipline::kMMc) {
+      EXPECT_EQ(certified, 0.0);
+    }
+    EXPECT_LE(result.residual, 1e-9);
+    EXPECT_EQ(price_loop_digest(result), pin.digest)
+        << std::hex << "0x" << price_loop_digest(result);
+  }
 }
 
 // A hand-built spec where the optimum is obvious: full locality, huge
@@ -559,6 +663,47 @@ TEST(CatalogSolver, ValidatesSpecAndOptions) {
   CatalogOptions options;
   options.batch_width = 0;
   EXPECT_THROW(CatalogSolver(good, options), PreconditionError);
+
+  // Invalid inner options fail at construction even when no object would
+  // reach a batch submission: this K = 1 slack catalog's one start, at its
+  // home with a light delay weight, is certified.
+  synth.objects = 1;
+  synth.headroom = 4.0;  // every node can hold the whole object
+  synth.locality = 1.0;
+  synth.k = 0.01;
+  const CatalogSpec single = make_synthetic_catalog(synth, 1);
+  double certified = 0.0;
+  std::size_t batches = 0;
+  solve_counting_certified(single, CatalogOptions{}, certified, batches);
+  ASSERT_EQ(certified, 1.0);
+  CatalogOptions invalid[5];
+  invalid[0].inner.alpha = 0.0;
+  invalid[1].inner.alpha = -0.3;
+  invalid[2].inner.epsilon = 0.0;
+  invalid[3].inner.max_iterations = 0;
+  invalid[4].inner.record_trace = true;
+  for (const CatalogOptions& bad_options : invalid) {
+    EXPECT_THROW(CatalogSolver(single, bad_options), PreconditionError);
+  }
+
+  // An unreachable node makes the object's priced access cost there
+  // infinite. Such a start is never certified: it is submitted, and the
+  // batch allocator rejects it, so the solve throws.
+  const std::size_t n = single.node_count();
+  fap::net::CostMatrix unreachable(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      unreachable.set_cost(i, j, single.comm->cost(i, j));
+    }
+  }
+  const std::size_t home = single.home.front();
+  unreachable.set_cost(home, (home + 1) % n,
+                       std::numeric_limits<double>::infinity());
+  CatalogSpec broken = single;
+  broken.comm = std::make_shared<fap::net::DenseCostProvider>(
+      std::make_shared<const fap::net::CostMatrix>(std::move(unreachable)));
+  EXPECT_THROW(CatalogSolver(broken, CatalogOptions{}).solve(),
+               PreconditionError);
 }
 
 }  // namespace

@@ -540,12 +540,23 @@ TEST(TraceServer, ReportsCountersToTheSweepMetricsRecord) {
               as_double(result.migrated_records));
     EXPECT_EQ(value_of("fs.migration.stalled_requests"),
               as_double(result.stalled_requests));
+    // The online phases' seconds: none outside kOnline, and a re-solve
+    // takes time.
+    const double estimate_s = value_of("serve.estimate_s");
+    const double resolve_s = value_of("serve.resolve_s");
+    const double migration_s = value_of("serve.migration_s");
     if (mode == ServeMode::kLru) {
       EXPECT_GT(result.cache_hits, 0u);
       EXPECT_GT(result.cache_invalidations, 0u);
+      EXPECT_EQ(estimate_s, 0.0);
+      EXPECT_EQ(resolve_s, 0.0);
+      EXPECT_EQ(migration_s, 0.0);
     } else {
       EXPECT_GT(result.reallocations, 0u);
       EXPECT_GT(result.stalled_requests, 0u);
+      EXPECT_GE(estimate_s, 0.0);
+      EXPECT_GT(resolve_s, 0.0);
+      EXPECT_GE(migration_s, 0.0);
     }
   }
 }
