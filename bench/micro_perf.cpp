@@ -99,9 +99,9 @@ void BM_ActiveSet(benchmark::State& state) {
 }
 BENCHMARK(BM_ActiveSet)->Arg(100)->Arg(1000);
 
-// The active-set procedure on catalog lanes, the boundary case nearly
+// The active-set procedure on catalog objects, the boundary case nearly
 // every catalog inner step takes: each call gets one object's point-mass
-// start and marginal utilities, built as the catalog's batch task builds
+// start and marginal utilities, built as the catalog's sweep task builds
 // them (object_access_cost and object_start at zero prices), so all but a
 // few nodes are pinned at the floor. One iteration is one call; the calls
 // cycle over 64 objects of one synthetic catalog.
@@ -126,8 +126,8 @@ void BM_ActiveSetPointMass(benchmark::State& state) {
     xs.push_back(solver.object_start(o, prices));
     dus.push_back(lane_model(o).marginal_utilities(xs.back()));
   }
-  // The lanes share one allocator: a catalog lane has no storage caps, so
-  // the procedure reads nothing from the model beyond the dimension.
+  // The objects share one allocator: a catalog object has no storage caps,
+  // so the procedure reads nothing from the model beyond the dimension.
   const core::SingleFileModel model = lane_model(0);
   const core::ResourceDirectedAllocator allocator(
       model, solver.options().inner);

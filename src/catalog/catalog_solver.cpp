@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <memory>
-#include <mutex>
 
 #include "catalog/capacity_price_loop.hpp"
 #include "core/active_set.hpp"
@@ -61,55 +59,14 @@ void merge_grown(GrownPlacements& grown, std::vector<std::uint32_t>& offsets,
 
 }  // namespace
 
-// The batch states of one solve: each is an allocator of the full batch
-// width plus the scratch its submissions are assembled in. A batch task
-// takes a state and gives it back when done, so a solve holds no more
-// states than batches ran at once, and later batches and rounds reuse
-// their planes and queues instead of allocating and zeroing them per
-// batch. A task that throws drops its state.
-class CatalogSolver::BatchStatePool {
- public:
-  struct State {
-    State(std::size_t width, std::size_t n)
-        : batch(width), access(n), marginal_u(n), start(n) {}
-    core::BatchAllocator batch;
-    std::vector<double> access;
-    std::vector<double> marginal_u;
-    std::vector<double> start;
-    std::vector<ObjectStart> starts;  ///< the batch's objects, in order
-  };
-
-  BatchStatePool(std::size_t width, std::size_t n) : width_(width), n_(n) {}
-
-  std::unique_ptr<State> take() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (free_.empty()) {
-      return std::make_unique<State>(width_, n_);
-    }
-    std::unique_ptr<State> state = std::move(free_.back());
-    free_.pop_back();
-    return state;
-  }
-
-  void give_back(std::unique_ptr<State> state) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    free_.push_back(std::move(state));
-  }
-
- private:
-  const std::size_t width_;
-  const std::size_t n_;
-  std::mutex mutex_;  // guards free_
-  std::vector<std::unique_ptr<State>> free_;
-};
-
 CatalogSolver::CatalogSolver(const CatalogSpec& spec, CatalogOptions options)
-    : spec_(spec), options_(std::move(options)) {
+    : spec_(spec),
+      options_(std::move(options)),
+      // Checks the inner options here, so they fail even in a catalog whose
+      // every start the vertex certificate answers.
+      inner_(spec.delay, options_.inner) {
   spec_.validate();
   FAP_EXPECTS(options_.batch_width >= 1, "batch width must be at least 1");
-  // Checked here as well as at submit: an object the vertex certificate
-  // answers is never submitted.
-  core::BatchAllocator::check_options(options_.inner);
 
   // Cbar_i = Σ_j w_j c_ji: the shared part of every object's access-cost
   // vector. Same accumulation pattern as SingleFileModel (j outer over
@@ -139,18 +96,15 @@ CatalogSolver::CatalogSolver(const CatalogSpec& spec, CatalogOptions options)
     price_scale_ = cost_span / mean_volume;
   }
 
-  // The vertex certificate covers single-server laws at a fixed step (the
-  // catalog passes no storage caps). An empty node's delay term is its
-  // zero-load value, the same for every object.
+  // An empty node's delay term in ∂U is its zero-load value, the same for
+  // every object. The vertex certificate covers single-server laws at a
+  // fixed step (the catalog has no storage caps).
+  zero_load_delay_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    zero_load_delay_[i] = inner_.marginal_delay(0.0, spec_.mu[i]);
+  }
   certify_ = options_.inner.step_rule == core::StepRule::kFixed &&
              spec_.delay.discipline() != queueing::Discipline::kMMc;
-  if (certify_) {
-    zero_load_delay_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      zero_load_delay_[i] = core::detail::marginal_delay(
-          0.0, spec_.mu[i], spec_.delay.scv(), spec_.delay.rho_max());
-    }
-  }
 }
 
 CatalogSolver::ObjectStart CatalogSolver::price_object(
@@ -163,7 +117,6 @@ CatalogSolver::ObjectStart CatalogSolver::price_object(
   const double k = spec_.k;
   const net::CostRow row = spec_.comm->row(spec_.home[o]);
   const std::size_t n = spec_.node_count();
-  const bool certify = certify_ && marginal_u != nullptr;
   // The start is the cheapest full concentration: argmin_i C_i^o + v_o p_i
   // + k·T(λ_o, μ_i). Strict < keeps the lowest index on ties. A node whose
   // μ equals its predecessor's reuses that node's delay: same operands,
@@ -183,19 +136,19 @@ CatalogSolver::ObjectStart CatalogSolver::price_object(
       best_cost = cost;
       start.node = i;
     }
-    if (certify) {
+    if (marginal_u != nullptr) {
       // ∂U_i at e_s for every i != s, whose load λ·(+0.0) is +0.0.
       marginal_u[i] = -(c + k * zero_load_delay_[i]);
     }
   }
-  if (certify) {
+  if (marginal_u != nullptr) {
     // Node s carries the whole unit, so its load λ·1.0 is λ itself.
     const std::size_t s = start.node;
-    marginal_u[s] = -(access[s] + k * core::detail::marginal_delay(
-                                          rate, spec_.mu[s], spec_.delay.scv(),
-                                          spec_.delay.rho_max()));
-    start.certified = core::detail::vertex_start_terminates(
-        marginal_u, n, s, options_.inner.alpha, options_.inner.epsilon);
+    marginal_u[s] = -(access[s] + k * inner_.marginal_delay(rate, spec_.mu[s]));
+    start.certified =
+        certify_ && core::detail::vertex_start_terminates(
+                        marginal_u, n, s, options_.inner.alpha,
+                        options_.inner.epsilon);
   }
   return start;
 }
@@ -219,7 +172,7 @@ std::vector<double> CatalogSolver::object_start(
 }
 
 CatalogSolver::RoundAllocation CatalogSolver::solve_round(
-    const std::vector<double>& prices, BatchStatePool& states) const {
+    const std::vector<double>& prices) const {
   const std::size_t n = spec_.node_count();
   runtime::SweepOptions sweep_options;
   sweep_options.jobs = options_.jobs;
@@ -232,71 +185,46 @@ CatalogSolver::RoundAllocation CatalogSolver::solve_round(
   // as its one result, so the slices come back in batch order.
   std::vector<RoundAllocation> slices = runtime::batch_sweep(
       spec_.object_count(), options_.batch_width, sweep_options,
-      [this, n, &prices, &states](std::size_t first, std::size_t last) {
-        std::unique_ptr<BatchStatePool::State> state = states.take();
-        core::BatchAllocator& batch = state->batch;
-        std::vector<ObjectStart>& starts = state->starts;
-        starts.clear();
-        std::size_t certified = 0;
-        for (std::size_t o = first; o < last; ++o) {
-          starts.push_back(price_object(o, prices, state->access.data(),
-                                        state->marginal_u.data()));
-          if (starts.back().certified) {
-            ++certified;
-            continue;
-          }
-          std::fill(state->start.begin(), state->start.end(), 0.0);
-          state->start[starts.back().node] = 1.0;
-          core::BatchAllocator::RawInstance raw;
-          raw.n = n;
-          raw.total_rate = spec_.rate[o];
-          raw.k = spec_.k;
-          raw.delay = spec_.delay;
-          raw.access_cost = state->access.data();
-          raw.mu = spec_.mu.data();
-          raw.start = state->start.data();
-          batch.submit(raw, options_.inner);
-        }
-        std::vector<core::BatchRunResult> solved = batch.run_all();
-        runtime::add_task_metric("certified", static_cast<double>(certified));
-        runtime::add_task_metric(
-            "lane_steps", static_cast<double>(batch.stats().lane_steps));
-        runtime::add_task_metric(
-            "boundary_lane_steps",
-            static_cast<double>(batch.stats().boundary_lane_steps));
-        std::size_t nonzero = certified;
-        for (const core::BatchRunResult& run : solved) {
-          nonzero += static_cast<std::size_t>(
-              std::count_if(run.x.begin(), run.x.end(),
-                            [](double x) { return x != 0.0; }));
-        }
+      [this, n, &prices](std::size_t first, std::size_t last) {
+        std::vector<double> access(n);
+        std::vector<double> marginal_u(n);
+        std::vector<double> x;
+        core::SimplexAllocator::Workspace workspace;
         std::vector<RoundAllocation> slice(1);
         RoundAllocation& out = slice.front();
-        out.offsets.reserve(starts.size() + 1);
+        out.offsets.reserve(last - first + 1);
         out.offsets.push_back(0);
-        out.placements.reserve(nonzero);
-        std::size_t next = 0;
-        for (const ObjectStart& start : starts) {
+        out.placements.reserve(last - first);
+        std::size_t certified = 0;
+        for (std::size_t o = first; o < last; ++o) {
+          const ObjectStart start =
+              price_object(o, prices, access.data(), marginal_u.data());
           if (start.certified) {
-            // What its lane would return: e_s itself, converged after 0
-            // iterations.
+            // What the inner solve would return: e_s itself, converged
+            // after 0 iterations.
+            ++certified;
             out.placements.push_back(
                 Placement{static_cast<std::uint32_t>(start.node), 1.0});
           } else {
-            const core::BatchRunResult& run = solved[next++];
+            x.assign(n, 0.0);
+            x[start.node] = 1.0;
+            const core::SimplexAllocator::Result run = inner_.run(
+                core::SimplexProblem{n, spec_.rate[o], spec_.k, access.data(),
+                                     spec_.mu.data()},
+                x, marginal_u, workspace);
             out.inner_iterations += run.iterations;
             out.unconverged_objects += run.converged ? 0 : 1;
             for (std::size_t i = 0; i < n; ++i) {
-              if (run.x[i] != 0.0) {
+              if (x[i] != 0.0) {
                 out.placements.push_back(
-                    Placement{static_cast<std::uint32_t>(i), run.x[i]});
+                    Placement{static_cast<std::uint32_t>(i), x[i]});
               }
             }
           }
           out.offsets.push_back(
               static_cast<std::uint32_t>(out.placements.size()));
         }
-        states.give_back(std::move(state));
+        runtime::add_task_metric("certified", static_cast<double>(certified));
         return slice;
       });
 
@@ -472,13 +400,12 @@ void CatalogSolver::repair(RoundAllocation& round, std::vector<double>& loads,
 CatalogResult CatalogSolver::solve() const {
   CapacityPriceLoop loop(spec_.node_capacity, price_scale_);
 
-  BatchStatePool states(options_.batch_width, spec_.node_count());
   CatalogResult result;
   RoundAllocation round;
   std::vector<double> loads;
   while (true) {
     round = RoundAllocation{};  // released before the next round is solved
-    round = solve_round(loop.prices(), states);
+    round = solve_round(loop.prices());
     ++result.rounds;
     loads = node_loads(round);
     if (loop.update(loads) || !loop.active()) {

@@ -4,12 +4,14 @@
 //
 //   1. Post per-node capacity prices p (CapacityPriceLoop, starting at 0).
 //   2. Solve K independent single-file subproblems, object o seeing the
-//      priced access costs C_i^o + v_o p_i, in 64-object batches sharded
-//      across the sweep's worker threads via runtime::batch_sweep. One
-//      pass over an object's nodes assembles those costs, picks its
-//      point-mass start e_s and decides the vertex certificate (DESIGN
-//      §4e): a start it proves optimal is the object's answer, and only
-//      the other objects are fed to core::BatchAllocator's lanes.
+//      priced access costs C_i^o + v_o p_i, in 64-object sweep tasks
+//      sharded across the sweep's worker threads via runtime::batch_sweep.
+//      One pass over an object's nodes assembles those costs, picks its
+//      point-mass start e_s, writes ∂U at e_s and decides the vertex
+//      certificate (DESIGN §4e): a start it proves optimal is the
+//      object's answer, and every other object runs core::SimplexAllocator
+//      on its own rows from that ∂U row, its nonzero fractions appended
+//      straight to the task's CSR slice.
 //   3. Account the resulting node loads Σ_o v_o x_i^o (compensated
 //      summation in canonical object order) and let the price loop step;
 //      repeat from 2 until the relative overload is within tolerance or
@@ -27,8 +29,10 @@
 // run serially in canonical order, and the repair pass is serial. With
 // K = 1 and slack capacity the loop converges at round 0 with zero
 // prices, so the single inner solve IS the paper's algorithm on that
-// object's single-file problem — bit-identical to the serial
-// ResourceDirectedAllocator by the BatchAllocator equivalence contract.
+// object's single-file problem. It is bit-identical to the serial
+// ResourceDirectedAllocator by construction: SimplexAllocator runs the
+// serial step's shared code in its order, and the certificate answers
+// only starts on which that step would stop at once.
 #pragma once
 
 #include <cstddef>
@@ -38,7 +42,7 @@
 
 #include "catalog/catalog_spec.hpp"
 #include "core/allocator.hpp"
-#include "core/batch_allocator.hpp"
+#include "core/simplex_allocator.hpp"
 #include "runtime/metrics.hpp"
 
 namespace fap::catalog {
@@ -52,8 +56,9 @@ struct CatalogOptions {
   /// so per-task --metrics records carry the same identity as every
   /// other sweep in the repo.
   std::uint64_t base_seed = 1;
-  /// Objects per BatchAllocator submission batch (one sweep task each).
-  std::size_t batch_width = core::BatchAllocator::kDefaultWidth;
+  /// Objects per sweep task: the unit --jobs distributes and --metrics
+  /// records. The result is bit-identical for every value.
+  std::size_t batch_width = 64;
   /// Inner resource-directed solve controls. The defaults here override
   /// the AllocatorOptions defaults: a catalog round solves ~1e6 small
   /// problems from warm (point-mass) starts, so a moderate fixed step
@@ -154,11 +159,8 @@ class CatalogSolver {
     std::size_t node = 0;
     bool certified = false;
   };
-  /// The batch states of one solve() (defined in catalog_solver.cpp).
-  class BatchStatePool;
 
-  RoundAllocation solve_round(const std::vector<double>& prices,
-                              BatchStatePool& states) const;
+  RoundAllocation solve_round(const std::vector<double>& prices) const;
   std::vector<double> node_loads(const RoundAllocation& round) const;
   void repair(RoundAllocation& round, std::vector<double>& loads,
               const std::vector<double>& prices,
@@ -166,8 +168,8 @@ class CatalogSolver {
   /// Object o's one pass over its n nodes at `prices`: writes its priced
   /// access costs C_i^o + v_o p_i to `access` and picks its start node
   /// (object_start()). Given `marginal_u` (n doubles of scratch), it also
-  /// writes ∂U at the start there, as the inner solve's first derivative
-  /// row would, and decides the vertex certificate (DESIGN §4e).
+  /// writes ∂U at the start there, the bits the inner solve would
+  /// evaluate, and decides the vertex certificate (DESIGN §4e).
   ObjectStart price_object(std::size_t o, const std::vector<double>& prices,
                            double* access, double* marginal_u) const;
 
@@ -179,6 +181,8 @@ class CatalogSolver {
   /// so a full-node overload reprices a typical object by about γ × the
   /// cost spread it chooses placements by.
   double price_scale_ = 1.0;
+  /// The inner solve: options.inner under the spec's delay law.
+  core::SimplexAllocator inner_;
   /// Whether the inner solves can be certified: a fixed step and a
   /// single-server delay law.
   bool certify_ = false;

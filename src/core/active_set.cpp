@@ -194,6 +194,83 @@ void active_set_fast(const ConstraintGroup& group, const std::vector<double>& x,
   std::sort(active.begin(), active.end());
 }
 
+double mean_over(const std::vector<double>& values,
+                 const std::vector<std::size_t>& subset) {
+  double sum = 0.0;
+  for (const std::size_t i : subset) {
+    sum += values[i];
+  }
+  return sum / static_cast<double>(subset.size());
+}
+
+double spread_over(const std::vector<double>& values,
+                   const std::vector<std::size_t>& subset) {
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  for (const std::size_t i : subset) {
+    lo = std::min(lo, values[i]);
+    hi = std::max(hi, values[i]);
+  }
+  return hi - lo;
+}
+
+double dynamic_alpha_bound(const std::vector<double>& marginal_u,
+                           const std::vector<double>& second,
+                           const std::vector<std::size_t>& subset,
+                           double fallback) {
+  const double avg = mean_over(marginal_u, subset);
+  double numerator = 0.0;
+  double denominator = 0.0;
+  for (const std::size_t i : subset) {
+    const double dev = marginal_u[i] - avg;
+    numerator += dev * dev;
+    denominator += std::fabs(second[i]) * dev * dev;
+  }
+  if (denominator <= 0.0) {
+    return fallback;
+  }
+  return 2.0 * numerator / denominator;
+}
+
+double apply_scaled_step(const std::vector<std::size_t>& active,
+                         const std::vector<double>& x,
+                         const std::vector<double>& marginal_u, double alpha,
+                         const std::vector<double>& caps,
+                         std::vector<double>& deltas,
+                         std::vector<double>& x_out) {
+  const auto cap_of = [&caps](std::size_t i) {
+    return caps.empty() ? std::numeric_limits<double>::infinity() : caps[i];
+  };
+  const double avg = mean_over(marginal_u, active);
+  deltas.assign(active.size(), 0.0);
+  double theta = 1.0;
+  for (std::size_t idx = 0; idx < active.size(); ++idx) {
+    const std::size_t i = active[idx];
+    deltas[idx] = alpha * (marginal_u[i] - avg);
+    if (deltas[idx] < 0.0 && x[i] + deltas[idx] < 0.0) {
+      theta = std::min(theta, x[i] / -deltas[idx]);
+    }
+    const double cap = cap_of(i);
+    if (deltas[idx] > 0.0 && x[i] + deltas[idx] > cap) {
+      theta = std::min(theta, (cap - x[i]) / deltas[idx]);
+    }
+  }
+  theta = std::max(theta, 0.0);
+  // Each x_out[i] is written only after x[i] is read, so x_out may alias x.
+  for (std::size_t idx = 0; idx < active.size(); ++idx) {
+    const std::size_t i = active[idx];
+    double next = x[i] + theta * deltas[idx];
+    if (next < 0.0) {
+      next = 0.0;  // absorb floating-point dust
+    }
+    if (next > cap_of(i)) {
+      next = cap_of(i);
+    }
+    x_out[i] = next;
+  }
+  return theta;
+}
+
 bool vertex_start_terminates(const double* marginal_u, std::size_t n,
                              std::size_t s, double alpha, double epsilon) {
   FAP_EXPECTS(s < n, "vertex node out of range");

@@ -1,11 +1,13 @@
-// Shared implementation of the Section 5.2 active-set procedure's fast
-// path, factored out of ResourceDirectedAllocator so the batched SoA
-// kernel (core::BatchAllocator) runs the *same compiled code* on lanes
-// that hit a boundary — which is what keeps the batch path
-// decision-identical (and therefore bit-identical) to the serial one.
+// Shared implementation of the Section 5.2 step's mechanics, factored out
+// of ResourceDirectedAllocator so every other path that runs the
+// iteration executes the *same compiled code*: the batched SoA kernel
+// (core::BatchAllocator) on lanes that hit a boundary, and the per-object
+// solve on an object's own rows (core::SimplexAllocator). Sharing the
+// code is what keeps those paths decision-identical (and therefore
+// bit-identical) to the serial one.
 //
-// The algorithm and its equivalence argument against the literal
-// steps (i)-(v) transcription live with active_set_reference in
+// The active-set algorithm and its equivalence argument against the
+// literal steps (i)-(v) transcription live with active_set_reference in
 // allocator.cpp; this file only hosts the mechanics.
 #pragma once
 
@@ -52,10 +54,42 @@ void active_set_fast(const ConstraintGroup& group, const std::vector<double>& x,
                      const std::vector<double>& caps, std::size_t dim,
                      ActiveSetWorkspace& ws);
 
+/// Mean of `values` over `subset`: summed left to right in subset order,
+/// then divided by the subset size.
+double mean_over(const std::vector<double>& values,
+                 const std::vector<std::size_t>& subset);
+
+/// max − min of `values` over `subset`: the spread the termination test
+/// compares with ε.
+double spread_over(const std::vector<double>& values,
+                   const std::vector<std::size_t>& subset);
+
+/// The per-iteration dynamic step bound (Eq. 5 over `subset`):
+/// 2 Σ (∂U_i − avg)² / Σ |∂²C_i| (∂U_i − avg)², with the average over
+/// `subset`. Where the denominator vanishes the objective is locally
+/// linear (e.g. on the delay model's tangent extension) and imposes no
+/// bound, so `fallback` is returned.
+double dynamic_alpha_bound(const std::vector<double>& marginal_u,
+                           const std::vector<double>& second,
+                           const std::vector<std::size_t>& subset,
+                           double fallback);
+
+/// Step (c) for one constraint group: Δx_i = α (∂U_i − avg_A) over the
+/// active set, scaled by the largest θ ∈ (0,1] that keeps every x_i in
+/// [0, cap_i], then clamped onto the bounds to absorb floating-point dust.
+/// Writes x_out[i] for i in `active` only, and `x_out` may be `x` itself.
+/// `caps` as for active_set_fast; `deltas` is scratch. Returns θ.
+double apply_scaled_step(const std::vector<std::size_t>& active,
+                         const std::vector<double>& x,
+                         const std::vector<double>& marginal_u, double alpha,
+                         const std::vector<double>& caps,
+                         std::vector<double>& deltas,
+                         std::vector<double>& x_out);
+
 /// The delay part of a single-server node's marginal utility at load a,
 /// T(a) + a·T'(a), so ∂U_i = -(C_i + k·marginal_delay(λ x_i, μ_i, ...)).
-/// The lanes' scalar derivative row and the vertex certificate's caller
-/// both evaluate it here, so both get the same bits.
+/// The lanes' scalar derivative row, the per-object solve and the vertex
+/// certificate's caller all evaluate it here, so all get the same bits.
 inline double marginal_delay(double a, double mu, double scv,
                              double rho_max) {
   return queueing::detail::lin_sojourn(a, mu, scv, rho_max) +

@@ -10,31 +10,12 @@ namespace fap::core {
 
 namespace {
 
-// Boundary tolerance shared with the fast path; the rationale for
-// boundary-only exclusion lives with its definition in core/active_set.hpp.
+// Boundary tolerance and the step mechanics shared with the fast path and
+// the other §5.2 paths; the rationale for boundary-only exclusion lives
+// with kBoundaryTol's definition in core/active_set.hpp.
 using detail::kBoundaryTol;
-
-// Mean of `values` over the index subset `subset`.
-double mean_over(const std::vector<double>& values,
-                 const std::vector<std::size_t>& subset) {
-  double sum = 0.0;
-  for (const std::size_t i : subset) {
-    sum += values[i];
-  }
-  return sum / static_cast<double>(subset.size());
-}
-
-// max - min of `values` over `subset`.
-double spread_over(const std::vector<double>& values,
-                   const std::vector<std::size_t>& subset) {
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (const std::size_t i : subset) {
-    lo = std::min(lo, values[i]);
-    hi = std::max(hi, values[i]);
-  }
-  return hi - lo;
-}
+using detail::mean_over;
+using detail::spread_over;
 
 }  // namespace
 
@@ -48,25 +29,6 @@ ResourceDirectedAllocator::ResourceDirectedAllocator(const CostModel& model,
   FAP_EXPECTS(options_.alpha > 0.0, "step size must be positive");
   FAP_EXPECTS(options_.epsilon > 0.0, "epsilon must be positive");
   FAP_EXPECTS(options_.max_iterations > 0, "need at least one iteration");
-}
-
-double ResourceDirectedAllocator::dynamic_alpha_bound_cached(
-    const std::vector<std::size_t>& active) const {
-  const double avg = mean_over(ws_.du, active);
-  double numerator = 0.0;
-  double denominator = 0.0;
-  for (const std::size_t i : active) {
-    const double dev = ws_.du[i] - avg;
-    numerator += dev * dev;
-    denominator += std::fabs(ws_.d2c[i]) * dev * dev;
-  }
-  if (denominator <= 0.0) {
-    // Locally linear objective (e.g. on the delay model's tangent
-    // extension): the quadratic model imposes no bound; fall back to a
-    // conservative finite step.
-    return options_.alpha;
-  }
-  return 2.0 * numerator / denominator;
 }
 
 void ResourceDirectedAllocator::check_feasible_cached(
@@ -240,13 +202,16 @@ ResourceDirectedAllocator::StepStats ResourceDirectedAllocator::step_into(
     // this uses the whole group, then is refined over the active set.
     double alpha = options_.alpha;
     if (options_.step_rule == StepRule::kDynamic) {
-      alpha = kDynamicSafety * dynamic_alpha_bound_cached(group.indices);
+      alpha = kDynamicSafety * detail::dynamic_alpha_bound(
+                                   ws_.du, ws_.d2c, group.indices,
+                                   options_.alpha);
     }
     std::vector<std::size_t>& active = ws_.group_active[g];
     detail::active_set_fast(group, x, ws_.du, alpha, caps_, dim_, ws_.aset);
     active = ws_.aset.active;
     if (options_.step_rule == StepRule::kDynamic) {
-      alpha = kDynamicSafety * dynamic_alpha_bound_cached(active);
+      alpha = kDynamicSafety * detail::dynamic_alpha_bound(
+                                   ws_.du, ws_.d2c, active, options_.alpha);
     }
     ws_.group_alpha[g] = alpha;
 
@@ -267,40 +232,12 @@ ResourceDirectedAllocator::StepStats ResourceDirectedAllocator::step_into(
 
   // Second pass: apply Δx_i = α (∂U/∂x_i - avg_A) per group, scaled by the
   // largest θ ∈ (0,1] that keeps the group within [0, cap].
-  const auto cap_of = [this](std::size_t i) {
-    return caps_.empty() ? std::numeric_limits<double>::infinity() : caps_[i];
-  };
   double alpha_used = 0.0;
   for (std::size_t g = 0; g < n_groups; ++g) {
-    const std::vector<std::size_t>& active = ws_.group_active[g];
-    const double group_alpha = ws_.group_alpha[g];
-    const double avg = mean_over(ws_.du, active);
-    std::vector<double>& deltas = ws_.deltas;
-    deltas.assign(active.size(), 0.0);
-    double theta = 1.0;
-    for (std::size_t idx = 0; idx < active.size(); ++idx) {
-      const std::size_t i = active[idx];
-      deltas[idx] = group_alpha * (ws_.du[i] - avg);
-      if (deltas[idx] < 0.0 && x[i] + deltas[idx] < 0.0) {
-        theta = std::min(theta, x[i] / -deltas[idx]);
-      }
-      const double cap = cap_of(i);
-      if (deltas[idx] > 0.0 && x[i] + deltas[idx] > cap) {
-        theta = std::min(theta, (cap - x[i]) / deltas[idx]);
-      }
-    }
-    theta = std::max(theta, 0.0);
-    for (std::size_t idx = 0; idx < active.size(); ++idx) {
-      const std::size_t i = active[idx];
-      x_out[i] = x[i] + theta * deltas[idx];
-      if (x_out[i] < 0.0) {
-        x_out[i] = 0.0;  // absorb floating-point dust
-      }
-      if (x_out[i] > cap_of(i)) {
-        x_out[i] = cap_of(i);
-      }
-    }
-    alpha_used = std::max(alpha_used, theta * group_alpha);
+    const double theta = detail::apply_scaled_step(
+        ws_.group_active[g], x, ws_.du, ws_.group_alpha[g], caps_, ws_.deltas,
+        x_out);
+    alpha_used = std::max(alpha_used, theta * ws_.group_alpha[g]);
   }
   stats.alpha_used = alpha_used;
   return stats;

@@ -198,13 +198,6 @@ class ResourceDirectedAllocator {
   void check_feasible_cached(const std::vector<double>& x,
                              double sum_tolerance = 1e-9) const;
 
-  /// The per-iteration dynamic step bound (Eq. 5 over the active
-  /// variables `active`): 2 Σ (dU_i - avg)² / Σ |d²U_i| (dU_i - avg)²,
-  /// evaluated from the workspace's du/d2c (already computed for the
-  /// current x).
-  double dynamic_alpha_bound_cached(
-      const std::vector<std::size_t>& active) const;
-
   const CostModel& model_;
   AllocatorOptions options_;
   /// Constraint structure and bounds are fixed per model; query them once.

@@ -54,103 +54,51 @@ BatchAllocator::BatchAllocator(std::size_t width) : width_(width) {
 std::size_t BatchAllocator::submit(const SingleFileModel& model,
                                    const AllocatorOptions& options,
                                    const std::vector<double>& start) {
-  FAP_EXPECTS(start.size() == model.dimension(),
-              "allocation has wrong dimension");
-  const SingleFileProblem& problem = model.problem();
-  RawInstance raw;
-  raw.n = model.dimension();
-  raw.total_rate = model.total_rate();
-  raw.k = problem.k;
-  raw.delay = problem.delay;
-  raw.access_cost = model.access_costs().data();
-  raw.mu = problem.mu.data();
-  raw.caps = problem.storage_capacity.empty()
-                 ? nullptr
-                 : problem.storage_capacity.data();
-  raw.start = start.data();
-  return submit(raw, options);
-}
-
-void BatchAllocator::check_options(const AllocatorOptions& options) {
   FAP_EXPECTS(options.alpha > 0.0, "step size must be positive");
   FAP_EXPECTS(options.epsilon > 0.0, "epsilon must be positive");
   FAP_EXPECTS(options.max_iterations > 0, "need at least one iteration");
   FAP_EXPECTS(!options.record_trace,
               "BatchAllocator does not record traces; use the serial "
               "ResourceDirectedAllocator for traced runs");
-}
-
-std::size_t BatchAllocator::submit(const RawInstance& raw,
-                                   const AllocatorOptions& options) {
-  check_options(options);
-
-  // Model-level validations, mirroring the SingleFileModel constructor.
-  FAP_EXPECTS(raw.n >= 1, "problem needs at least one node");
-  FAP_EXPECTS(raw.access_cost != nullptr && raw.mu != nullptr &&
-                  raw.start != nullptr,
-              "raw instance needs access costs, service rates and a start");
-  FAP_EXPECTS(raw.total_rate > 0.0,
-              "network-wide access rate must be positive");
-  FAP_EXPECTS(std::isfinite(raw.total_rate),
-              "network-wide access rate must be finite");
-  FAP_EXPECTS(raw.k >= 0.0, "k must be non-negative");
-  FAP_EXPECTS(std::isfinite(raw.k), "k must be finite");
-  for (std::size_t i = 0; i < raw.n; ++i) {
-    FAP_EXPECTS(std::isfinite(raw.access_cost[i]),
-                "access costs must be finite");
-    FAP_EXPECTS(raw.mu[i] > 0.0, "service rates must be positive");
-    if (raw.delay.rho_max() >= 1.0) {
-      FAP_EXPECTS(raw.total_rate < raw.delay.capacity(raw.mu[i]),
-                  "stability requires λ below every node's service "
-                  "capacity (or a linearized delay model, see DelayModel "
-                  "rho_max)");
-    }
-  }
-  if (raw.caps != nullptr) {
-    double capacity_total = 0.0;
-    for (std::size_t i = 0; i < raw.n; ++i) {
-      FAP_EXPECTS(raw.caps[i] >= 0.0, "storage capacities must be "
-                                      "non-negative");
-      capacity_total += raw.caps[i];
-    }
-    FAP_EXPECTS(capacity_total >= 1.0 - 1e-9,
-                "total storage capacity must hold at least one whole file");
-  }
+  const std::size_t n = model.dimension();
+  FAP_EXPECTS(start.size() == n, "allocation has wrong dimension");
+  const SingleFileProblem& problem = model.problem();
+  const std::vector<double>& caps = problem.storage_capacity;
 
   // Start feasibility, mirroring CostModel::check_feasible (tol 1e-9,
   // one Σ = 1 group).
   constexpr double kTol = 1e-9;
   double start_sum = 0.0;
-  for (std::size_t i = 0; i < raw.n; ++i) {
-    FAP_EXPECTS(raw.start[i] >= -kTol, "allocation must be non-negative");
-    if (raw.caps != nullptr) {
-      FAP_EXPECTS(raw.start[i] <= raw.caps[i] + kTol,
+  for (std::size_t i = 0; i < n; ++i) {
+    FAP_EXPECTS(start[i] >= -kTol, "allocation must be non-negative");
+    if (!caps.empty()) {
+      FAP_EXPECTS(start[i] <= caps[i] + kTol,
                   "allocation exceeds a storage capacity");
     }
-    start_sum += raw.start[i];
+    start_sum += start[i];
   }
   FAP_EXPECTS(std::fabs(start_sum - 1.0) <= kTol,
               "allocation violates a resource-conservation constraint");
 
   Instance inst;
-  inst.n = raw.n;
+  inst.n = n;
   inst.offset = queue_start_.size();
   inst.alpha = options.alpha;
   inst.epsilon = options.epsilon;
   inst.dynamic_rule = options.step_rule == StepRule::kDynamic;
   inst.max_iterations = options.max_iterations;
-  inst.total_rate = raw.total_rate;
-  inst.k = raw.k;
-  inst.delay = raw.delay;
-  queue_access_.insert(queue_access_.end(), raw.access_cost,
-                       raw.access_cost + raw.n);
-  queue_mu_.insert(queue_mu_.end(), raw.mu, raw.mu + raw.n);
-  if (raw.caps != nullptr) {
-    queue_cap_.insert(queue_cap_.end(), raw.caps, raw.caps + raw.n);
+  inst.total_rate = model.total_rate();
+  inst.k = problem.k;
+  inst.delay = problem.delay;
+  const std::vector<double>& access = model.access_costs();
+  queue_access_.insert(queue_access_.end(), access.begin(), access.end());
+  queue_mu_.insert(queue_mu_.end(), problem.mu.begin(), problem.mu.end());
+  if (!caps.empty()) {
+    queue_cap_.insert(queue_cap_.end(), caps.begin(), caps.end());
   } else {
-    queue_cap_.insert(queue_cap_.end(), raw.n, kInf);
+    queue_cap_.insert(queue_cap_.end(), n, kInf);
   }
-  queue_start_.insert(queue_start_.end(), raw.start, raw.start + raw.n);
+  queue_start_.insert(queue_start_.end(), start.begin(), start.end());
   pending_.push_back(inst);
   return pending_.size() - 1;
 }

@@ -38,9 +38,14 @@
 // vector loops stay dense. run_all() sizes every plane and lane array
 // afresh and load_lane() rewrites every field of a lane, so an allocator
 // reused for any sequence of batches returns what a fresh one would;
-// only growth reallocates. Every submission takes a lane: the catalog
-// answers the point-mass starts it can prove optimal before it submits
-// (the vertex certificate, DESIGN §4e).
+// only growth reallocates.
+//
+// Callers: the sweep benches (fig5, fig6 and the ablations), whose
+// instances are mostly interior and take the vector path. The catalog
+// does not submit here: its point-mass starts leave nearly every node at
+// the floor, so nearly every lane step would take the gathered boundary
+// path, and it runs each object on its own rows in core::SimplexAllocator
+// instead (DESIGN §4g).
 //
 // Supported models: SingleFileModel (any delay discipline; single-server
 // disciplines take the vectorized derivative path, M/M/c lanes fall back
@@ -81,43 +86,15 @@ class BatchAllocator {
   explicit BatchAllocator(std::size_t width = kDefaultWidth);
 
   /// Enqueues one instance; returns its index into run_all()'s result
-  /// vector. Submits the model's access costs, μ and caps as a
-  /// RawInstance, so the copy and every check happen there (the reference
-  /// need not outlive the call). Throws PreconditionError on infeasible
-  /// `start`, invalid options, or options requesting trace recording.
+  /// vector. Copies the model's access costs, μ and caps and the start
+  /// into the queue (the references need not outlive the call). Throws
+  /// PreconditionError on infeasible `start`, invalid options (the
+  /// ResourceDirectedAllocator constructor's checks) or options
+  /// requesting trace recording; the model's own fields were checked by
+  /// its constructor.
   std::size_t submit(const SingleFileModel& model,
                      const AllocatorOptions& options,
                      const std::vector<double>& start);
-
-  /// A submission without the SingleFileModel wrapper: exactly the fields
-  /// run_all() consumes, by pointer into caller-owned storage (borrowed
-  /// only for the duration of submit(), which copies). The catalog engine
-  /// feeds ~1e6 instances per pricing round; constructing a model object
-  /// (comm matrix + λ vector + access-cost aggregation) per instance
-  /// would dominate the solve, while the priced access-cost vector is
-  /// already assembled. `caps` may be null (unbounded).
-  struct RawInstance {
-    std::size_t n = 0;
-    double total_rate = 0.0;         ///< λ (arrival at node i is λ·x_i)
-    double k = 0.0;
-    queueing::DelayModel delay;
-    const double* access_cost = nullptr;  ///< C_i, length n
-    const double* mu = nullptr;           ///< length n
-    const double* caps = nullptr;         ///< length n, null = unbounded
-    const double* start = nullptr;        ///< feasible start, length n
-  };
-
-  /// The one submission path: applies check_options() and the
-  /// validations SingleFileModel's constructor and check_feasible() would
-  /// (finite k, rate and access costs, positive rates, stability under
-  /// pure delay models, capacity admits a whole file, feasible start),
-  /// then copies the fields into the queue.
-  std::size_t submit(const RawInstance& raw, const AllocatorOptions& options);
-
-  /// The option checks of the ResourceDirectedAllocator constructor that
-  /// every submission passes: α > 0, ε > 0, at least one iteration, and
-  /// no trace recording. Throws PreconditionError.
-  static void check_options(const AllocatorOptions& options);
 
   /// Runs every pending submission to completion and returns their
   /// results in submission order. Clears the queue and keeps its storage;

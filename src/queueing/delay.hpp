@@ -25,9 +25,10 @@ namespace detail {
 
 // Single-server Pollaczek–Khinchine primitives. These inline expressions
 // are the ONE definition of the single-server delay law: the scalar
-// DelayModel entry points and the core::BatchAllocator derivative rows
-// both evaluate exactly these operation sequences, which is what makes
-// the batched paths bit-identical to the scalar ones (pinned by
+// DelayModel entry points, the core::BatchAllocator derivative rows and
+// core::SimplexAllocator's per-node re-evaluations (the catalog's inner
+// solves) all evaluate exactly these operation sequences, which is what
+// makes those paths bit-identical to the scalar ones (pinned by
 // queueing_batch_test).
 inline double pk_sojourn(double a, double mu, double scv) {
   return 1.0 / mu + a * (1.0 + scv) / (2.0 * mu * (mu - a));

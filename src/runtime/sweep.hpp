@@ -116,13 +116,14 @@ auto sweep(std::size_t count, const SweepOptions& options, Fn&& fn)
 /// batches of at most `width` and runs each batch as ONE sweep task (so
 /// --jobs distributes whole batches and --metrics gets one record per
 /// batch, automatically carrying a "batch_size" value). Designed for
-/// core::BatchAllocator: `run(first, last)` solves items [first, last)
-/// and returns their results in item order, which batch_sweep
-/// concatenates in global item order. Because `run` must treat items
-/// independently, the result is byte-identical across jobs AND width
-/// choices — partitioning cannot be observed. A `run` may instead return
-/// one result for its whole batch (the catalog returns a CSR slice), and
-/// the concatenation is then in batch order.
+/// core::BatchAllocator, whose lanes a batch fills: `run(first, last)`
+/// solves items [first, last) and returns their results in item order,
+/// which batch_sweep concatenates in global item order. Because `run`
+/// must treat items independently, the result is byte-identical across
+/// jobs AND width choices — partitioning cannot be observed. A `run` may
+/// instead return one result for its whole batch (the catalog solves its
+/// objects one by one and returns a CSR slice), and the concatenation is
+/// then in batch order.
 template <typename Run>
 auto batch_sweep(std::size_t count, std::size_t width,
                  const SweepOptions& options, Run&& run)

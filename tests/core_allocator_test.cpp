@@ -573,10 +573,10 @@ std::vector<bool> pinned_at_step_one(const std::vector<double>& x,
   return pinned;
 }
 
-// Catalog lanes exactly as the catalog's batch task builds them (priced
-// access costs, point-mass start), at zero prices and at the final prices
-// of a contended solve; the two procedures must agree at the start and at
-// every step of each lane's traced run.
+// Catalog inner solves exactly as the catalog's sweep task builds them
+// (priced access costs, point-mass start), at zero prices and at the
+// final prices of a contended solve; the two procedures must agree at the
+// start and at every step of each object's traced run.
 class ActiveSetCatalogLaneTest
     : public ::testing::TestWithParam<std::size_t> {};
 

@@ -451,46 +451,6 @@ TEST(BatchAllocator, ReusableAcrossRounds) {
   }
 }
 
-// RawInstance is the model-free submit path the catalog engine feeds
-// ~1e6 instances through per pricing round: same fields by pointer, same
-// validations, bitwise the same results as the model overload.
-TEST(BatchAllocator, RawSubmitMatchesModelSubmitBitwise) {
-  constexpr std::size_t kInstances = 48;
-  std::vector<RandomInstance> instances;
-  instances.reserve(kInstances);
-  for (std::size_t i = 0; i < kInstances; ++i) {
-    instances.push_back(make_random_instance(3000 + i));
-  }
-  for (const std::size_t width : {std::size_t{1}, std::size_t{16}}) {
-    BatchAllocator via_model(width);
-    BatchAllocator via_raw(width);
-    for (const RandomInstance& inst : instances) {
-      via_model.submit(inst.model, inst.options, inst.start);
-      const SingleFileProblem& problem = inst.model.problem();
-      BatchAllocator::RawInstance raw;
-      raw.n = problem.mu.size();
-      raw.total_rate = inst.model.total_rate();
-      raw.k = problem.k;
-      raw.delay = problem.delay;
-      raw.access_cost = inst.model.access_costs().data();
-      raw.mu = problem.mu.data();
-      raw.caps = problem.storage_capacity.empty()
-                     ? nullptr
-                     : problem.storage_capacity.data();
-      raw.start = inst.start.data();
-      via_raw.submit(raw, inst.options);
-    }
-    const std::vector<BatchRunResult> expected = via_model.run_all();
-    const std::vector<BatchRunResult> actual = via_raw.run_all();
-    ASSERT_EQ(expected.size(), kInstances);
-    ASSERT_EQ(actual.size(), kInstances);
-    for (std::size_t i = 0; i < kInstances; ++i) {
-      SCOPED_TRACE("instance " + std::to_string(i));
-      expect_bitwise_equal(expected[i], actual[i]);
-    }
-  }
-}
-
 // Pins dispatch to one kernel set for a scope (and restores env/CPUID
 // dispatch on exit, even through assertion failures).
 class ScopedSimdLevel {
@@ -574,75 +534,8 @@ TEST(BatchAllocator, DispatchedKernelsMatchSerialAndScalar) {
   }
 }
 
-// The raw path must enforce the same contracts SingleFileModel's
-// constructor and check_feasible would — it bypasses both.
-TEST(BatchAllocator, RawSubmitValidates) {
-  const std::vector<double> access = {1.0, 2.0, 3.0};
-  const std::vector<double> mu = {2.0, 2.0, 2.0};
-  const std::vector<double> start = {1.0, 0.0, 0.0};
-  BatchAllocator batch;
-  AllocatorOptions options;
-  BatchAllocator::RawInstance raw;
-  raw.n = 3;
-  raw.total_rate = 1.0;
-  raw.k = 1.0;
-  raw.delay = DelayModel::mm1();
-  raw.access_cost = access.data();
-  raw.mu = mu.data();
-  raw.start = start.data();
-  EXPECT_NO_THROW(batch.submit(raw, options));
-
-  BatchAllocator::RawInstance bad = raw;
-  bad.n = 0;
-  EXPECT_THROW(batch.submit(bad, options), fap::util::PreconditionError);
-  bad = raw;
-  bad.access_cost = nullptr;
-  EXPECT_THROW(batch.submit(bad, options), fap::util::PreconditionError);
-  bad = raw;
-  bad.total_rate = 0.0;
-  EXPECT_THROW(batch.submit(bad, options), fap::util::PreconditionError);
-  bad = raw;
-  bad.k = -1.0;
-  EXPECT_THROW(batch.submit(bad, options), fap::util::PreconditionError);
-  // Non-finite inputs fail here, as SingleFileModel's constructor fails
-  // them, not later inside run_all().
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  bad = raw;
-  bad.k = kInf;
-  EXPECT_THROW(batch.submit(bad, options), fap::util::PreconditionError);
-  for (const double cost : {std::numeric_limits<double>::quiet_NaN(), kInf}) {
-    const std::vector<double> non_finite = {1.0, cost, 3.0};
-    bad = raw;
-    bad.access_cost = non_finite.data();
-    EXPECT_THROW(batch.submit(bad, options), fap::util::PreconditionError);
-  }
-  bad = raw;
-  bad.delay = DelayModel::mm1(0.9);  // no stability bound on the rate
-  bad.total_rate = kInf;
-  EXPECT_THROW(batch.submit(bad, options), fap::util::PreconditionError);
-  bad = raw;
-  bad.total_rate = 2.5;  // >= mu under the pure M/M/1 model: unstable
-  EXPECT_THROW(batch.submit(bad, options), fap::util::PreconditionError);
-  const std::vector<double> tight_caps = {0.4, 0.3, 0.2};  // Σ < 1
-  bad = raw;
-  bad.caps = tight_caps.data();
-  EXPECT_THROW(batch.submit(bad, options), fap::util::PreconditionError);
-  const std::vector<double> heavy = {0.8, 0.8, 0.0};  // Σ != 1
-  bad = raw;
-  bad.start = heavy.data();
-  EXPECT_THROW(batch.submit(bad, options), fap::util::PreconditionError);
-  const std::vector<double> over_cap = {0.9, 0.1, 0.0};
-  const std::vector<double> caps = {0.5, 0.5, 0.5};
-  bad = raw;
-  bad.caps = caps.data();
-  bad.start = over_cap.data();
-  EXPECT_THROW(batch.submit(bad, options), fap::util::PreconditionError);
-  AllocatorOptions trace_options;
-  trace_options.record_trace = true;
-  EXPECT_THROW(batch.submit(raw, trace_options),
-               fap::util::PreconditionError);
-}
-
+// submit() checks the options and the start; the model's own fields were
+// checked by its constructor.
 TEST(BatchAllocator, RejectsUnsupportedOptionsAndInfeasibleStarts) {
   const SingleFileModel model(fap::core::make_paper_ring_problem());
   BatchAllocator batch;
@@ -653,9 +546,31 @@ TEST(BatchAllocator, RejectsUnsupportedOptionsAndInfeasibleStarts) {
   options.record_trace = false;
   EXPECT_THROW(batch.submit(model, options, std::vector<double>(4, 0.5)),
                fap::util::PreconditionError);  // mass 2 != 1: infeasible
-  options.alpha = -1.0;
-  EXPECT_THROW(batch.submit(model, options, std::vector<double>(4, 0.25)),
+  EXPECT_THROW(batch.submit(model, options, std::vector<double>(3, 1.0 / 3)),
+               fap::util::PreconditionError);  // wrong dimension
+  EXPECT_THROW(batch.submit(model, options, {1.25, -0.25, 0.0, 0.0}),
+               fap::util::PreconditionError);  // negative entry
+  AllocatorOptions bad = options;
+  bad.alpha = -1.0;
+  EXPECT_THROW(batch.submit(model, bad, std::vector<double>(4, 0.25)),
                fap::util::PreconditionError);
+  bad = options;
+  bad.epsilon = 0.0;
+  EXPECT_THROW(batch.submit(model, bad, std::vector<double>(4, 0.25)),
+               fap::util::PreconditionError);
+  bad = options;
+  bad.max_iterations = 0;
+  EXPECT_THROW(batch.submit(model, bad, std::vector<double>(4, 0.25)),
+               fap::util::PreconditionError);
+
+  // A start over a storage capacity is infeasible even when it sums to 1.
+  SingleFileProblem capped = model.problem();
+  capped.storage_capacity.assign(4, 0.5);
+  const SingleFileModel capped_model(std::move(capped));
+  EXPECT_THROW(batch.submit(capped_model, options, {0.9, 0.1, 0.0, 0.0}),
+               fap::util::PreconditionError);
+  EXPECT_NO_THROW(batch.submit(capped_model, options, {0.5, 0.5, 0.0, 0.0}));
+  EXPECT_EQ(batch.pending(), 1u);  // rejected submissions queue nothing
 }
 
 // Every vertex of the suite's random single-server, uncapped instances,
