@@ -4,7 +4,12 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <exception>
 #include <limits>
+#include <mutex>
+#include <stop_token>
+#include <thread>
 #include <utility>
 
 #include "fs/popularity.hpp"
@@ -366,6 +371,100 @@ struct TraceServer::PendingMigration {
   }
 };
 
+/// The handoff between serve()'s two threads, one epoch in flight. The
+/// routing thread routes an epoch into `targets` and `stalls` and
+/// publishes it; the engine thread takes it, injects it and marks it
+/// injected, which frees the generator's buffer and the routed buffers
+/// for the next epoch. An epoch that ends a kOnline estimation window
+/// opens a barrier: the routing thread routes nothing more until the
+/// engine thread has run the window's re-solve and closed it. Every wait
+/// blocks on the mutex and a condition variable, and each side sums the
+/// seconds it waited.
+class TraceServer::EpochHandoff {
+ public:
+  /// A request the pending migration stalls, by its index in the epoch.
+  struct Stall {
+    std::size_t index;
+    double latency;
+  };
+  struct Epoch {
+    const std::vector<TraceRequest>* requests = nullptr;
+    double now = 0.0;          ///< the generator clock after the epoch
+    bool ends_window = false;  ///< a kOnline estimation window ends here
+  };
+
+  explicit EpochHandoff(std::size_t epoch_capacity)
+      : targets(epoch_capacity) {}
+
+  std::vector<std::uint32_t> targets;  ///< serving node per request
+  std::vector<Stall> stalls;           ///< ascending index
+  double routing_s = 0.0;              ///< the routing thread's lifetime
+  double routing_wait_s = 0.0;
+  double engine_wait_s = 0.0;
+
+  // Routing thread. A wait returns false once `stop` is requested, which
+  // the engine thread does when it leaves its loop by an exception.
+  bool wait_injected(const std::stop_token& stop) {
+    return wait_routing(stop, [&] { return !in_flight_; });
+  }
+  bool wait_window_closed(const std::stop_token& stop) {
+    return wait_routing(stop, [&] { return !window_open_; });
+  }
+  void publish(const Epoch& epoch) {
+    {
+      const std::lock_guard lock(mutex_);
+      epoch_ = epoch;
+      in_flight_ = true;
+      window_open_ = epoch.ends_window;
+    }
+    to_engine_.notify_one();
+  }
+  void fail(std::exception_ptr error) {
+    {
+      const std::lock_guard lock(mutex_);
+      error_ = std::move(error);
+    }
+    to_engine_.notify_one();
+  }
+
+  // Engine thread.
+  /// Waits for the next routed epoch; false if the routing thread failed.
+  bool take(Epoch& epoch) {
+    const PhaseTimer timer(engine_wait_s);
+    std::unique_lock lock(mutex_);
+    to_engine_.wait(lock, [&] { return in_flight_ || error_; });
+    epoch = epoch_;
+    return in_flight_;
+  }
+  void mark_injected() { clear_for_routing(in_flight_); }
+  void close_window() { clear_for_routing(window_open_); }
+  /// The routing thread's exception, if it failed; read after joining it.
+  const std::exception_ptr& error() const noexcept { return error_; }
+
+ private:
+  template <class Ready>
+  bool wait_routing(const std::stop_token& stop, Ready ready) {
+    const PhaseTimer timer(routing_wait_s);
+    std::unique_lock lock(mutex_);
+    return to_routing_.wait(lock, stop, ready) && !stop.stop_requested();
+  }
+  void clear_for_routing(bool& flag) {
+    {
+      const std::lock_guard lock(mutex_);
+      flag = false;
+    }
+    to_routing_.notify_one();
+  }
+
+  std::mutex mutex_;  ///< guards everything below
+  std::condition_variable to_engine_;       ///< routed, or routing failed
+  std::condition_variable_any to_routing_;  ///< injected or window closed
+  Epoch epoch_;
+  bool in_flight_ = false;    ///< published and not yet injected
+  bool window_open_ = false;  ///< the last epoch's window is not closed
+  std::exception_ptr error_;
+};
+
 TraceServer::TraceServer(const net::Topology& topology,
                          TraceWorkload workload, TraceServeOptions options)
     : topology_(topology),
@@ -456,71 +555,27 @@ TraceServeResult TraceServer::serve(std::size_t total_requests) {
     lru_ = std::make_unique<LruCaches>(n_, workload_.records, capacity);
   }
 
-  // No node generates: route_request picks every target and its comm
-  // cost, so the engine needs no routing or comm-cost matrix.
-  sim::DesConfig config;
-  config.open_loop = true;
-  config.lambda.assign(n_, 0.0);
-  config.mu.assign(n_, options_.mu);
-  config.k = options_.k;
-  config.service = options_.service;
-  config.hop_latency = options_.hop_latency;
-  if (options_.hop_latency > 0.0) {
-    config.route_hops = net::route_hop_counts(topology_);
+  EpochHandoff handoff(std::min(workload_.epoch_requests, total_requests));
+  TraceServeResult routed;  // the routing thread's counters
+  {
+    // Started here, so its first epoch overlaps the engine's
+    // construction, and declared after everything it uses, so it is
+    // joined on every path out of this block. When the engine thread
+    // throws, the join first requests a stop, which ends the routing
+    // thread's next wait.
+    std::jthread routing([&](const std::stop_token& stop) {
+      route_epochs(stop, generator, total_requests, handoff, routed);
+    });
+    result.requests_injected = serve_epochs(total_requests, handoff, result);
   }
-  // Completion-time window attribution: the union of the estimation
-  // windows is an exact partition of all completions, so the cumulative
-  // statistics cover every injected request even though kOnline resets
-  // the window (to start the next estimation window) while jobs are in
-  // flight.
-  config.window_by_completion = true;
-  config.seed = workload_.seed ^ kEngineSeedSalt;
-  engine_ = std::make_unique<sim::DesSystem>(std::move(config));
-
-  std::size_t injected = 0;
-  std::size_t epochs_in_window = 0;
-  while (injected < total_requests) {
-    const std::vector<TraceRequest>& batch =
-        generator.next_epoch(total_requests - injected);
-    for (const TraceRequest& request : batch) {
-      std::size_t target = 0;
-      double comm = 0.0;
-      double extra_latency = 0.0;
-      route_request(request, target, comm, extra_latency, result);
-      engine_->inject_access(request.time, request.origin, target, comm,
-                             extra_latency);
-      if (target == request.origin) {
-        ++result.served_at_origin;
-      }
-      if (options_.mode == ServeMode::kOnline) {
-        ++window_counts_[request.record];
-      }
-    }
-    injected += batch.size();
-    engine_->advance_until(generator.now());
-    if (options_.mode == ServeMode::kOnline) {
-      const PhaseTimer timer(phase_s_.migration);
-      update_migration_state(generator.now());
-    }
-    if (++epochs_in_window >= options_.estimation_epochs &&
-        injected < total_requests) {
-      // Only kOnline consumes windowed state — the window's access sums
-      // feed the estimator, so each estimation period opens a fresh
-      // window. The passive modes keep ONE window for the whole run.
-      // Either way, completion-time attribution (window_by_completion)
-      // makes the harvested union exact: no request is ever dropped from
-      // the statistics by a reset.
-      if (options_.mode == ServeMode::kOnline) {
-        const sim::WindowStats& window = engine_->window();
-        maybe_reallocate(window, generator.now(), result);
-        harvest_window(window, result);
-        engine_->reset_window();
-        std::fill(window_counts_.begin(), window_counts_.end(), 0);
-      }
-      epochs_in_window = 0;
-    }
+  if (handoff.error()) {
+    std::rethrow_exception(handoff.error());
   }
-  result.requests_injected = injected;
+  result.served_at_origin = routed.served_at_origin;
+  result.stalled_requests = routed.stalled_requests;
+  result.cache_hits = routed.cache_hits;
+  result.cache_misses = routed.cache_misses;
+  result.cache_invalidations = routed.cache_invalidations;
 
   // Drain: every injected request is served to completion and the final
   // window is harvested afterwards, so nothing is dropped at the end of
@@ -551,16 +606,139 @@ TraceServeResult TraceServer::serve(std::size_t total_requests) {
   runtime::add_task_metric("serve.estimate_s", phase_s_.estimate);
   runtime::add_task_metric("serve.resolve_s", phase_s_.resolve);
   runtime::add_task_metric("serve.migration_s", phase_s_.migration);
+  // Seconds of the two stages: routing's busy time, and the engine's
+  // waits for a routed epoch.
+  runtime::add_task_metric("serve.route_s",
+                           handoff.routing_s - handoff.routing_wait_s);
+  runtime::add_task_metric("serve.engine_wait_s", handoff.engine_wait_s);
   return result;
 }
 
-void TraceServer::route_request(const TraceRequest& request,
-                                std::size_t& target, double& comm,
-                                double& extra_latency,
-                                TraceServeResult& result) {
+std::size_t TraceServer::serve_epochs(std::size_t total_requests,
+                                      EpochHandoff& handoff,
+                                      TraceServeResult& result) {
+  // No node generates: route_request picks every target, so the engine
+  // needs no routing matrix.
+  sim::DesConfig config;
+  config.open_loop = true;
+  config.lambda.assign(n_, 0.0);
+  config.mu.assign(n_, options_.mu);
+  config.k = options_.k;
+  config.service = options_.service;
+  config.hop_latency = options_.hop_latency;
+  if (options_.hop_latency > 0.0) {
+    config.route_hops = net::route_hop_counts(topology_);
+  }
+  // Completion-time window attribution: the union of the estimation
+  // windows is an exact partition of all completions, so the cumulative
+  // statistics cover every injected request even though kOnline resets
+  // the window (to start the next estimation window) while jobs are in
+  // flight.
+  config.window_by_completion = true;
+  config.seed = workload_.seed ^ kEngineSeedSalt;
+  engine_ = std::make_unique<sim::DesSystem>(std::move(config));
+
+  std::size_t injected = 0;
+  EpochHandoff::Epoch epoch;
+  while (injected < total_requests && handoff.take(epoch)) {
+    const std::vector<TraceRequest>& batch = *epoch.requests;
+    std::size_t stall = 0;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const TraceRequest& request = batch[i];
+      const std::size_t target = handoff.targets[i];
+      double extra_latency = 0.0;
+      if (stall < handoff.stalls.size() && handoff.stalls[stall].index == i) {
+        extra_latency = handoff.stalls[stall++].latency;
+      }
+      engine_->inject_access(request.time, request.origin, target,
+                             comm_->cost(request.origin, target),
+                             extra_latency);
+    }
+    injected += batch.size();
+    handoff.mark_injected();
+    engine_->advance_until(epoch.now);
+    if (epoch.ends_window) {
+      // Only kOnline consumes windowed state — the window's access sums
+      // feed the estimator, so each estimation period opens a fresh
+      // window. The passive modes keep ONE window for the whole run.
+      // Either way, completion-time attribution (window_by_completion)
+      // makes the harvested union exact: no request is ever dropped from
+      // the statistics by a reset.
+      const sim::WindowStats& window = engine_->window();
+      maybe_reallocate(window, epoch.now, result);
+      harvest_window(window, result);
+      engine_->reset_window();
+      std::fill(window_counts_.begin(), window_counts_.end(), 0);
+      handoff.close_window();
+    }
+  }
+  return injected;
+}
+
+void TraceServer::route_epochs(const std::stop_token& stop,
+                               TraceGenerator& generator,
+                               std::size_t total_requests,
+                               EpochHandoff& handoff,
+                               TraceServeResult& routed) {
+  const PhaseTimer lifetime(handoff.routing_s);
+  const bool online = options_.mode == ServeMode::kOnline;
+  try {
+    std::size_t drawn = 0;
+    std::size_t epochs_in_window = 0;
+    bool window_open = false;
+    while (drawn < total_requests) {
+      // The engine reads the generator's buffer until it has injected the
+      // last epoch, and the routing state until it has closed that
+      // epoch's window; drawing needs only the first.
+      if (!handoff.wait_injected(stop)) {
+        return;
+      }
+      const std::vector<TraceRequest>& batch =
+          generator.next_epoch(total_requests - drawn);
+      drawn += batch.size();
+      if (window_open && !handoff.wait_window_closed(stop)) {
+        return;
+      }
+      handoff.stalls.clear();
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        const TraceRequest& request = batch[i];
+        double extra_latency = 0.0;
+        const std::size_t target =
+            route_request(request, extra_latency, routed);
+        handoff.targets[i] = static_cast<std::uint32_t>(target);
+        if (extra_latency != 0.0) {
+          handoff.stalls.push_back({i, extra_latency});
+        }
+        if (target == request.origin) {
+          ++routed.served_at_origin;
+        }
+        if (online) {
+          ++window_counts_[request.record];
+        }
+      }
+      if (online) {
+        const PhaseTimer timer(phase_s_.migration);
+        update_migration_state(generator.now());
+      }
+      window_open = false;
+      if (++epochs_in_window >= options_.estimation_epochs &&
+          drawn < total_requests) {
+        window_open = online;
+        epochs_in_window = 0;
+      }
+      handoff.publish({&batch, generator.now(), window_open});
+    }
+  } catch (...) {
+    handoff.fail(std::current_exception());
+  }
+}
+
+std::size_t TraceServer::route_request(const TraceRequest& request,
+                                       double& extra_latency,
+                                       TraceServeResult& result) {
   const std::size_t record = request.record;
   const std::size_t origin = request.origin;
-  target = layout_->node_of(record);
+  std::size_t target = layout_->node_of(record);
   extra_latency = 0.0;
   switch (options_.mode) {
     case ServeMode::kStatic:
@@ -605,7 +783,7 @@ void TraceServer::route_request(const TraceRequest& request,
       break;
     }
   }
-  comm = comm_->cost(origin, target);
+  return target;
 }
 
 void TraceServer::maybe_reallocate(const sim::WindowStats& window, double now,

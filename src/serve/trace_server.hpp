@@ -32,17 +32,27 @@
 //     updates are served at the home node and invalidate every cached
 //     copy, which is what keeps a write-heavy hot set uncacheable.
 //
+// Each serve() call runs in two stages on two threads. A routing thread
+// draws each epoch of the trace and routes it (layout, pending migration,
+// LRU caches, window counts); the calling thread injects the routed epoch
+// into the engine and advances it, and at each kOnline window end runs
+// the re-solve, which the routing thread waits for. One epoch is in
+// flight, so the routing of epoch e+1 overlaps the engine's advance
+// through epoch e.
+//
 // Determinism contract: serve() is a pure function of (topology,
 // workload, options) — the trace stream depends only on the workload
 // seed (identical across the three modes, so comparisons are paired),
-// the engine is deterministic, and all bookkeeping is serial. Benches
-// fan the modes out through runtime::sweep and stay byte-identical for
-// any --jobs.
+// the engine is deterministic, and each thread makes the serial loop's
+// calls in its order, with data crossing threads only along that loop's
+// own dependencies. Benches fan the modes out through runtime::sweep and
+// stay byte-identical for any --jobs.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stop_token>
 #include <vector>
 
 #include "core/allocator.hpp"
@@ -267,6 +277,8 @@ class TraceServer {
 
   /// Serves `total_requests` trace requests end to end and returns the
   /// accumulated statistics. Pure function of the constructor arguments.
+  /// Routes on a helper thread that it joins before returning or
+  /// throwing; an exception on either thread reaches the caller.
   TraceServeResult serve(std::size_t total_requests);
 
   /// The initial layout (deployed at t = 0 in every mode; the permanent
@@ -280,10 +292,24 @@ class TraceServer {
  private:
   struct LruCaches;
   struct PendingMigration;
+  class EpochHandoff;
 
-  void route_request(const TraceRequest& request, std::size_t& target,
-                     double& comm, double& extra_latency,
-                     TraceServeResult& result);
+  /// The engine thread's loop: builds the engine, then injects and
+  /// advances every routed epoch and closes kOnline's windows. Returns
+  /// the requests injected.
+  std::size_t serve_epochs(std::size_t total_requests, EpochHandoff& handoff,
+                           TraceServeResult& result);
+  /// The routing thread's body: draws and routes every epoch of the call
+  /// into `handoff`, counting its traffic in `routed`, until done or
+  /// `stop` is requested.
+  void route_epochs(const std::stop_token& stop, TraceGenerator& generator,
+                    std::size_t total_requests, EpochHandoff& handoff,
+                    TraceServeResult& routed);
+  /// Returns the node that serves `request` and sets the migration stall
+  /// it waits out (0 if none); counts stalls and cache traffic in
+  /// `result`.
+  std::size_t route_request(const TraceRequest& request,
+                            double& extra_latency, TraceServeResult& result);
   void maybe_reallocate(const sim::WindowStats& window, double now,
                         TraceServeResult& result);
   void update_migration_state(double now);
@@ -299,9 +325,11 @@ class TraceServer {
   std::unique_ptr<fs::FragmentMap> initial_;
   std::unique_ptr<fs::FragmentMap> layout_;
   std::vector<double> solved_shares_;  ///< node shares of the last solve
-  /// kOnline: requests per record in the current estimation window. A
-  /// window holds at most estimation_epochs × epoch_requests requests,
-  /// which the constructor checks fits in 32 bits.
+  /// kOnline: requests per record in the current estimation window,
+  /// counted by the routing thread and read and zeroed by the re-solve
+  /// while routing waits. A window holds at most estimation_epochs ×
+  /// epoch_requests requests, which the constructor checks fits in 32
+  /// bits.
   std::vector<std::uint32_t> window_counts_;
   std::size_t windows_since_realloc_ = 0;
 
@@ -312,7 +340,8 @@ class TraceServer {
   /// through runtime::add_task_metric: the drift test and parameter
   /// estimation, the re-solve (allocator run, popularity split, migration
   /// plan and waves), and update_migration_state. Each second is counted
-  /// in one phase.
+  /// in one phase. The routing thread times update_migration_state and
+  /// the engine thread the re-solve, which the routing thread waits for.
   struct PhaseSeconds {
     double estimate = 0.0;
     double resolve = 0.0;

@@ -385,25 +385,28 @@ struct LruPin {
   std::uint64_t comm_sum_bits;
 };
 
-TraceServeResult serve_lru_pin(const LruPin& pin) {
+TraceServeResult serve_lru_pin(const LruPin& pin, std::size_t epoch_requests,
+                               std::size_t requests) {
   const fap::net::Topology ring = fap::net::make_ring(pin.nodes);
   TraceWorkload workload = small_workload();
   workload.records = pin.records;
   workload.total_rate = 0.6 * static_cast<double>(pin.nodes);
   workload.update_fraction = 0.2;
+  workload.epoch_requests = epoch_requests;
   TraceServeOptions options;
   options.mode = ServeMode::kLru;
   options.cache_fraction = pin.cache_fraction;
-  return TraceServer(ring, workload, options).serve(40000);
+  return TraceServer(ring, workload, options).serve(requests);
 }
 
-void expect_lru_pin(const LruPin& pin) {
-  const TraceServeResult result = serve_lru_pin(pin);
+void expect_lru_pin(const LruPin& pin, std::size_t epoch_requests = 4096,
+                    std::size_t requests = 40000) {
+  const TraceServeResult result = serve_lru_pin(pin, epoch_requests, requests);
   EXPECT_EQ(result.cache_hits, pin.hits);
   EXPECT_EQ(result.cache_misses, pin.misses);
   EXPECT_EQ(result.cache_invalidations, pin.invalidations);
   EXPECT_EQ(result.served_at_origin, pin.served_at_origin);
-  EXPECT_EQ(result.completions, 40000u);
+  EXPECT_EQ(result.completions, requests);
   EXPECT_EQ(result.failed, 0u);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(result.delay_hist.quantile(0.5)),
             pin.p50_bits);
@@ -480,6 +483,45 @@ TEST(TraceServer, OnlineGoldenPinWithStalls) {
                             0x40ccccb9a64c20bfULL, 0x40fd472000000003ULL});
 }
 
+// Golden pins over many epoch handoffs between routing and the engine:
+// 1,024-request epochs, about a hundred per run (the pins above hand over
+// at most about thirty). The online pin closes an estimation window — a
+// drift test and possibly a re-solve that moves the routing state — after
+// every epoch, under drift, a flash crowd and a migration slow enough
+// that reads stall, on a 16-node ring.
+TEST(TraceServer, OnlineGoldenPinWindowEveryEpoch) {
+  const fap::net::Topology ring = fap::net::make_ring(16);
+  TraceWorkload workload = small_workload();
+  workload.records = 4000;
+  workload.total_rate = 9.6;  // 60% of 16 nodes at mu = 1
+  workload.epoch_requests = 1024;
+  workload.drift_rate = 0.05;
+  workload.update_fraction = 0.15;
+  workload.flash_crowds.push_back({3000.0, 6000.0, 2000, 2200, 10.0});
+  TraceServeOptions options;
+  options.mode = ServeMode::kOnline;
+  options.estimation_epochs = 1;
+  options.hysteresis = 0.1;
+  options.cooldown_windows = 0;
+  options.migration_bandwidth = 200.0;
+  const TraceServeResult result = TraceServer(ring, workload, options)
+                                      .serve(100000);
+  EXPECT_EQ(result.reallocations, 96u);
+  EXPECT_EQ(result.suppressed_reallocations, 1u);
+  EXPECT_EQ(result.migrated_records, 264227u);
+  EXPECT_EQ(result.migration_waves, 255u);
+  EXPECT_EQ(result.stalled_requests, 5177u);
+  expect_serve_pin(result, {6242, 100000, 0x4018dc7fcdec5927ULL,
+                            0x408058ba1261b2a0ULL, 0x411861f400000005ULL});
+}
+
+TEST(TraceServer, LruGoldenPinShortEpochs) {
+  expect_lru_pin({16, 4000, 0.05, 10241, 64617, 41458, 16440,
+                  0x3ffc04e9d239783eULL, 0x40272171dee6e4ecULL,
+                  0x4115c10ffffffffdULL},
+                 1024, 100000);
+}
+
 TEST(TraceServer, StaticGoldenPinWithHopLatency) {
   const fap::net::Topology ring = fap::net::make_ring(4);
   TraceServeOptions options;
@@ -491,9 +533,9 @@ TEST(TraceServer, StaticGoldenPinWithHopLatency) {
                             0x40278f552ac1ee51ULL, 0x40e387c000000013ULL});
 }
 
-// serve() reports its counters through runtime::add_task_metric, so a
-// metered sweep task's JSONL record carries them under the benchmark's
-// per-layer names.
+// serve() reports its counters and stage seconds through
+// runtime::add_task_metric from the calling thread, so a metered sweep
+// task's JSONL record carries them under the benchmark's per-layer names.
 TEST(TraceServer, ReportsCountersToTheSweepMetricsRecord) {
   const fap::net::Topology ring = fap::net::make_ring(4);
   TraceWorkload workload = small_workload();
@@ -558,6 +600,10 @@ TEST(TraceServer, ReportsCountersToTheSweepMetricsRecord) {
       EXPECT_GT(resolve_s, 0.0);
       EXPECT_GE(migration_s, 0.0);
     }
+    // The two stages' seconds: the routing thread always does work, and
+    // the engine thread may wait for it.
+    EXPECT_GT(value_of("serve.route_s"), 0.0);
+    EXPECT_GE(value_of("serve.engine_wait_s"), 0.0);
   }
 }
 
