@@ -7,7 +7,6 @@
 
 #include "bench_common.hpp"
 #include "core/allocator.hpp"
-#include "core/batch_allocator.hpp"
 #include "core/single_file.hpp"
 #include "net/generators.hpp"
 #include "runtime/sweep.hpp"
@@ -46,26 +45,22 @@ int main(int argc, char** argv) {
     return core::ResourceDirectedAllocator(model, options).run(start);
   };
 
-  // Empirically fastest fixed α via grid search. The 60 probes are
-  // independent runs on the same model, so they step as one SoA batch —
+  // Empirically fastest fixed α via grid search. The 60 probes run
   // trace-free, which does not perturb the score (iteration counts are
-  // unaffected by tracing); the winning α is re-run serially with its
-  // trace for the table below.
+  // unaffected by tracing); the winning α is re-run with its trace for
+  // the table below.
   const std::vector<double> grid_alphas = util::grid_points(0.02, 1.2, 60);
   std::vector<double> grid_scores;
-  {
-    core::BatchAllocator batch;
-    for (const double alpha : grid_alphas) {
-      core::AllocatorOptions options;
-      options.alpha = alpha;
-      options.epsilon = epsilon;
-      options.max_iterations = 20000;
-      batch.submit(model, options, start);
-    }
-    for (const core::BatchRunResult& result : batch.run_all()) {
-      grid_scores.push_back(
-          result.converged ? static_cast<double>(result.iterations) : 1e9);
-    }
+  grid_scores.reserve(grid_alphas.size());
+  for (const double alpha : grid_alphas) {
+    core::AllocatorOptions options;
+    options.alpha = alpha;
+    options.epsilon = epsilon;
+    options.max_iterations = 20000;
+    const core::AllocationResult result =
+        core::ResourceDirectedAllocator(model, options).run(start);
+    grid_scores.push_back(
+        result.converged ? static_cast<double>(result.iterations) : 1e9);
   }
   const util::GridMinimum best_alpha =
       util::grid_select(grid_alphas, grid_scores);

@@ -8,7 +8,6 @@
 
 #include "bench_common.hpp"
 #include "core/allocator.hpp"
-#include "core/batch_allocator.hpp"
 #include "core/multicopy_allocator.hpp"
 #include "core/ring_model.hpp"
 #include "core/single_file.hpp"
@@ -34,27 +33,21 @@ int main(int argc, char** argv) {
       core::ResourceDirectedAllocator(uncapped, options)
           .run({0.8, 0.1, 0.1, 0.0})
           .cost;
-  // Every cap is an independent constrained problem: pack them into one
-  // SoA batch through batch_sweep (order and output independent of
-  // --jobs AND batch width; lanes are bit-identical to serial runs). The
-  // per-cap models copy the ring problem built above (one APSP).
+  // Every cap is an independent constrained problem: one sweep task per
+  // cap (order and output independent of --jobs). The per-cap models copy
+  // the ring problem built above (one APSP).
   const std::vector<double> caps{0.25, 0.2, 0.15, 0.1, 0.05, 0.01};
-  const std::vector<core::BatchRunResult> capped_results =
-      runtime::batch_sweep(
-          caps.size(), core::BatchAllocator::kDefaultWidth,
-          bench::sweep_options("ablation_capacity"),
-          [&](std::size_t first, std::size_t last) {
-            core::BatchAllocator batch;
-            for (std::size_t i = first; i < last; ++i) {
-              core::SingleFileProblem problem = ring;
-              problem.storage_capacity = {caps[i], 1.0, 1.0, 1.0};
-              const core::SingleFileModel model(std::move(problem));
-              batch.submit(model, options, core::uniform_allocation(model));
-            }
-            return batch.run_all();
-          });
+  const std::vector<core::AllocationResult> capped_results = runtime::sweep(
+      caps.size(), bench::sweep_options("ablation_capacity"),
+      [&](std::size_t i, std::uint64_t /*seed*/) {
+        core::SingleFileProblem problem = ring;
+        problem.storage_capacity = {caps[i], 1.0, 1.0, 1.0};
+        const core::SingleFileModel model(std::move(problem));
+        return core::ResourceDirectedAllocator(model, options)
+            .run(core::uniform_allocation(model));
+      });
   for (std::size_t i = 0; i < caps.size(); ++i) {
-    const core::BatchRunResult& result = capped_results[i];
+    const core::AllocationResult& result = capped_results[i];
     sweep.add_row({caps[i], result.x[0], result.x[1], result.cost, base_cost,
                    100.0 * (result.cost / base_cost - 1.0)});
   }

@@ -6,7 +6,6 @@
 
 #include "bench_common.hpp"
 #include "core/allocator.hpp"
-#include "core/batch_allocator.hpp"
 #include "core/newton_allocator.hpp"
 #include "core/single_file.hpp"
 #include "runtime/sweep.hpp"
@@ -51,22 +50,18 @@ int main(int argc, char** argv) {
     scale_models.emplace_back(scaled_problem(scale));
   }
 
-  // The first-order runs are independent gradient descents (one model per
-  // lane — the batch kernel supports heterogeneous lanes), so they step as
-  // one SoA batch, bit-identical to the serial loop they replace.
-  core::BatchAllocator scale_batch;
-  for (std::size_t i = 0; i < scales.size(); ++i) {
-    core::AllocatorOptions first;
-    first.alpha = 0.3;
-    first.epsilon = 1e-3 * scales[i];
-    first.max_iterations = 200000;
-    scale_batch.submit(scale_models[i], first, start);
-  }
-  const std::vector<core::BatchRunResult> scale_first =
-      scale_batch.run_all();
-
-  // The Newton runs have no batched kernel; fan them out through the
-  // runtime instead (order and output independent of --jobs).
+  // Both algorithms' runs are independent, so each set fans out through
+  // the runtime (order and output independent of --jobs).
+  const std::vector<core::AllocationResult> scale_first = runtime::sweep(
+      scales.size(), bench::sweep_options("ablation_newton"),
+      [&](std::size_t i, std::uint64_t /*seed*/) {
+        core::AllocatorOptions first;
+        first.alpha = 0.3;
+        first.epsilon = 1e-3 * scales[i];
+        first.max_iterations = 200000;
+        return core::ResourceDirectedAllocator(scale_models[i], first)
+            .run(start);
+      });
   const std::vector<core::AllocationResult> scale_second = runtime::sweep(
       scales.size(), bench::sweep_options("ablation_newton"),
       [&](std::size_t i, std::uint64_t /*seed*/) {
@@ -98,17 +93,15 @@ int main(int argc, char** argv) {
   const core::SingleFileModel model(core::make_paper_ring_problem());
   const std::vector<double> alphas{0.05, 0.1, 0.3, 0.5, 0.8, 1.0};
 
-  core::BatchAllocator alpha_batch;
-  for (const double alpha : alphas) {
-    core::AllocatorOptions first;
-    first.alpha = alpha;
-    first.epsilon = 1e-3;
-    first.max_iterations = 50000;
-    alpha_batch.submit(model, first, start);
-  }
-  const std::vector<core::BatchRunResult> alpha_first =
-      alpha_batch.run_all();
-
+  const std::vector<core::AllocationResult> alpha_first = runtime::sweep(
+      alphas.size(), bench::sweep_options("ablation_newton"),
+      [&](std::size_t i, std::uint64_t /*seed*/) {
+        core::AllocatorOptions first;
+        first.alpha = alphas[i];
+        first.epsilon = 1e-3;
+        first.max_iterations = 50000;
+        return core::ResourceDirectedAllocator(model, first).run(start);
+      });
   const std::vector<core::AllocationResult> alpha_second = runtime::sweep(
       alphas.size(), bench::sweep_options("ablation_newton"),
       [&](std::size_t i, std::uint64_t /*seed*/) {

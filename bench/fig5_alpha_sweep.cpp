@@ -6,14 +6,13 @@
 // convergence speeds".
 //
 // The 45 α points are independent allocator runs on the same model, so
-// they go through runtime::batch_sweep + core::BatchAllocator: the whole
-// sweep steps in SoA lockstep (bit-identical to the serial allocator),
-// `--jobs N` distributes whole batches, and every batch submits the one
-// model built before the sweep (one APSP for the whole sweep).
+// they go through runtime::sweep, one task per α: `--jobs N` distributes
+// them, and every task runs the one model built before the sweep (one
+// APSP for the whole sweep).
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/batch_allocator.hpp"
+#include "core/allocator.hpp"
 #include "core/single_file.hpp"
 #include "runtime/sweep.hpp"
 #include "util/table.hpp"
@@ -32,19 +31,14 @@ int main(int argc, char** argv) {
   }
 
   const core::SingleFileModel ring(core::make_paper_ring_problem());
-  const std::vector<core::BatchRunResult> results = runtime::batch_sweep(
-      alphas.size(), core::BatchAllocator::kDefaultWidth,
-      bench::sweep_options("fig5_alpha_sweep"),
-      [&](std::size_t first, std::size_t last) {
-        core::BatchAllocator batch;
-        for (std::size_t i = first; i < last; ++i) {
-          core::AllocatorOptions options;
-          options.alpha = alphas[i];
-          options.epsilon = 1e-3;
-          options.max_iterations = 20000;
-          batch.submit(ring, options, start);
-        }
-        return batch.run_all();
+  const std::vector<core::AllocationResult> results = runtime::sweep(
+      alphas.size(), bench::sweep_options("fig5_alpha_sweep"),
+      [&](std::size_t i, std::uint64_t /*seed*/) {
+        core::AllocatorOptions options;
+        options.alpha = alphas[i];
+        options.epsilon = 1e-3;
+        options.max_iterations = 20000;
+        return core::ResourceDirectedAllocator(ring, options).run(start);
       });
 
   util::Table table({"alpha", "iterations", "converged", "final cost"}, 4);
@@ -52,7 +46,7 @@ int main(int argc, char** argv) {
   std::size_t best_iterations = static_cast<std::size_t>(-1);
   double best_alpha = 0.0;
   for (std::size_t i = 0; i < alphas.size(); ++i) {
-    const core::BatchRunResult& result = results[i];
+    const core::AllocationResult& result = results[i];
     table.add_row({alphas[i], static_cast<long long>(result.iterations),
                    static_cast<long long>(result.converged ? 1 : 0),
                    result.cost});

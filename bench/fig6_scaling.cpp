@@ -20,9 +20,8 @@
 // Each N is an independent problem (its own topology, model and α grid
 // search), so the sweep runs through runtime::sweep: `--jobs 8` fills
 // eight cores and prints byte-identical output to `--jobs 1`. Within a
-// point, the α grid search is ONE core::BatchAllocator batch (every α a
-// lane, bit-identical to serial runs), and the winning lane's result is
-// reused for the reported row instead of a re-run.
+// point, the α grid search is a loop of serial allocator runs, and the
+// winning run's result is reported instead of a re-run.
 #include <algorithm>
 #include <iostream>
 #include <memory>
@@ -31,7 +30,6 @@
 
 #include "bench_common.hpp"
 #include "core/allocator.hpp"
-#include "core/batch_allocator.hpp"
 #include "core/single_file.hpp"
 #include "net/cost_provider.hpp"
 #include "net/generators.hpp"
@@ -135,30 +133,27 @@ ScalingPoint measure_scaling_point(const fap::core::SingleFileModel& model,
   start[2] = 0.1;
 
   // Best α per N via a grid search (the paper: "using the best possible
-  // α"), run as one SoA batch: one lane per α candidate. A lane that
-  // fails to converge gets a large penalty, keeping the search away from
-  // divergent settings. grid_select keeps the first of tied scores, so
-  // the chosen α is the one a serial scan would pick — and its lane's
-  // result IS the serial rerun's result (bit-identical), so the reported
-  // row reuses it directly.
+  // α"): one run per α candidate. A run that fails to converge gets a
+  // large penalty, keeping the search away from divergent settings.
+  // grid_select keeps the first of tied scores, and the chosen run's
+  // result is the reported row.
   const std::vector<double> alphas = util::grid_points(0.05, 1.2, alpha_points);
-  core::BatchAllocator batch;
+  std::vector<core::AllocationResult> runs;
+  runs.reserve(alphas.size());
+  std::vector<double> scores;
+  scores.reserve(alphas.size());
   for (const double alpha : alphas) {
     core::AllocatorOptions options;
     options.alpha = alpha;
     options.epsilon = 1e-3;
     options.max_iterations = 20000;
-    batch.submit(model, options, start);
-  }
-  const std::vector<core::BatchRunResult> runs = batch.run_all();
-  std::vector<double> scores;
-  scores.reserve(runs.size());
-  for (const core::BatchRunResult& run : runs) {
-    scores.push_back(run.converged ? static_cast<double>(run.iterations)
-                                   : 1e9);
+    runs.push_back(core::ResourceDirectedAllocator(model, options).run(start));
+    scores.push_back(runs.back().converged
+                         ? static_cast<double>(runs.back().iterations)
+                         : 1e9);
   }
   const util::GridMinimum best = util::grid_select(alphas, scores);
-  const core::BatchRunResult& chosen = runs[best.index];
+  const core::AllocationResult& chosen = runs[best.index];
   return {n, best.x, chosen.iterations, chosen.cost};
 }
 
@@ -166,9 +161,8 @@ ScalingPoint measure_scaling_point(const fap::core::SingleFileModel& model,
 
 int main(int argc, char** argv) {
   // The paper's figure stops at N = 20; --max-n extends the sweep so the
-  // flatness claim (and the optimized kernels) can be exercised at larger
-  // networks, e.g. --max-n 256 (complete) or --topology geo-tiers
-  // --provider implicit --max-n 10000.
+  // flatness claim can be exercised at larger networks, e.g. --max-n 256
+  // (complete) or --topology geo-tiers --provider implicit --max-n 10000.
   std::uint64_t max_nodes = 20;
   std::uint64_t alpha_points = 47;
   std::uint64_t row_cache = fap::net::RowCostProvider::kDefaultCapacity;

@@ -4,15 +4,12 @@
 // algorithm can run "in the background" (Section 5.3).
 #include <benchmark/benchmark.h>
 
-#include <limits>
 #include <map>
 
 #include "baselines/branch_and_bound.hpp"
 #include "catalog/catalog_solver.hpp"
 #include "catalog/catalog_spec.hpp"
 #include "core/allocator.hpp"
-#include "core/batch_allocator.hpp"
-#include "core/batch_kernels.hpp"
 #include "core/simd_dispatch.hpp"
 #include "core/ring_model.hpp"
 #include "core/single_file.hpp"
@@ -142,29 +139,28 @@ void BM_ActiveSetPointMass(benchmark::State& state) {
 }
 BENCHMARK(BM_ActiveSetPointMass)->Arg(10)->Arg(100);
 
-// One instance family shared by the batch-vs-serial comparison below:
-// lane k descends the n = 16 complete-graph model from a lane-specific
-// interior start with a lane-specific step size. epsilon is unattainably
-// small, so every lane runs to the 100-iteration cap and items processed
-// is exactly lanes * 100 instance-steps on both paths — items/sec is
-// directly comparable across BM_BatchAllocatorStep and
-// BM_SerialAllocatorStep at the same lane count.
+// The serial allocator on many independent instances, as the sweep
+// benches run it: instance k descends the n = 16 complete-graph model
+// from its own interior start with its own step size. epsilon is
+// unattainably small, so every run reaches the 100-iteration cap and
+// items processed is exactly instances * 100 instance-steps.
 constexpr std::size_t kStepBenchIterations = 100;
 constexpr std::size_t kStepBenchNodes = 16;
 
-core::AllocatorOptions step_bench_options(std::size_t lane) {
+core::AllocatorOptions step_bench_options(std::size_t instance) {
   core::AllocatorOptions options;
-  options.alpha = 0.01 + 0.0002 * static_cast<double>(lane % 50);
+  options.alpha = 0.01 + 0.0002 * static_cast<double>(instance % 50);
   options.epsilon = 1e-300;
   options.max_iterations = kStepBenchIterations;
   return options;
 }
 
-std::vector<double> step_bench_start(std::size_t lane) {
+std::vector<double> step_bench_start(std::size_t instance) {
   std::vector<double> x(kStepBenchNodes);
   double total = 0.0;
   for (std::size_t i = 0; i < kStepBenchNodes; ++i) {
-    x[i] = 1.0 + 0.0125 * static_cast<double>((i * 7 + lane) % kStepBenchNodes);
+    x[i] = 1.0 + 0.0125 * static_cast<double>((i * 7 + instance) %
+                                              kStepBenchNodes);
     total += x[i];
   }
   for (double& v : x) {
@@ -173,148 +169,23 @@ std::vector<double> step_bench_start(std::size_t lane) {
   return x;
 }
 
-// The SoA lockstep kernel: submit `lanes` instances, run them to the
-// iteration cap as one batch. Construction and submission copies sit
-// inside the timing loop — they are part of the price of batching and are
-// amortized over lanes * 100 steps, exactly as in the sweep pipeline.
-void BM_BatchAllocatorStep(benchmark::State& state) {
-  const auto lanes = static_cast<std::size_t>(state.range(0));
-  const core::SingleFileModel& model = cached_model(kStepBenchNodes);
-  for (auto _ : state) {
-    core::BatchAllocator batch(lanes);
-    for (std::size_t k = 0; k < lanes; ++k) {
-      batch.submit(model, step_bench_options(k), step_bench_start(k));
-    }
-    benchmark::DoNotOptimize(batch.run_all());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(lanes) *
-                          static_cast<int64_t>(kStepBenchIterations));
-}
-BENCHMARK(BM_BatchAllocatorStep)->Arg(8)->Arg(64)->Arg(256);
-
-// The serial mirror: the same instances, one ResourceDirectedAllocator
-// run() each (run() is the production serial path — an in-place
-// step_into loop). Compare items/sec against BM_BatchAllocatorStep at
-// equal lane count for the aggregate speedup of batching.
+// One ResourceDirectedAllocator run() per instance (run() is the
+// production serial path — an in-place step_into loop).
 void BM_SerialAllocatorStep(benchmark::State& state) {
-  const auto lanes = static_cast<std::size_t>(state.range(0));
+  const auto instances = static_cast<std::size_t>(state.range(0));
   const core::SingleFileModel& model = cached_model(kStepBenchNodes);
   for (auto _ : state) {
-    for (std::size_t k = 0; k < lanes; ++k) {
+    for (std::size_t k = 0; k < instances; ++k) {
       const core::ResourceDirectedAllocator allocator(model,
                                                       step_bench_options(k));
       benchmark::DoNotOptimize(allocator.run(step_bench_start(k)));
     }
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(lanes) *
+                          static_cast<int64_t>(instances) *
                           static_cast<int64_t>(kStepBenchIterations));
 }
 BENCHMARK(BM_SerialAllocatorStep)->Arg(8)->Arg(64)->Arg(256);
-
-// --- Isolated kernel benchmarks: the dense SoA passes without the
-// lockstep driver around them, so kernel-level regressions (or SIMD
-// wins) are visible separately from submit/retire bookkeeping. The
-// synthetic plane mirrors the BM_BatchAllocatorStep population: n = 16
-// single-server rows, per-lane step sizes, fixed step rule.
-core::detail::BatchSoA make_kernel_bench_soa(std::size_t lanes) {
-  core::detail::BatchSoA soa;
-  const std::size_t stride = core::detail::round_up_stride(lanes);
-  soa.stride = stride;
-  soa.live = lanes;
-  soa.node_cap = kStepBenchNodes;
-  soa.n_min = kStepBenchNodes;
-  soa.n_max = kStepBenchNodes;
-  soa.any_dyn = false;
-  const std::size_t cells = kStepBenchNodes * stride;
-  soa.x.assign(cells, 0.0);
-  soa.xn.assign(cells, 0.0);
-  soa.du.assign(cells, 0.0);
-  soa.d2c.assign(cells, 0.0);
-  soa.c.assign(cells, 0.0);
-  soa.mu.assign(cells, 1.0);
-  soa.imu.assign(cells, 1.0);
-  soa.cap.assign(cells, std::numeric_limits<double>::infinity());
-  for (util::AlignedVector* v :
-       {&soa.lane_tr, &soa.lane_k, &soa.lane_scv, &soa.lane_rho,
-        &soa.lane_nd, &soa.lane_dynd, &soa.lane_alpha_opt,
-        &soa.sum_full, &soa.avg_full, &soa.alpha, &soa.lo, &soa.hi,
-        &soa.theta}) {
-    v->assign(stride, 0.0);
-  }
-  soa.pinc.assign(stride, 0u);
-  soa.viol.assign(stride, 0u);
-  for (std::size_t k = 0; k < lanes; ++k) {
-    const std::vector<double> start = step_bench_start(k);
-    for (std::size_t j = 0; j < kStepBenchNodes; ++j) {
-      soa.x[j * stride + k] = start[j];
-      soa.c[j * stride + k] = 0.5 + 0.1 * static_cast<double>(j % 5);
-      soa.mu[j * stride + k] = 1.5;
-      soa.imu[j * stride + k] = 1.0 / 1.5;
-    }
-    soa.lane_tr[k] = 1.0;
-    soa.lane_k[k] = 1.0;
-    soa.lane_scv[k] = 1.0;
-    soa.lane_rho[k] = 1.0;
-    soa.lane_nd[k] = static_cast<double>(kStepBenchNodes);
-    soa.lane_alpha_opt[k] = step_bench_options(k).alpha;
-  }
-  return soa;
-}
-
-// One delay-law + marginal-utility row sweep (the division-heavy pass).
-// items = lane-cells evaluated.
-void kernel_gradient_bench(benchmark::State& state,
-                           const core::detail::BatchKernels& kernels) {
-  const auto lanes = static_cast<std::size_t>(state.range(0));
-  core::detail::BatchSoA soa = make_kernel_bench_soa(lanes);
-  for (auto _ : state) {
-    kernels.derivative_rows(soa, /*with_second=*/false);
-    benchmark::DoNotOptimize(soa.du.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(lanes) *
-                          static_cast<int64_t>(kStepBenchNodes));
-}
-
-// The census + θ + clamp-apply passes (the step's boundary logic).
-// items = lane-steps applied.
-void kernel_step_bench(benchmark::State& state,
-                       const core::detail::BatchKernels& kernels) {
-  const auto lanes = static_cast<std::size_t>(state.range(0));
-  core::detail::BatchSoA soa = make_kernel_bench_soa(lanes);
-  kernels.derivative_rows(soa, /*with_second=*/false);
-  kernels.lane_sums(soa);
-  kernels.step_sizes(soa);
-  for (auto _ : state) {
-    kernels.census_theta(soa);
-    kernels.apply_step(soa);
-    benchmark::DoNotOptimize(soa.xn.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(lanes));
-}
-
-void BM_BatchKernelGradient(benchmark::State& state) {
-  kernel_gradient_bench(state, core::detail::select_batch_kernels());
-}
-BENCHMARK(BM_BatchKernelGradient)->Arg(64)->Arg(256);
-
-void BM_BatchKernelGradientScalar(benchmark::State& state) {
-  kernel_gradient_bench(state, core::detail::scalar_batch_kernels());
-}
-BENCHMARK(BM_BatchKernelGradientScalar)->Arg(64)->Arg(256);
-
-void BM_BatchKernelStep(benchmark::State& state) {
-  kernel_step_bench(state, core::detail::select_batch_kernels());
-}
-BENCHMARK(BM_BatchKernelStep)->Arg(64)->Arg(256);
-
-void BM_BatchKernelStepScalar(benchmark::State& state) {
-  kernel_step_bench(state, core::detail::scalar_batch_kernels());
-}
-BENCHMARK(BM_BatchKernelStepScalar)->Arg(64)->Arg(256);
 
 void BM_FullConvergence(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -659,7 +530,7 @@ BENCHMARK(BM_CatalogSolve)
 }  // namespace
 
 // Expanded BENCHMARK_MAIN() so the JSON context records THIS binary's
-// build type and the SIMD level dispatch resolved at startup. The
+// build type and the host's SIMD level (provenance only). The
 // library's own "library_build_type" context field describes how
 // libbenchmark was built (the system package reports "debug"), which is
 // useless for deciding whether a capture is comparable —

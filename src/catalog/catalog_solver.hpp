@@ -8,7 +8,7 @@
 //      sharded across the sweep's worker threads via runtime::batch_sweep.
 //      One pass over an object's nodes assembles those costs, picks its
 //      point-mass start e_s, writes ∂U at e_s and decides the vertex
-//      certificate (DESIGN §4e): a start it proves optimal is the
+//      certificate (DESIGN §4g): a start it proves optimal is the
 //      object's answer, and every other object runs core::SimplexAllocator
 //      on its own rows from that ∂U row, its nonzero fractions appended
 //      straight to the task's CSR slice.
@@ -169,7 +169,7 @@ class CatalogSolver {
   /// access costs C_i^o + v_o p_i to `access` and picks its start node
   /// (object_start()). Given `marginal_u` (n doubles of scratch), it also
   /// writes ∂U at the start there, the bits the inner solve would
-  /// evaluate, and decides the vertex certificate (DESIGN §4e).
+  /// evaluate, and decides the vertex certificate (DESIGN §4g).
   ObjectStart price_object(std::size_t o, const std::vector<double>& prices,
                            double* access, double* marginal_u) const;
 

@@ -1,10 +1,9 @@
 // Shared implementation of the Section 5.2 step's mechanics, factored out
-// of ResourceDirectedAllocator so every other path that runs the
-// iteration executes the *same compiled code*: the batched SoA kernel
-// (core::BatchAllocator) on lanes that hit a boundary, and the per-object
-// solve on an object's own rows (core::SimplexAllocator). Sharing the
-// code is what keeps those paths decision-identical (and therefore
-// bit-identical) to the serial one.
+// of ResourceDirectedAllocator so the other path that runs the iteration,
+// the per-object solve on an object's own rows (core::SimplexAllocator),
+// executes the *same compiled code*. Sharing the code is what keeps that
+// path decision-identical (and therefore bit-identical) to the serial
+// one.
 //
 // The active-set algorithm and its equivalence argument against the
 // literal steps (i)-(v) transcription live with active_set_reference in
@@ -88,15 +87,15 @@ double apply_scaled_step(const std::vector<std::size_t>& active,
 
 /// The delay part of a single-server node's marginal utility at load a,
 /// T(a) + a·T'(a), so ∂U_i = -(C_i + k·marginal_delay(λ x_i, μ_i, ...)).
-/// The lanes' scalar derivative row, the per-object solve and the vertex
-/// certificate's caller all evaluate it here, so all get the same bits.
+/// The per-object solve and the vertex certificate's caller both
+/// evaluate it here, so both get the same bits.
 inline double marginal_delay(double a, double mu, double scv,
                              double rho_max) {
   return queueing::detail::lin_sojourn(a, mu, scv, rho_max) +
          a * queueing::detail::lin_d_sojourn(a, mu, scv, rho_max);
 }
 
-/// The vertex certificate (DESIGN §4e): true only if the procedure's
+/// The vertex certificate (DESIGN §4g): true only if the procedure's
 /// first termination check at the point mass x = e_s — uncapped, one
 /// Σ = 1 group over all n nodes, fixed step α > 0 — is certain to find a
 /// marginal-utility spread below ε over its set A, so the allocator stops

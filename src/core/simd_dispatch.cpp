@@ -1,22 +1,6 @@
 #include "core/simd_dispatch.hpp"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
-#include "core/batch_kernels.hpp"
-#include "util/contracts.hpp"
-
 namespace fap::core {
-
-namespace {
-
-// -1 = no override; otherwise a SimdLevel. Relaxed is enough: the
-// override is a test/bench hook flipped between runs, and every kernel
-// set produces identical results anyway.
-std::atomic<int> g_override{-1};
-
-}  // namespace
 
 const char* simd_level_name(SimdLevel level) noexcept {
   switch (level) {
@@ -28,72 +12,14 @@ const char* simd_level_name(SimdLevel level) noexcept {
   return "scalar";
 }
 
-bool cpu_supports_avx2() noexcept {
+SimdLevel active_simd_level() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") != 0;
+  // CPUID never changes within a process; cache the probe.
+  static const bool avx2 = __builtin_cpu_supports("avx2") != 0;
+  return avx2 ? SimdLevel::kAvx2 : SimdLevel::kScalar;
 #else
-  return false;
+  return SimdLevel::kScalar;
 #endif
 }
-
-bool avx2_kernels_compiled() noexcept {
-#if defined(FAP_HAVE_AVX2_KERNELS)
-  return true;
-#else
-  return false;
-#endif
-}
-
-bool scalar_kernels_forced_by_env() {
-  const char* value = std::getenv("FAP_FORCE_SCALAR_KERNELS");
-  if (value == nullptr || value[0] == '\0') {
-    return false;
-  }
-  return std::strcmp(value, "0") != 0;
-}
-
-SimdLevel active_simd_level() {
-  const int forced = g_override.load(std::memory_order_relaxed);
-  if (forced >= 0) {
-    return static_cast<SimdLevel>(forced);
-  }
-  if (scalar_kernels_forced_by_env()) {
-    return SimdLevel::kScalar;
-  }
-  // CPUID and the compile-time answer never change within a process;
-  // cache the probe.
-  static const bool avx2_ok = avx2_kernels_compiled() && cpu_supports_avx2();
-  return avx2_ok ? SimdLevel::kAvx2 : SimdLevel::kScalar;
-}
-
-void force_simd_level(SimdLevel level) {
-  FAP_EXPECTS(level == SimdLevel::kScalar ||
-                  (avx2_kernels_compiled() && cpu_supports_avx2()),
-              "cannot force the AVX2 kernels: not compiled in or the CPU "
-              "lacks AVX2");
-  g_override.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-void clear_simd_override() {
-  g_override.store(-1, std::memory_order_relaxed);
-}
-
-namespace detail {
-
-const BatchKernels& select_batch_kernels() {
-  switch (active_simd_level()) {
-    case SimdLevel::kAvx2:
-#if defined(FAP_HAVE_AVX2_KERNELS)
-      return avx2_batch_kernels();
-#else
-      break;
-#endif
-    case SimdLevel::kScalar:
-      break;
-  }
-  return scalar_batch_kernels();
-}
-
-}  // namespace detail
 
 }  // namespace fap::core

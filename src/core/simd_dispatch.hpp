@@ -1,55 +1,24 @@
-// Runtime SIMD dispatch for the batched allocator kernels.
+// The SIMD level of the running CPU, as provenance.
 //
-// The AVX2 kernel TU (core/batch_kernels_avx2.cpp) is compiled with
-// -mavx2 while the rest of the library stays baseline x86-64, so the
-// binary always RUNS everywhere; whether the vector kernels are ENTERED
-// is decided here at runtime:
-//
-//   1. a programmatic override (force_simd_level) — test/bench hook;
-//   2. the FAP_FORCE_SCALAR_KERNELS environment variable (set and not
-//      "0"/"" forces the scalar kernels — the CI lever that makes an
-//      AVX2 machine behave like a non-AVX2 one);
-//   3. CPUID: AVX2 support detected via __builtin_cpu_supports;
-//   4. whether the AVX2 TU was compiled in at all (non-x86 builds, or a
-//      compiler without -mavx2, fall back to scalar silently).
-//
-// Both kernel sets produce bitwise-identical results (the equivalence is
-// pinned by core_batch_allocator_test), so dispatch is a pure speed
-// decision and can never change observable output.
+// perfbench's provenance line and micro_perf's `fap_simd_level` context
+// field record which vector extension the host offers, so a capture says
+// what it ran on. Nothing in the library dispatches on the value: every
+// code path is the same portable scalar code on every host, compiled
+// with -ffp-contract=off (src/CMakeLists.txt), so the level can never
+// change an output.
 #pragma once
 
 namespace fap::core {
 
 enum class SimdLevel {
-  kScalar,  ///< portable scalar/autovectorized kernels (always available)
-  kAvx2,    ///< hand-vectorized AVX2 kernels (x86-64 with AVX2 only)
+  kScalar,  ///< no AVX2 (or a non-x86 build)
+  kAvx2,    ///< x86-64 with AVX2
 };
 
 /// Human-readable name ("scalar" / "avx2") for logs and bench context.
 const char* simd_level_name(SimdLevel level) noexcept;
 
-/// True when the running CPU reports AVX2 (false on non-x86 builds).
-bool cpu_supports_avx2() noexcept;
-
-/// True when the AVX2 kernel TU was compiled into this binary.
-bool avx2_kernels_compiled() noexcept;
-
-/// Re-reads FAP_FORCE_SCALAR_KERNELS from the environment: set to
-/// anything but "" or "0" means the scalar kernels are forced.
-bool scalar_kernels_forced_by_env();
-
-/// The level batch kernels will dispatch to right now: programmatic
-/// override if set, else env override, else the best compiled-in level
-/// the CPU supports.
-SimdLevel active_simd_level();
-
-/// Test/bench hook: pin dispatch to `level` until clear_simd_override().
-/// Throws PreconditionError when asked for kAvx2 on a machine (or build)
-/// without it — a forced level must be honorable, never silently
-/// downgraded.
-void force_simd_level(SimdLevel level);
-
-/// Remove a force_simd_level pin; dispatch returns to env/CPUID.
-void clear_simd_override();
+/// The running CPU's level: a CPUID probe, cached on first use.
+SimdLevel active_simd_level() noexcept;
 
 }  // namespace fap::core

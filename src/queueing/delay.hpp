@@ -25,11 +25,11 @@ namespace detail {
 
 // Single-server Pollaczek–Khinchine primitives. These inline expressions
 // are the ONE definition of the single-server delay law: the scalar
-// DelayModel entry points, the core::BatchAllocator derivative rows and
+// DelayModel entry points and core::detail::marginal_delay, which
 // core::SimplexAllocator's per-node re-evaluations (the catalog's inner
-// solves) all evaluate exactly these operation sequences, which is what
-// makes those paths bit-identical to the scalar ones (pinned by
-// queueing_batch_test).
+// solves) and the catalog's vertex certificate call, all evaluate exactly
+// these operation sequences, which is what makes those paths
+// bit-identical to the scalar ones (pinned by queueing_batch_test).
 inline double pk_sojourn(double a, double mu, double scv) {
   return 1.0 / mu + a * (1.0 + scv) / (2.0 * mu * (mu - a));
 }
@@ -45,7 +45,7 @@ inline double pk_d2_sojourn(double a, double mu, double scv) {
 }
 
 // Knee-clamped (tangent-extended) single-server evaluations, written
-// branch-free so batch loops over lanes auto-vectorize:
+// branch-free:
 //   ae = min(a, knee),  T(a) = T_pure(ae) + T_pure'(ae) · (a - ae).
 // For a < knee the correction term is exactly +0.0 and T_pure(ae) > 0, so
 // adding it reproduces the pure value bit-for-bit; for a >= knee this is

@@ -115,15 +115,15 @@ auto sweep(std::size_t count, const SweepOptions& options, Fn&& fn)
 /// Batch-submission sweep: splits items [0, count) into contiguous
 /// batches of at most `width` and runs each batch as ONE sweep task (so
 /// --jobs distributes whole batches and --metrics gets one record per
-/// batch, automatically carrying a "batch_size" value). Designed for
-/// core::BatchAllocator, whose lanes a batch fills: `run(first, last)`
-/// solves items [first, last) and returns their results in item order,
-/// which batch_sweep concatenates in global item order. Because `run`
-/// must treat items independently, the result is byte-identical across
-/// jobs AND width choices — partitioning cannot be observed. A `run` may
-/// instead return one result for its whole batch (the catalog solves its
-/// objects one by one and returns a CSR slice), and the concatenation is
-/// then in batch order.
+/// batch, automatically carrying a "batch_size" value). Its caller is the
+/// catalog, whose price rounds have far more objects than a sweep has
+/// useful tasks. `run(first, last)` handles items [first, last) and
+/// returns a container that batch_sweep concatenates in batch order: one
+/// result per item, in item order, gives results in global item order;
+/// the catalog returns one result per batch, its CSR slice of the round.
+/// Because `run` must treat items independently, the result is
+/// byte-identical across jobs AND width choices — partitioning cannot be
+/// observed.
 template <typename Run>
 auto batch_sweep(std::size_t count, std::size_t width,
                  const SweepOptions& options, Run&& run)

@@ -436,10 +436,10 @@ TEST(CatalogSolver, WideCatalogCertifiesItsPointMassStarts) {
 // ρ = 0.02 (the hottest ~35 objects' rates lie past that knee), and the
 // pure (ρ_max = 1) M/M/1 law, each under both step rules, plus M/M/c.
 // Each is a small catalog (K = 2,000 over 32 nodes, 30% headroom) solved
-// over 1–16 priced rounds. The digests were recorded when the certificate
-// still ran inside BatchAllocator::submit, and each case's certified
-// count, summed over its rounds, is pinned: none under dynamic α or
-// M/M/c, whose starts all take lanes.
+// over 1–16 priced rounds. The digests date from before the catalog
+// decided the certificate itself, and each case's certified count, summed
+// over its rounds, is pinned: none under dynamic α or M/M/c, whose starts
+// all run their inner solves.
 TEST(CatalogSolver, CertificateFamiliesGoldenPin) {
   using fap::core::StepRule;
   using fap::queueing::DelayModel;
@@ -665,7 +665,7 @@ TEST(CatalogSolver, ValidatesSpecAndOptions) {
   EXPECT_THROW(CatalogSolver(good, options), PreconditionError);
 
   // Invalid inner options fail at construction even when no object would
-  // reach a batch submission: this K = 1 slack catalog's one start, at its
+  // reach an inner solve: this K = 1 slack catalog's one start, at its
   // home with a light delay weight, is certified.
   synth.objects = 1;
   synth.headroom = 4.0;  // every node can hold the whole object
@@ -687,8 +687,8 @@ TEST(CatalogSolver, ValidatesSpecAndOptions) {
   }
 
   // An unreachable node makes the object's priced access cost there
-  // infinite. Such a start is never certified: it is submitted, and the
-  // batch allocator rejects it, so the solve throws.
+  // infinite. Such a start is never certified: its inner solve runs and
+  // rejects it, so the solve throws.
   const std::size_t n = single.node_count();
   fap::net::CostMatrix unreachable(n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -333,13 +333,32 @@ TEST(Allocator, RejectsInvalidOptionsAndInputs) {
   EXPECT_THROW(core::ResourceDirectedAllocator(model, bad),
                PreconditionError);
   bad = core::AllocatorOptions{};
+  bad.alpha = -1.0;
+  EXPECT_THROW(core::ResourceDirectedAllocator(model, bad),
+               PreconditionError);
+  bad = core::AllocatorOptions{};
   bad.epsilon = 0.0;
+  EXPECT_THROW(core::ResourceDirectedAllocator(model, bad),
+               PreconditionError);
+  bad = core::AllocatorOptions{};
+  bad.max_iterations = 0;
   EXPECT_THROW(core::ResourceDirectedAllocator(model, bad),
                PreconditionError);
   const core::ResourceDirectedAllocator allocator(model,
                                                   core::AllocatorOptions{});
   EXPECT_THROW(allocator.run({0.5, 0.5, 0.5, 0.5}), PreconditionError);
   EXPECT_THROW(allocator.run({1.0, 0.0, 0.0}), PreconditionError);
+  EXPECT_THROW(allocator.run({1.25, -0.25, 0.0, 0.0}),
+               PreconditionError);  // negative entry
+
+  // A start over a storage capacity is infeasible even when it sums to 1.
+  core::SingleFileProblem capped = model.problem();
+  capped.storage_capacity.assign(4, 0.5);
+  const core::SingleFileModel capped_model(std::move(capped));
+  const core::ResourceDirectedAllocator capped_allocator(
+      capped_model, core::AllocatorOptions{});
+  EXPECT_THROW(capped_allocator.run({0.9, 0.1, 0.0, 0.0}), PreconditionError);
+  EXPECT_NO_THROW(capped_allocator.run({0.5, 0.5, 0.0, 0.0}));
 }
 
 TEST(Allocator, ActiveSetExcludesOnlyBoundaryNodes) {

@@ -1,120 +1,26 @@
-// Runtime SIMD dispatch policy: override > FAP_FORCE_SCALAR_KERNELS env
-// > CPUID/compile-time. The env override is the CI lever that makes an
-// AVX2 machine exercise the scalar kernels, so its exact semantics (set
-// and not "" / "0" forces scalar) are pinned here.
+// The SIMD level probe that perfbench and micro_perf record as
+// provenance: its names, and its agreement with the CPU it runs on.
 #include "core/simd_dispatch.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <string>
-
-#include "util/contracts.hpp"
-
 namespace {
 
 using fap::core::SimdLevel;
-
-// setenv/unsetenv scope guard: restores the variable's previous state.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) {
-      old_ = old;
-    }
-    if (value != nullptr) {
-      ::setenv(name, value, /*overwrite=*/1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
-
-class ScopedOverrideClear {
- public:
-  ~ScopedOverrideClear() { fap::core::clear_simd_override(); }
-};
 
 TEST(SimdDispatch, LevelNames) {
   EXPECT_STREQ(fap::core::simd_level_name(SimdLevel::kScalar), "scalar");
   EXPECT_STREQ(fap::core::simd_level_name(SimdLevel::kAvx2), "avx2");
 }
 
-TEST(SimdDispatch, EnvVariableForcesScalar) {
-  ScopedEnv env("FAP_FORCE_SCALAR_KERNELS", "1");
-  EXPECT_TRUE(fap::core::scalar_kernels_forced_by_env());
-  EXPECT_EQ(fap::core::active_simd_level(), SimdLevel::kScalar);
-}
-
-TEST(SimdDispatch, EnvVariableAnyNonZeroValueForcesScalar) {
-  ScopedEnv env("FAP_FORCE_SCALAR_KERNELS", "yes");
-  EXPECT_TRUE(fap::core::scalar_kernels_forced_by_env());
-  EXPECT_EQ(fap::core::active_simd_level(), SimdLevel::kScalar);
-}
-
-TEST(SimdDispatch, EnvVariableZeroOrEmptyDoesNotForce) {
-  {
-    ScopedEnv env("FAP_FORCE_SCALAR_KERNELS", "0");
-    EXPECT_FALSE(fap::core::scalar_kernels_forced_by_env());
-  }
-  {
-    ScopedEnv env("FAP_FORCE_SCALAR_KERNELS", "");
-    EXPECT_FALSE(fap::core::scalar_kernels_forced_by_env());
-  }
-  {
-    ScopedEnv env("FAP_FORCE_SCALAR_KERNELS", nullptr);
-    EXPECT_FALSE(fap::core::scalar_kernels_forced_by_env());
-  }
-}
-
 TEST(SimdDispatch, DefaultLevelMatchesHardware) {
-  ScopedEnv env("FAP_FORCE_SCALAR_KERNELS", nullptr);
-  const bool avx2_ok =
-      fap::core::avx2_kernels_compiled() && fap::core::cpu_supports_avx2();
+#if defined(__x86_64__) || defined(__i386__)
+  const bool avx2 = __builtin_cpu_supports("avx2") != 0;
+#else
+  const bool avx2 = false;
+#endif
   EXPECT_EQ(fap::core::active_simd_level(),
-            avx2_ok ? SimdLevel::kAvx2 : SimdLevel::kScalar);
-}
-
-TEST(SimdDispatch, ProgrammaticOverrideBeatsEnv) {
-  ScopedEnv env("FAP_FORCE_SCALAR_KERNELS", nullptr);
-  ScopedOverrideClear restore;
-  fap::core::force_simd_level(SimdLevel::kScalar);
-  EXPECT_EQ(fap::core::active_simd_level(), SimdLevel::kScalar);
-  if (fap::core::avx2_kernels_compiled() && fap::core::cpu_supports_avx2()) {
-    // The programmatic pin outranks the env lever in BOTH directions —
-    // tests that force AVX2 must win over an inherited CI environment.
-    ScopedEnv force_env("FAP_FORCE_SCALAR_KERNELS", "1");
-    fap::core::force_simd_level(SimdLevel::kAvx2);
-    EXPECT_EQ(fap::core::active_simd_level(), SimdLevel::kAvx2);
-  }
-  fap::core::clear_simd_override();
-  ScopedEnv env2("FAP_FORCE_SCALAR_KERNELS", "1");
-  EXPECT_EQ(fap::core::active_simd_level(), SimdLevel::kScalar);
-}
-
-TEST(SimdDispatch, ForcingUnavailableAvx2Throws) {
-  if (fap::core::avx2_kernels_compiled() && fap::core::cpu_supports_avx2()) {
-    GTEST_SKIP() << "AVX2 available here; the refusal path is unreachable";
-  }
-  ScopedOverrideClear restore;
-  EXPECT_THROW(fap::core::force_simd_level(SimdLevel::kAvx2),
-               fap::util::PreconditionError);
+            avx2 ? SimdLevel::kAvx2 : SimdLevel::kScalar);
 }
 
 }  // namespace

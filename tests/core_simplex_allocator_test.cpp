@@ -7,10 +7,16 @@
 // both step rules, and checks that the mix holds runs whose start node
 // drains to exactly 0, runs whose support changes after the first step,
 // and runs stopped by the iteration cap.
+//
+// The suite also pins the vertex certificate the catalog's pricing pass
+// decides before it runs this allocator (detail::vertex_start_terminates
+// on a ∂U row from detail::marginal_delay): wherever it holds, the serial
+// run stops at the point mass after 0 iterations.
 #include "core/simplex_allocator.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -18,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "core/active_set.hpp"
 #include "core/allocator.hpp"
 #include "core/single_file.hpp"
 #include "queueing/delay.hpp"
@@ -340,6 +347,236 @@ TEST(SimplexAllocator, RejectsInvalidProblemsAndOptions) {
 
   EXPECT_THROW(runs(good, {0.8, 0.8, 0.0}), PreconditionError);  // Σ != 1
   EXPECT_THROW(runs(good, {1.25, -0.25, 0.0}), PreconditionError);
+}
+
+// --- The vertex certificate ---------------------------------------------
+
+std::vector<double> vertex(std::size_t n, std::size_t s) {
+  std::vector<double> x(n, 0.0);
+  x[s] = 1.0;
+  return x;
+}
+
+// ∂U at `start` as the catalog's pricing pass evaluates it for the
+// certificate.
+std::vector<double> certificate_marginal_utilities(
+    const SingleFileModel& model, const std::vector<double>& start) {
+  const SingleFileProblem& problem = model.problem();
+  std::vector<double> du(start.size());
+  for (std::size_t i = 0; i < start.size(); ++i) {
+    du[i] = -(model.access_costs()[i] +
+              problem.k * fap::core::detail::marginal_delay(
+                              model.total_rate() * start[i], problem.mu[i],
+                              problem.delay.scv(), problem.delay.rho_max()));
+  }
+  return du;
+}
+
+// A hand-built uncapped instance: λ = 1 split evenly, k = 1, access
+// costs given, μ = 2 at every node. Under M/M/1 with μ = 2 its marginal
+// utilities at the vertex e_s are ∂U_s = -(C_s + 2) and
+// ∂U_i = -(C_i + 0.5) for i != s.
+SingleFileModel hand_built_model(std::vector<double> access) {
+  const std::size_t n = access.size();
+  SingleFileProblem problem{nullptr,
+                            std::vector<double>(n, 1.0 / static_cast<double>(n)),
+                            std::vector<double>(n, 2.0),
+                            1.0,
+                            DelayModel::mm1(),
+                            {},
+                            {},
+                            std::move(access)};
+  return SingleFileModel(std::move(problem));
+}
+
+// Every vertex of the suite's single-server instances, run at a fixed
+// step. The certificate's ∂U row is the serial gradient's, bit for bit,
+// and where the certificate holds, the serial run indeed stops at the
+// start after 0 iterations; it holds for some of these starts and not
+// for others.
+TEST(SimplexAllocator, VertexStartsMatchSerialBitwise) {
+  std::size_t starts = 0;
+  std::size_t certified = 0;
+  for (std::size_t family = 0; family + 1 < kFamilies; ++family) {
+    for (std::uint64_t seed = 0; seed < 40; ++seed) {
+      const Instance inst =
+          make_instance(family, StepRule::kFixed, 1000 * family + seed);
+      const std::size_t n = inst.model.dimension();
+      for (std::size_t s = 0; s < n; ++s) {
+        SCOPED_TRACE(std::string(family_name(family)) + ", seed " +
+                     std::to_string(seed) + ", vertex " + std::to_string(s));
+        const std::vector<double> start = vertex(n, s);
+        const std::vector<double> du =
+            certificate_marginal_utilities(inst.model, start);
+        const std::vector<double> serial_du =
+            inst.model.marginal_utilities(start);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_TRUE(BitsEqual(serial_du[i], du[i])) << "∂U of node " << i;
+        }
+        ++starts;
+        if (!fap::core::detail::vertex_start_terminates(
+                du.data(), n, s, inst.options.alpha, inst.options.epsilon)) {
+          continue;
+        }
+        ++certified;
+        const AllocationResult serial =
+            ResourceDirectedAllocator(inst.model, inst.options).run(start);
+        EXPECT_TRUE(serial.converged);
+        EXPECT_EQ(serial.iterations, 0u);
+        EXPECT_EQ(serial.x, start);
+      }
+    }
+  }
+  EXPECT_GT(certified, 0u);
+  EXPECT_LT(certified, starts);
+}
+
+// Hand-built margins ∂U_s - max_{i != s} ∂U_i around the certificate's
+// edge, asserted on the decision itself: a tie and +1 ulp are certified,
+// -1 ulp is not, and ±ε/2 fall on either side. The serial allocator
+// stops at once where the certificate holds.
+TEST(SimplexAllocator, VertexCertificateMarginsAndSignedZeros) {
+  AllocatorOptions options;
+  options.epsilon = 1e-4;
+  struct Case {
+    const char* name;
+    double rival_cost;  // C_1; node 0 holds the mass with C_0 = 1
+    bool certified;
+  };
+  const Case cases[] = {
+      {"tie", 2.5, true},
+      {"+1 ulp", std::nextafter(2.5, 3.0), true},
+      {"-1 ulp", std::nextafter(2.5, 2.0), false},
+      {"+eps/2", 2.5 + 5e-5, true},
+      {"-eps/2", 2.5 - 5e-5, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const SingleFileModel model =
+        hand_built_model({1.0, c.rival_cost, 10.0, 10.0});
+    const std::vector<double> start = vertex(4, 0);
+    const std::vector<double> du =
+        certificate_marginal_utilities(model, start);
+    ASSERT_EQ(du[0], -3.0);
+    if (std::string(c.name) == "tie") {
+      EXPECT_EQ(du[1], du[0]);
+    } else if (std::string(c.name) == "+1 ulp") {
+      EXPECT_EQ(du[1], std::nextafter(du[0], -4.0));
+    } else if (std::string(c.name) == "-1 ulp") {
+      EXPECT_EQ(du[1], std::nextafter(du[0], -2.0));
+    }
+    EXPECT_EQ(fap::core::detail::vertex_start_terminates(
+                  du.data(), du.size(), 0, options.alpha, options.epsilon),
+              c.certified);
+    const AllocationResult serial =
+        ResourceDirectedAllocator(model, options).run(start);
+    if (c.certified) {
+      EXPECT_TRUE(serial.converged);
+      EXPECT_EQ(serial.iterations, 0u);
+    }
+  }
+
+  // A start whose empty nodes hold -0.0 is a vertex too; the serial run
+  // converges at once and keeps those bits.
+  const SingleFileModel model = hand_built_model({1.0, 2.5, 10.0, 10.0});
+  const AllocationResult signed_run =
+      ResourceDirectedAllocator(model, options).run({1.0, -0.0, -0.0, -0.0});
+  EXPECT_TRUE(signed_run.converged);
+  EXPECT_EQ(signed_run.iterations, 0u);
+  ASSERT_EQ(signed_run.x.size(), 4u);
+  EXPECT_EQ(signed_run.x[0], 1.0);
+  for (std::size_t j = 1; j < 4; ++j) {
+    EXPECT_TRUE(std::signbit(signed_run.x[j])) << "node " << j;
+  }
+
+  // ∂U near 1e15: node 0 still has the largest marginal utility, but the
+  // rounding guard fails, so the certificate refuses.
+  const SingleFileModel huge =
+      hand_built_model({1e15, 1e15 + 1e3, 1e15 + 1e3, 1e15 + 1e3});
+  const std::vector<double> huge_du =
+      certificate_marginal_utilities(huge, vertex(4, 0));
+  EXPECT_GT(huge_du[0], huge_du[1]);
+  EXPECT_FALSE(fap::core::detail::vertex_start_terminates(
+      huge_du.data(), 4, 0, options.alpha, options.epsilon));
+}
+
+// The certificate's theorem on random vertex instances: whenever it
+// holds, the active-set procedure's set A at x = e_s has a marginal
+// utility spread below ε, so the allocator's first check would stop
+// there. The ∂U are drawn spread out, ulp-close, tied with s, clustered
+// around ε, or mixed, with α in (0, 2].
+TEST(SimplexAllocator, VertexCertificateImpliesTerminalSpread) {
+  constexpr std::size_t kInstances = 200000;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(20261019);
+  fap::core::detail::ActiveSetWorkspace ws;
+  fap::core::ConstraintGroup group;
+  std::vector<double> x;
+  std::vector<double> du;
+  std::vector<double> caps;
+  std::size_t certified = 0;
+  for (std::size_t t = 0; t < kInstances; ++t) {
+    const std::size_t n = rng.uniform() < 0.05
+                              ? 2 + rng.uniform_index(127)   // 2..128
+                              : 2 + rng.uniform_index(31);   // 2..32
+    const std::size_t s = rng.uniform_index(n);
+    const double alpha = 2.0 * (1.0 - rng.uniform());  // (0, 2]
+    const double epsilon = rng.uniform() < 0.5 ? 1e-4 : 1e-6;
+    const double scale = std::pow(10.0, rng.uniform(-3.0, 3.0));
+    const double top = (rng.uniform() < 0.8 ? -1.0 : 1.0) * scale;
+    const std::size_t mode = rng.uniform_index(5);
+    du.assign(n, top);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i == s) {
+        continue;
+      }
+      const std::size_t kind = mode == 4 ? rng.uniform_index(4) : mode;
+      switch (kind) {
+        case 0:  // spread out
+          du[i] = top - scale * rng.uniform(0.0, 10.0);
+          break;
+        case 1: {  // a few ulps below (or, rarely, above) the top
+          double v = top;
+          const std::size_t steps = rng.uniform_index(4);
+          const double toward = rng.uniform() < 0.9 ? -kInf : kInf;
+          for (std::size_t k = 0; k < steps; ++k) {
+            v = std::nextafter(v, toward);
+          }
+          du[i] = v;
+          break;
+        }
+        case 2:  // tied with s
+          du[i] = top;
+          break;
+        default:  // clustered within a few ε of the top
+          du[i] = top - epsilon * rng.uniform(-0.1, 3.0);
+          break;
+      }
+    }
+    x.assign(n, 0.0);
+    x[s] = 1.0;
+    caps.assign(n, kInf);
+    group.indices.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      group.indices[i] = i;
+    }
+    if (!fap::core::detail::vertex_start_terminates(du.data(), n, s, alpha,
+                                                   epsilon)) {
+      continue;
+    }
+    ++certified;
+    fap::core::detail::active_set_fast(group, x, du, alpha, caps, n, ws);
+    double lo = kInf;
+    double hi = -kInf;
+    for (const std::size_t i : ws.active) {
+      lo = std::min(lo, du[i]);
+      hi = std::max(hi, du[i]);
+    }
+    ASSERT_LT(hi - lo, epsilon) << "instance " << t << ", n = " << n;
+  }
+  // Most draws keep s on top; draws with a rival above it are rejected.
+  EXPECT_GT(certified, kInstances / 2);
+  EXPECT_LT(certified, kInstances);
 }
 
 }  // namespace

@@ -226,8 +226,8 @@ TEST(SingleFileModel, RejectsInvalidConstruction) {
   problem.comm = std::make_shared<fap::net::RowCostProvider>(
       fap::net::make_ring(5, 1.0));
   EXPECT_THROW(core::SingleFileModel{problem}, PreconditionError);
-  // Non-finite inputs fail here, as BatchAllocator::submit fails them,
-  // not as a converged +inf cost or a negative allocation one step later.
+  // Non-finite inputs fail here, not as a converged +inf cost or a
+  // negative allocation one step later.
   constexpr double kInf = std::numeric_limits<double>::infinity();
   problem = core::make_paper_ring_problem();
   problem.k = kInf;

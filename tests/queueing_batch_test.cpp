@@ -1,13 +1,14 @@
-// Batch delay-law kernels and delay-curve edge behavior.
+// Branch-free delay-law kernels and delay-curve edge behavior.
 //
 // Two concerns share this suite: (1) the branch-free single-server
-// kernels the batched allocator's derivative rows evaluate
+// kernels that core::detail::marginal_delay evaluates for the catalog's
+// vertex certificate and SimplexAllocator's per-node re-evaluations
 // (queueing::detail::lin_*) must be bit-identical to the scalar entry
-// points — that identity is what lets the batched allocator claim
-// bit-identical trajectories; (2) the delay laws' edge regions — the
-// rho_max knee, the linearized overload branch, and the derivative
-// formulas themselves — are pinned against finite differences of the
-// sojourn curve.
+// points — that identity is what lets those paths claim trajectories
+// bit-identical to the serial allocator; (2) the delay laws' edge
+// regions — the rho_max knee, the linearized overload branch, and the
+// derivative formulas themselves — are pinned against finite differences
+// of the sojourn curve.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -23,8 +24,8 @@ using fap::queueing::DelayModel;
 using fap::util::Rng;
 
 // Every single-server discipline, pure and linearized. (M/M/c has no
-// branch-free kernel: the batched allocator evaluates it through the
-// scalar entry points.)
+// branch-free kernel: SimplexAllocator evaluates it through the scalar
+// entry points.)
 std::vector<DelayModel> single_server_models() {
   return {
       DelayModel::mm1(),     DelayModel::md1(),       DelayModel::mg1(0.3),
