@@ -333,6 +333,20 @@ TEST(Allocator, RejectsInvalidOptionsAndInputs) {
   EXPECT_THROW(core::ResourceDirectedAllocator(model, bad),
                PreconditionError);
   bad = core::AllocatorOptions{};
+  bad.epsilon = 0.0;
+  EXPECT_THROW(core::ResourceDirectedAllocator(model, bad),
+               PreconditionError);
+  const core::ResourceDirectedAllocator allocator(model,
+                                                  core::AllocatorOptions{});
+  EXPECT_THROW(allocator.run({0.5, 0.5, 0.5, 0.5}), PreconditionError);
+  EXPECT_THROW(allocator.run({1.0, 0.0, 0.0}), PreconditionError);
+}
+
+// The constructor checks the options and run() checks the start; the
+// model's own fields were checked by its constructor.
+TEST(Allocator, RejectsUnsupportedOptionsAndInfeasibleStarts) {
+  const core::SingleFileModel model = paper_model();
+  core::AllocatorOptions bad;
   bad.alpha = -1.0;
   EXPECT_THROW(core::ResourceDirectedAllocator(model, bad),
                PreconditionError);
@@ -344,10 +358,13 @@ TEST(Allocator, RejectsInvalidOptionsAndInputs) {
   bad.max_iterations = 0;
   EXPECT_THROW(core::ResourceDirectedAllocator(model, bad),
                PreconditionError);
+
   const core::ResourceDirectedAllocator allocator(model,
                                                   core::AllocatorOptions{});
-  EXPECT_THROW(allocator.run({0.5, 0.5, 0.5, 0.5}), PreconditionError);
-  EXPECT_THROW(allocator.run({1.0, 0.0, 0.0}), PreconditionError);
+  EXPECT_THROW(allocator.run(std::vector<double>(4, 0.5)),
+               PreconditionError);  // mass 2 != 1: infeasible
+  EXPECT_THROW(allocator.run(std::vector<double>(3, 1.0 / 3)),
+               PreconditionError);  // wrong dimension
   EXPECT_THROW(allocator.run({1.25, -0.25, 0.0, 0.0}),
                PreconditionError);  // negative entry
 
